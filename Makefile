@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fuzz fmt-check lint lab-smoke
+.PHONY: all build test race bench fuzz fmt-check lint lab-smoke serving-bench serving-compare
 
 all: build test
 
@@ -62,6 +62,22 @@ lab-smoke: build
 bench: build
 	$(GO) test -run '^$$' -bench 'Query|SubgraphExtract|WalkScores|RecommendBatch|RecommendCached|RecommendUncached|RecommendRequest|Sharded|FleetGraphMemory' -benchtime=100x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend' -benchmem ./internal/wal/
+
+# The serving benchmark (benchmark/README.md): HTTP in, JSON out, all four
+# BENCHMARK.json workloads with the per-layer trace, written to OUT.
+#   make serving-bench SEED=1 OUT=/tmp/new.json
+# serving-compare diffs two such files per workload x end-to-end metric
+# (ok | worse | unresolved | invalid; non-zero exit on "worse"). A claim
+# needs ten parent/change pairs, not one — see the README.
+#   make serving-compare BASE=/tmp/base.json NEW=/tmp/new.json
+SEED ?= 1
+OUT ?= /tmp/ltr-serving-bench.json
+
+serving-bench:
+	bash benchmark/run.sh -seed $(SEED) -trace 1 -out $(OUT)
+
+serving-compare:
+	bash benchmark/run.sh -compare $(BASE) $(NEW)
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
 # for the extractor, the live graph (closed- and open-universe), the WAL

@@ -105,10 +105,10 @@ type engineScratch struct {
 // scratch is never leaked. A nil ctx costs nothing.
 //
 // fp, when non-nil, is filled with the query's dependency fingerprint:
-// the graph's write-generation watermark at extraction plus a bloom of
-// every subgraph node AND the query user's node (the user's own row
-// shapes the seed set and the rated-item exclusion, so a write there
-// must invalidate even when the user fell outside the truncated
+// the graph's write-generation watermark from before the seed read plus
+// a bloom of every subgraph node AND the query user's node (the user's
+// own row shapes the seed set and the rated-item exclusion, so a write
+// there must invalidate even when the user fell outside the truncated
 // subgraph). A nil fp costs nothing — the uncached hot path passes nil.
 //
 //ltr:allocfree
@@ -121,27 +121,52 @@ func (e *Engine) scoreCompact(ctx context.Context, scr *engineScratch, u int, sp
 			return nil, fmt.Errorf("core: query aborted before extraction: %w", err)
 		}
 	}
+	seeds, gen, err := e.readSeeds(scr, u, spec)
+	if err != nil {
+		return nil, err
+	}
+	return e.scoreSeeded(ctx, scr, u, seeds, gen, spec, fp)
+}
+
+// readSeeds is the first graph read a walk result depends on: the seed
+// (= absorbing) node ids of user u, and the write-generation watermark
+// read BEFORE them. Extract takes the graph lock again later, so a write
+// to u's own row can land between the two reads; it carries a generation
+// above gen and is therefore scanned by CheckFingerprint, whereas the
+// watermark Extract captures would already cover it and rule the result
+// Fresh although it was computed with the old absorbing set. An older
+// watermark is always sound — it only scans more journal.
+//
+//ltr:allocfree
+func (e *Engine) readSeeds(scr *engineScratch, u int, spec walkSpec) (seeds []int, gen uint64, err error) {
+	gen = e.g.WriteGen()
 	userNode := e.g.UserNode(u)
-	var seeds []int
 	if spec.seedUser {
 		scr.absorb = append(scr.absorb[:0], userNode)
-		seeds = scr.absorb
-	} else {
-		// S_q as node ids is exactly the user node's neighbor list
-		// (aliased parent storage; Extract only reads it).
-		nbrs, _ := e.g.Neighbors(userNode)
-		if len(nbrs) == 0 {
-			return nil, fmt.Errorf("%w: user %d", ErrColdUser, u)
-		}
-		seeds = nbrs
+		return scr.absorb, gen, nil
 	}
+	// S_q as node ids is exactly the user node's neighbor list (aliased
+	// parent storage; Extract only reads it).
+	nbrs, _ := e.g.Neighbors(userNode)
+	if len(nbrs) == 0 {
+		return nil, 0, fmt.Errorf("%w: user %d", ErrColdUser, u)
+	}
+	return nbrs, gen, nil
+}
+
+// scoreSeeded is scoreCompact after the seed read: extraction, chain
+// build, sweeps and the compact result, with fp stamped at gen, the
+// watermark readSeeds returned alongside seeds.
+//
+//ltr:allocfree
+func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, seeds []int, gen uint64, spec walkSpec, fp *graph.Fingerprint) ([]ItemScore, error) {
 	sg, err := scr.ext.Extract(seeds, e.opts.MaxSubgraphItems)
 	if err != nil {
 		return nil, fmt.Errorf("core: subgraph: %w", err)
 	}
 	if fp != nil {
-		fp.Reset(sg.WriteGen())
-		fp.AddNode(userNode)
+		fp.Reset(gen)
+		fp.AddNode(e.g.UserNode(u))
 		for l, nl := 0, sg.Len(); l < nl; l++ {
 			fp.AddNode(sg.OriginalNode(l))
 		}

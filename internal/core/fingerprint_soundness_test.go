@@ -131,6 +131,42 @@ func TestCachedFingerprintSoundnessDense(t *testing.T) {
 	}
 }
 
+// TestFingerprintCoversSeedReadGap plays, step by step instead of through
+// a scheduler race, the one interleaving the cache contract forbids: the
+// engine reads S_q, a write to the query user's own row lands, and only
+// then does Extract take the graph lock. The result is computed with the
+// old absorbing set, so its fingerprint must not revalidate as Fresh —
+// which holds because the watermark is read before the seeds. Stamped
+// with the watermark Extract captures instead (what the engine did before
+// readSeeds existed), the very same entry is ruled Fresh.
+func TestFingerprintCoversSeedReadGap(t *testing.T) {
+	g := twoClusterGraph(t)
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: 10})
+	scr := at.eng.pool.Get().(*engineScratch)
+	defer at.eng.pool.Put(scr)
+	const u = 0
+	seeds, gen, err := at.eng.readSeeds(scr, u, at.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// User 0 (items 0 and 1 so far) newly rates item 2 of their cluster.
+	if added, err := g.UpsertRating(u, 2, 4); err != nil || !added {
+		t.Fatalf("write in the gap: added=%v err=%v", added, err)
+	}
+	var fp graph.Fingerprint
+	if _, err := at.eng.scoreSeeded(nil, scr, u, seeds, gen, at.spec, &fp); err != nil {
+		t.Fatal(err)
+	}
+	if st := g.CheckFingerprint(&fp); st == graph.FingerprintFresh {
+		t.Fatal("a result computed with the absorbing set from before a write to the user's own row revalidates as Fresh")
+	}
+	late := fp
+	late.Gen = g.WriteGen() // nothing wrote since, so this is Extract's own watermark
+	if st := g.CheckFingerprint(&late); st != graph.FingerprintFresh {
+		t.Fatalf("extraction-time watermark gives status %d: the interleaving no longer shows the gap", st)
+	}
+}
+
 // FuzzFingerprintSoundness drives the soundness harness from a fuzz byte
 // stream: each op byte pair picks a write (in- or cross-cluster, any
 // score) or a checked read. Any input that makes the cached path serve a

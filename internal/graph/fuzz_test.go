@@ -11,6 +11,7 @@ package graph
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -60,8 +61,10 @@ func buildFuzzGraph(d *byteDriver) (*Bipartite, int, int) {
 }
 
 // refSubgraph is the naive map-based reference of Algorithm 1 step 2: the
-// same BFS policy as SubgraphExtractor.Extract, but with a map node
-// remapping and map-of-maps adjacency.
+// same BFS policy as SubgraphExtractor.Extract decides membership in
+// discovery order, then the stated numbering rule is applied with a plain
+// sort — seeds first in seed order, every other member in ascending
+// original id — and the adjacency is a map of maps.
 type refSubgraph struct {
 	nodes []int
 	local map[int]int
@@ -84,6 +87,7 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 		}
 		add(s)
 	}
+	numSeeds := len(r.nodes)
 	for head := 0; head < len(r.nodes); head++ {
 		if maxItems > 0 && r.items > maxItems {
 			break
@@ -98,6 +102,10 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 			}
 			add(w)
 		}
+	}
+	sort.Ints(r.nodes[numSeeds:])
+	for l, v := range r.nodes {
+		r.local[v] = l
 	}
 	for _, orig := range r.nodes {
 		lv := r.local[orig]
@@ -114,9 +122,59 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 	return r
 }
 
+// requireMatchesRef cross-checks one extraction against the naive
+// reference: node set and numbering, item count, the reverse mapping over
+// the whole universe, every weight, strictly increasing columns, symmetry
+// of the local adjacency and the cached degrees.
+func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, maxItems int) {
+	t.Helper()
+	ref := extractRef(g, seeds, maxItems)
+	if sg.Len() != len(ref.nodes) {
+		t.Fatalf("%d nodes, ref %d (seeds %v max %d)", sg.Len(), len(ref.nodes), seeds, maxItems)
+	}
+	if sg.NumItemNodes() != ref.items {
+		t.Fatalf("%d item nodes, ref %d", sg.NumItemNodes(), ref.items)
+	}
+	for l := 0; l < sg.Len(); l++ {
+		if sg.OriginalNode(l) != ref.nodes[l] {
+			t.Fatalf("node order diverges at %d: %d vs %d", l, sg.OriginalNode(l), ref.nodes[l])
+		}
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		gotL, gotOK := sg.LocalNode(v)
+		refL, refOK := ref.local[v]
+		if gotOK != refOK || (gotOK && gotL != refL) {
+			t.Fatalf("LocalNode(%d) = (%d,%v), ref (%d,%v)", v, gotL, gotOK, refL, refOK)
+		}
+	}
+	adj := sg.Adjacency()
+	for l := 0; l < sg.Len(); l++ {
+		cols, vals := adj.Row(l)
+		if len(cols) != len(ref.adj[l]) {
+			t.Fatalf("row %d has %d entries, ref %d", l, len(cols), len(ref.adj[l]))
+		}
+		sum := 0.0
+		for k, c := range cols {
+			if k > 0 && cols[k-1] >= c {
+				t.Fatalf("row %d columns not strictly increasing: %v", l, cols)
+			}
+			if rv, ok := ref.adj[l][c]; !ok || rv != vals[k] {
+				t.Fatalf("adj[%d][%d] = %v, ref %v (present %v)", l, c, vals[k], rv, ok)
+			}
+			if back := adj.At(c, l); back != vals[k] {
+				t.Fatalf("adj[%d][%d] = %v but adj[%d][%d] = %v", l, c, vals[k], c, l, back)
+			}
+			sum += vals[k]
+		}
+		if sg.Degrees()[l] != sum {
+			t.Fatalf("cached degree[%d] = %v, row sum %v", l, sg.Degrees()[l], sum)
+		}
+	}
+}
+
 // FuzzSubgraphExtract cross-checks the pooled epoch-stamped extractor
 // against the naive reference on fuzz-derived graphs, seed sets and item
-// budgets — node order, reverse mapping, adjacency and cached degrees.
+// budgets (see requireMatchesRef for what is compared).
 func FuzzSubgraphExtract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -139,45 +197,7 @@ func FuzzSubgraphExtract(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Extract(%v, %d): %v", seeds, maxItems, err)
 			}
-			ref := extractRef(g, seeds, maxItems)
-
-			if sg.Len() != len(ref.nodes) {
-				t.Fatalf("q%d: %d nodes, ref %d (seeds %v max %d)", q, sg.Len(), len(ref.nodes), seeds, maxItems)
-			}
-			if sg.NumItemNodes() != ref.items {
-				t.Fatalf("q%d: %d item nodes, ref %d", q, sg.NumItemNodes(), ref.items)
-			}
-			for l := 0; l < sg.Len(); l++ {
-				if sg.OriginalNode(l) != ref.nodes[l] {
-					t.Fatalf("q%d: node order diverges at %d: %d vs %d", q, l, sg.OriginalNode(l), ref.nodes[l])
-				}
-			}
-			for v := 0; v < g.NumNodes(); v++ {
-				gotL, gotOK := sg.LocalNode(v)
-				refL, refOK := ref.local[v]
-				if gotOK != refOK || (gotOK && gotL != refL) {
-					t.Fatalf("q%d: LocalNode(%d) = (%d,%v), ref (%d,%v)", q, v, gotL, gotOK, refL, refOK)
-				}
-			}
-			for l := 0; l < sg.Len(); l++ {
-				cols, vals := sg.Adjacency().Row(l)
-				if len(cols) != len(ref.adj[l]) {
-					t.Fatalf("q%d: row %d has %d entries, ref %d", q, l, len(cols), len(ref.adj[l]))
-				}
-				sum := 0.0
-				for k, c := range cols {
-					if k > 0 && cols[k-1] >= c {
-						t.Fatalf("q%d: row %d columns not strictly increasing: %v", q, l, cols)
-					}
-					if rv, ok := ref.adj[l][c]; !ok || rv != vals[k] {
-						t.Fatalf("q%d: adj[%d][%d] = %v, ref %v (present %v)", q, l, c, vals[k], rv, ok)
-					}
-					sum += vals[k]
-				}
-				if math.Abs(sg.Degrees()[l]-sum) > 1e-9 {
-					t.Fatalf("q%d: cached degree[%d] = %v, row sum %v", q, l, sg.Degrees()[l], sum)
-				}
-			}
+			requireMatchesRef(t, g, sg, seeds, maxItems)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"longtailrec/internal/sparse"
 )
@@ -20,8 +19,11 @@ import (
 // scratch storage and is only valid until the extractor's next Extract
 // call; the standalone ExtractSubgraph wrapper has no such restriction.
 type Subgraph struct {
-	parent  *Bipartite
-	nodes   []int       // local id -> original node id (BFS discovery order)
+	parent *Bipartite
+	// nodes maps local id -> original node id: the distinct seeds in seed
+	// order, then every other member in ascending original id. (NOT BFS
+	// discovery order: the BFS only decides membership.)
+	nodes   []int
 	adj     *sparse.CSR // local symmetric adjacency
 	degrees []float64   // cached weighted degrees of the local adjacency
 	items   int         // number of item nodes contained
@@ -44,8 +46,11 @@ type Subgraph struct {
 // parent graph while reusing all intermediate storage. The epoch-stamped
 // visited/local arrays replace the per-query map[int]int node remapping, and
 // the local CSR is built directly from the parent adjacency into flat
-// scratch slices — no COO builder, no per-query map, no re-sorted column
-// permutation pass.
+// scratch slices — no COO builder, no per-query map. Non-seed members are
+// numbered in ascending original id, the order the parent's rows are
+// already sorted in, so a filtered row arrives as two ascending runs (seed
+// columns, other columns) and one stable partition puts it in local column
+// order: no row is ever comparison-sorted.
 //
 // An extractor is NOT safe for concurrent use; give each worker its own
 // (see core.Engine, which pools them).
@@ -53,15 +58,20 @@ type SubgraphExtractor struct {
 	g     *Bipartite
 	epoch int
 	stamp []int // stamp[v] == epoch ⇔ v is in the current subgraph
-	local []int // local id of original node v when stamped
+	local []int // local id of original node v when stamped; -1 until numbered
 
-	nodes   []int // BFS discovery order; doubles as the queue
+	// nodes is the BFS discovery list (doubling as the queue) while
+	// membership is decided, then local id -> original id.
+	nodes   []int
 	rowPtr  []int
 	colIdx  []int
 	vals    []float64
 	degrees []float64
-	sorter  csrRowSorter
-	sub     Subgraph
+	// seedCols/seedVals park the seed-column run of the row being built
+	// until the row's other columns are known (see buildLocalCSR).
+	seedCols []int
+	seedVals []float64
+	sub      Subgraph
 }
 
 // NewSubgraphExtractor creates an extractor bound to g. Scratch arrays grow
@@ -97,9 +107,11 @@ func (e *SubgraphExtractor) Graph() *Bipartite { return e.g }
 // type). A non-positive maxItems means "no limit", yielding the whole
 // reachable component.
 //
-// Seed nodes occupy local ids 0..s-1 in seed order (duplicates skipped).
-// The returned Subgraph aliases the extractor's scratch and is invalidated
-// by the next Extract call on the same extractor.
+// The BFS decides membership only. Local ids are then assigned as: the
+// distinct seeds 0..s-1 in seed order (duplicates skipped), every other
+// member in ascending original node id. The returned Subgraph aliases the
+// extractor's scratch and is invalidated by the next Extract call on the
+// same extractor.
 //
 //ltr:allocfree
 func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error) {
@@ -121,15 +133,6 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 	e.epoch++
 	e.nodes = e.nodes[:0]
 	items := 0
-	//ltr:ignore allocfree add captures only the enclosing frame and never escapes: the compiler inlines it, no closure is heap-allocated
-	add := func(v int) {
-		e.stamp[v] = e.epoch
-		e.local[v] = len(e.nodes)
-		e.nodes = append(e.nodes, v)
-		if g.IsItemNode(v) {
-			items++
-		}
-	}
 	for _, s := range seeds {
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("graph: seed node %d out of range [0,%d)", s, n)
@@ -137,11 +140,19 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 		if e.stamp[s] == e.epoch {
 			continue
 		}
-		add(s)
+		e.stamp[s] = e.epoch
+		e.local[s] = len(e.nodes)
+		e.nodes = append(e.nodes, s)
+		if g.IsItemNode(s) {
+			items++
+		}
 	}
+	numSeeds := len(e.nodes)
 	// BFS with an index-based head: e.nodes is simultaneously the discovery
 	// list and the queue, so there is no O(n²) queue = queue[1:] re-slicing
-	// and no separate queue allocation.
+	// and no separate queue allocation. [lo, hi] brackets the original ids
+	// of the non-seed members for the numbering scan below.
+	lo, hi := n, -1
 	for head := 0; head < len(e.nodes); head++ {
 		if maxItems > 0 && items > maxItems {
 			break
@@ -151,13 +162,35 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 			if e.stamp[w] == e.epoch {
 				continue
 			}
-			if maxItems > 0 && items > maxItems && g.IsItemNode(w) {
-				continue
+			if g.IsItemNode(w) {
+				if maxItems > 0 && items > maxItems {
+					continue
+				}
+				items++
 			}
-			add(w)
+			e.stamp[w] = e.epoch
+			e.local[w] = -1
+			e.nodes = append(e.nodes, w)
+			if w < lo {
+				lo = w
+			}
+			if w > hi {
+				hi = w
+			}
 		}
 	}
-	e.buildLocalCSR()
+	// Number the non-seed members in ascending original id with one scan
+	// of the stamped range, overwriting the discovery order (no longer
+	// needed) in e.nodes. Seeds inside the range keep their ids (>= 0).
+	next := numSeeds
+	for v := lo; v <= hi; v++ {
+		if e.stamp[v] == e.epoch && e.local[v] < 0 {
+			e.local[v] = next
+			e.nodes[next] = v
+			next++
+		}
+	}
+	e.buildLocalCSR(numSeeds)
 	e.sub = Subgraph{
 		parent:   g,
 		nodes:    e.nodes,
@@ -174,13 +207,15 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 
 // buildLocalCSR materializes the node-induced adjacency submatrix straight
 // from the parent's live rows: one pass per row filtering to stamped
-// neighbors, followed by an in-place per-row column sort (local ids are
-// assigned in BFS order, so the parent's sorted-by-original-id rows arrive
-// permuted). Degrees (local row sums) are computed in the same pass.
-// Caller (Extract) holds the parent graph's read lock.
+// neighbors. Parent rows are sorted by original id and non-seed local ids
+// ascend with original id, so a row's non-seed columns arrive in local
+// order and are appended in place; its seed columns (local ids below
+// numSeeds, which follow seed order instead) are parked aside and moved in
+// front once the row is complete. Degrees are the local row sums, added in
+// local column order. Caller (Extract) holds the parent graph's read lock.
 //
 //ltr:allocfree
-func (e *SubgraphExtractor) buildLocalCSR() {
+func (e *SubgraphExtractor) buildLocalCSR(numSeeds int) {
 	nl := len(e.nodes)
 	if cap(e.rowPtr) < nl+1 {
 		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
@@ -189,6 +224,13 @@ func (e *SubgraphExtractor) buildLocalCSR() {
 	if cap(e.degrees) < nl {
 		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
 		e.degrees = make([]float64, 0, 2*nl)
+	}
+	if cap(e.seedCols) < numSeeds {
+		// A row holds each seed at most once, so its seed run fits.
+		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
+		e.seedCols = make([]int, 0, 2*numSeeds)
+		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
+		e.seedVals = make([]float64, 0, 2*numSeeds)
 	}
 	e.rowPtr = e.rowPtr[:0]
 	e.degrees = e.degrees[:0]
@@ -200,57 +242,61 @@ func (e *SubgraphExtractor) buildLocalCSR() {
 		// delta overlay are part of the extracted subgraph.
 		cols, vals := e.g.rowLocked(orig)
 		start := len(e.colIdx)
+		e.seedCols, e.seedVals = e.seedCols[:0], e.seedVals[:0]
 		sum := 0.0
 		for k, w := range cols {
-			if e.stamp[w] == e.epoch && vals[k] != 0 {
-				e.colIdx = append(e.colIdx, e.local[w])
+			if e.stamp[w] != e.epoch || vals[k] == 0 {
+				continue
+			}
+			if l := e.local[w]; l < numSeeds {
+				e.seedCols = append(e.seedCols, l)
+				e.seedVals = append(e.seedVals, vals[k])
+			} else {
+				e.colIdx = append(e.colIdx, l)
 				e.vals = append(e.vals, vals[k])
 				sum += vals[k]
 			}
 		}
-		e.sortRow(start)
+		if c := len(e.seedCols); c > 0 {
+			sortSeedRun(e.seedCols, e.seedVals)
+			// Grow the row by c, shift its non-seed columns right (copy is
+			// overlap-safe) and drop the seed run in front.
+			e.colIdx = append(e.colIdx, e.seedCols...)
+			e.vals = append(e.vals, e.seedVals...)
+			rowCols, rowVals := e.colIdx[start:], e.vals[start:]
+			copy(rowCols[c:], rowCols)
+			copy(rowVals[c:], rowVals)
+			copy(rowCols, e.seedCols)
+			copy(rowVals, e.seedVals)
+			// Re-add in local column order: Degrees()[l] stays bit-equal
+			// to the row sum of the adjacency handed out.
+			sum = 0
+			for _, x := range rowVals {
+				sum += x
+			}
+		}
 		e.rowPtr = append(e.rowPtr, len(e.colIdx))
 		e.degrees = append(e.degrees, sum)
 	}
 }
 
-// sortRow restores the ascending-column CSR invariant for the row segment
-// colIdx[start:], swapping vals along. Small rows use insertion sort;
-// larger ones go through sort.Sort on a pre-allocated sorter so no closure
-// or interface value is allocated per row.
+// sortSeedRun restores ascending column order in a row's seed run, moving
+// vals along. The run arrives in ascending original id; its local ids
+// follow seed order, so it is already sorted whenever the seeds were passed
+// in ascending order (the engine always does) and this is one comparison
+// per entry. Arbitrary seed orders pay an insertion sort of the run.
 //
 //ltr:allocfree
-func (e *SubgraphExtractor) sortRow(start int) {
-	cols := e.colIdx[start:]
-	vals := e.vals[start:]
-	if len(cols) <= 24 {
-		for i := 1; i < len(cols); i++ {
-			c, v := cols[i], vals[i]
-			j := i - 1
-			for j >= 0 && cols[j] > c {
-				cols[j+1], vals[j+1] = cols[j], vals[j]
-				j--
-			}
-			cols[j+1], vals[j+1] = c, v
+func sortSeedRun(cols []int, vals []float64) {
+	for i := 1; i < len(cols); i++ {
+		c, v := cols[i], vals[i]
+		j := i - 1
+		for j >= 0 && cols[j] > c {
+			cols[j+1], vals[j+1] = cols[j], vals[j]
+			j--
 		}
-		return
+		cols[j+1], vals[j+1] = c, v
 	}
-	e.sorter.cols, e.sorter.vals = cols, vals
-	sort.Sort(&e.sorter)
-	e.sorter.cols, e.sorter.vals = nil, nil
-}
-
-// csrRowSorter sorts a (column, value) row segment by ascending column.
-type csrRowSorter struct {
-	cols []int
-	vals []float64
-}
-
-func (s *csrRowSorter) Len() int           { return len(s.cols) }
-func (s *csrRowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *csrRowSorter) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }
 
 // ExtractSubgraph grows a subgraph outward from the seed nodes by
@@ -270,6 +316,9 @@ func (sg *Subgraph) Len() int { return len(sg.nodes) }
 
 // WriteGen returns the parent view's write-generation watermark the
 // subgraph was extracted at (see Bipartite.WriteGen / CheckFingerprint).
+// It covers the extraction only: a result that also depends on a graph
+// read made before Extract (the seed set, say) must be fingerprinted with
+// a watermark read before that earlier read.
 func (sg *Subgraph) WriteGen() uint64 { return sg.writeGen }
 
 // NumItemNodes returns how many item nodes the subgraph contains.

@@ -18,11 +18,15 @@ type ChainScratch struct {
 	Mask     []bool    // absorbing-state membership
 	Cur, Nxt []float64 // DP ping/pong buffers
 	Enter    []float64 // per-state entry costs (Eq. 9), caller-filled
+	// Arrive is the cost model's per-sweep enter[j] + Cur[j], filled by the
+	// kernel so each edge gathers one value instead of two.
+	Arrive []float64
 }
 
 // Resize re-slices every buffer to length n, growing the backing arrays
-// when needed, and zeroes Mask, Cur and Nxt. Enter is left uninitialized —
-// callers that use it overwrite every element.
+// when needed, and zeroes Mask, Cur and Nxt. Enter and Arrive are left
+// uninitialized — the caller overwrites every element of the first, the
+// kernel of the second.
 func (s *ChainScratch) Resize(n int) {
 	grow := func(b []float64) []float64 {
 		if cap(b) < n {
@@ -33,6 +37,7 @@ func (s *ChainScratch) Resize(n int) {
 	s.Cur = grow(s.Cur)
 	s.Nxt = grow(s.Nxt)
 	s.Enter = grow(s.Enter)
+	s.Arrive = grow(s.Arrive)
 	if cap(s.Mask) < n {
 		s.Mask = make([]bool, n, 2*n)
 	} else {
@@ -81,7 +86,7 @@ func (c *Chain) AbsorbingCostFused(scr *ChainScratch, enter []float64, tau int) 
 //
 //ltr:allocfree
 func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, enter []float64, tau int) ([]float64, error) {
-	if len(scr.Mask) != c.n || len(scr.Cur) != c.n || len(scr.Nxt) != c.n {
+	if len(scr.Mask) != c.n || len(scr.Cur) != c.n || len(scr.Nxt) != c.n || (enter != nil && len(scr.Arrive) != c.n) {
 		return nil, fmt.Errorf("markov: scratch sized for %d states, chain has %d", len(scr.Mask), c.n)
 	}
 	if enter != nil && len(enter) != c.n {
@@ -100,7 +105,7 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 	if !any {
 		return nil, ErrNoAbsorbing
 	}
-	cur, nxt, mask := scr.Cur, scr.Nxt, scr.Mask
+	cur, nxt, mask, arrive := scr.Cur, scr.Nxt, scr.Mask, scr.Arrive
 	for t := 0; t < tau; t++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -108,6 +113,13 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 				// for this sweep) so the pooled buffers stay reusable.
 				scr.Cur, scr.Nxt = cur, nxt
 				return nil, err
+			}
+		}
+		if enter != nil {
+			// The same enter[j] + cur[j] every edge into j would add, once
+			// per state instead of once per edge.
+			for j, en := range enter {
+				arrive[j] = en + cur[j]
 			}
 		}
 		for i := 0; i < c.n; i++ {
@@ -137,7 +149,7 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 			} else {
 				acc := 0.0
 				for k, j := range cols {
-					acc += vals[k] * (enter[j] + cur[j])
+					acc += vals[k] * arrive[j]
 				}
 				nxt[i] = acc / d
 			}

@@ -124,6 +124,53 @@ func TestFusedScratchReuse(t *testing.T) {
 	}
 }
 
+// TestFusedCostGathersOncePerEdge pins the cost kernel's arithmetic to
+// the recurrence as written, acc += a_ij·(enter_j + AC_t(j)) then one
+// division by d_i, bit for bit: the per-sweep Arrive vector hoists the
+// inner addition out of the edge loop without changing a single operation
+// or its order. One scratch serves chains of different sizes, so a stale
+// Arrive would show.
+func TestFusedCostGathersOncePerEdge(t *testing.T) {
+	var scr ChainScratch
+	for q, n := range []int{30, 12, 50} {
+		ch := fusedTestChain(t, n, int64(20+q))
+		rng := rand.New(rand.NewSource(int64(q)))
+		enter := make([]float64, n)
+		for i := range enter {
+			enter[i] = 0.05 + rng.Float64()*2
+		}
+		const tau = 9
+		cur, nxt := make([]float64, n), make([]float64, n)
+		for s := 0; s < tau; s++ {
+			for i := 0; i < n; i++ {
+				d := ch.Degree(i)
+				if i == 1 || i == 2 || d == 0 {
+					nxt[i] = cur[i] // absorbing states stay 0, isolated ones frozen
+					continue
+				}
+				cols, vals := ch.adj.Row(i)
+				acc := 0.0
+				for k, j := range cols {
+					acc += vals[k] * (enter[j] + cur[j])
+				}
+				nxt[i] = acc / d
+			}
+			cur, nxt = nxt, cur
+		}
+		scr.Resize(n)
+		scr.Mask[1], scr.Mask[2] = true, true
+		got, err := ch.AbsorbingCostFused(&scr, enter, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cur {
+			if cur[i] != got[i] {
+				t.Fatalf("query %d state %d: kernel %v, recurrence %v", q, i, got[i], cur[i])
+			}
+		}
+	}
+}
+
 // TestFusedValidation exercises the error paths.
 func TestFusedValidation(t *testing.T) {
 	ch := fusedTestChain(t, 10, 5)
