@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fuzz fmt-check lint lab-smoke serving-bench serving-compare
+.PHONY: all build test race bench fuzz fmt-check lint serving-bench serving-compare
 
 all: build test
 
@@ -39,28 +39,20 @@ fmt-check:
 # the CI-sized cut.)
 # The second line self-checks the ltr-vet analyzer suite under -race
 # (-short skips the whole-repo re-analysis; the testdata suites are the
-# point here).
+# point here); the third runs the serving benchmark's own tests — a real
+# loopback server driven by concurrent clients — under the detector.
 race:
-	$(GO) test -race -run 'TestConcurrent|TestEngineConcurrentUse|TestRecommendBatch|TestCached|TestRouter|TestFleet|TestIngester' . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/cache/ ./internal/shard/ ./internal/wal/ ./internal/lab/
+	$(GO) test -race -run 'TestConcurrent|TestEngineConcurrentUse|TestRecommendBatch|TestCached|TestRouter|TestFleet|TestIngester' . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/cache/ ./internal/shard/ ./internal/wal/
 	$(GO) test -race -short ./internal/analysis/...
-
-# Experiment-harness smoke: run the tiny grid (every scenario once at
-# small sizes), validate the freshly emitted report against the schema,
-# and re-validate the committed BENCH_10.json baseline — so neither the
-# harness, the schema nor the checked-in trajectory point can bit-rot.
-lab-smoke: build
-	$(GO) run ./cmd/ltr-lab -grid grids/smoke.json -out /tmp/ltr-lab-smoke.json -csv /tmp/ltr-lab-smoke.csv -quiet
-	$(GO) run ./cmd/ltr-lab -check /tmp/ltr-lab-smoke.json
-	$(GO) run ./cmd/ltr-lab -check BENCH_10.json
+	$(GO) test -race ./benchmark
 
 # Short per-query benchmark pass with allocation counts — the regression
-# signal for the zero-allocation query engine, the Request query surface,
-# the cached serving path, the sharded-fleet invalidation blast radius,
-# the shared-base fleet memory footprint (FleetGraphMemory reports
-# bytes/shard; it must NOT scale with the shard count) and the WAL
-# group-commit throughput (see PERFORMANCE.md).
+# signal for the zero-allocation query engine, the Request query surface
+# and the 1-alloc warm cache hit, plus the log-only WAL group-commit
+# throughput (see PERFORMANCE.md). Serving timings live in the serving
+# benchmark below, not here.
 bench: build
-	$(GO) test -run '^$$' -bench 'Query|SubgraphExtract|WalkScores|RecommendBatch|RecommendCached|RecommendUncached|RecommendRequest|Sharded|FleetGraphMemory' -benchtime=100x -benchmem
+	$(GO) test -run '^$$' -bench 'Query|SubgraphExtract|WalkScores|RecommendBatch|RecommendCached|RecommendRequest' -benchtime=100x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend' -benchmem ./internal/wal/
 
 # The serving benchmark (benchmark/README.md): HTTP in, JSON out, all four

@@ -303,32 +303,21 @@ func BenchmarkRecommendBatch(b *testing.B) {
 	}
 }
 
-// Cached serving-path benchmarks: the epoch-invalidated result cache in
-// front of the engine (PR 2). BenchmarkRecommendUncached is the same
-// workload without the cache — the pair quantifies hit-rate vs recompute
-// cost for PERFORMANCE.md.
-
-// cachedBenchSystem builds a second System over the bench split with the
-// result cache enabled (the per-query benchmarks above deliberately run
-// uncached so they keep measuring the engine).
-func cachedBenchSystem(b *testing.B, env *experiments.Env) *longtail.System {
-	b.Helper()
+// BenchmarkRecommendCached is the warm-hit allocation gate: after one
+// cold round over the panel every iteration is a cache hit (lookup +
+// copy of the top-k slice), which must stay at 1 alloc/op. What a hit and
+// a miss cost end to end is the serving benchmark's business (hot_read
+// longtail.recommend_hit_us, cold_walk longtail.recommend_miss_ms).
+func BenchmarkRecommendCached(b *testing.B) {
+	env := benchEnv(b, "movielens")
+	// A second System over the bench split with the result cache on (the
+	// per-query benchmarks above run uncached so they measure the engine).
 	cfg := longtail.DefaultConfig()
 	cfg.CacheSize = 8192
 	sys, err := longtail.NewSystem(env.Split.Train, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sys
-}
-
-// BenchmarkRecommendCached measures a repeat query through the cached
-// engine path: after one cold round over the panel, every iteration is a
-// cache hit (lookup + copy of the top-k slice). Compare ns/op against
-// BenchmarkRecommendUncached / BenchmarkQueryAT.
-func BenchmarkRecommendCached(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	sys := cachedBenchSystem(b, env)
 	rec, err := sys.Algorithm("AT")
 	if err != nil {
 		b.Fatal(err)
@@ -346,197 +335,6 @@ func BenchmarkRecommendCached(b *testing.B) {
 		if _, err := rec.Recommend(u, 10); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRecommendUncached is the identical workload through a cache-
-// disabled System: every iteration runs the full BFS + fused-sweep engine.
-func BenchmarkRecommendUncached(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	rec, err := env.Sys.Algorithm("AT")
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := env.Panel
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := users[i%len(users)]
-		if _, err := rec.Recommend(u, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecommendCachedWithWrites interleaves one live write per 64
-// queries — a 98.4% read mix — to show the cache under epoch churn.
-func BenchmarkRecommendCachedWithWrites(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	sys := cachedBenchSystem(b, env)
-	rec, err := sys.Algorithm("AT")
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := env.Panel
-	d := env.Split.Train
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 63 {
-			u := users[i%len(users)]
-			if _, _, err := sys.ApplyRating(u, i%d.NumItems(), 1+float64(i%5)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		u := users[i%len(users)]
-		if _, err := rec.Recommend(u, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShardedWriteInvalidation measures the cache hit rate of a
-// mixed read/write workload (1 write per 8 reads) as the serving fleet
-// shards: with one replica every write's epoch bump kills the whole
-// cache, while with N shards only the written user's shard recomputes —
-// the other N−1 keep serving warm entries. The per-run "hit-rate" metric
-// is the headline number PERFORMANCE.md's "Sharded invalidation blast
-// radius" section tracks; ns/op follows it (a hit is ~5 orders of
-// magnitude cheaper than a walk).
-func BenchmarkShardedWriteInvalidation(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := longtail.DefaultConfig()
-			cfg.CacheSize = 8192
-			cfg.ShardCount = shards
-			sys, err := longtail.NewSystem(env.Split.Train, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec, err := sys.Algorithm("AT")
-			if err != nil {
-				b.Fatal(err)
-			}
-			users := env.Panel
-			for _, u := range users { // warm: one miss per panel user
-				if _, err := rec.Recommend(u, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-			numItems := env.Split.Train.NumItems()
-			// Snapshot the counters after warm-up: the reported hit rate
-			// must cover only the timed mixed workload, not the one
-			// guaranteed miss per panel user the warm loop just paid.
-			warm := sys.ServingStats().Cache
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%8 == 7 { // 12.5% writes, routed to the writer's shard
-					u := users[i%len(users)]
-					if _, _, err := sys.ApplyRating(u, i%numItems, 1+float64(i%5)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				u := users[(i*7+1)%len(users)]
-				if _, err := rec.Recommend(u, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := sys.ServingStats().Cache
-			hits := (st.Hits + st.Shared) - (warm.Hits + warm.Shared)
-			if lookups := (st.Hits + st.Misses + st.Shared) - (warm.Hits + warm.Misses + warm.Shared); lookups > 0 {
-				b.ReportMetric(float64(hits)/float64(lookups), "hit-rate")
-			}
-		})
-	}
-	// The clustered cell is the fingerprint-precision headline: on the
-	// community-structured corpus with writes confined to the writer's own
-	// cluster, a single-shard fleet — where every write bumps the only
-	// epoch — still retains the other clusters' entries, because subgraph
-	// fingerprints prove non-overlap. The movielens cells above stay
-	// byte-identical for cross-PR comparability; there the graph is one
-	// connected component and sharding is the only blast-radius lever.
-	b.Run("clustered/shards=1", func(b *testing.B) {
-		env := benchEnv(b, "clustered")
-		cfg := longtail.DefaultConfig()
-		cfg.CacheSize = 8192
-		cfg.ShardCount = 1
-		sys, err := longtail.NewSystem(env.Split.Train, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec, err := sys.Algorithm("AT")
-		if err != nil {
-			b.Fatal(err)
-		}
-		users := env.Panel
-		for _, u := range users {
-			if _, err := rec.Recommend(u, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-		uPer := env.World.Config.UsersPerCluster()
-		iPer := env.World.Config.ItemsPerCluster()
-		warm := sys.ServingStats().Cache
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%8 == 7 {
-				u := users[i%len(users)]
-				item := (u/uPer)*iPer + i%iPer // writer's own cluster
-				if _, _, err := sys.ApplyRating(u, item, 1+float64(i%5)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			u := users[(i*7+1)%len(users)]
-			if _, err := rec.Recommend(u, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := sys.ServingStats().Cache
-		hits := (st.Hits + st.Shared) - (warm.Hits + warm.Shared)
-		if lookups := (st.Hits + st.Misses + st.Shared) - (warm.Hits + warm.Misses + warm.Shared); lookups > 0 {
-			b.ReportMetric(float64(hits)/float64(lookups), "hit-rate")
-		}
-		b.ReportMetric(float64(st.FingerprintHits-warm.FingerprintHits), "fp-hits")
-	})
-}
-
-// BenchmarkFleetGraphMemory measures the steady-state graph heap of a
-// freshly built fleet per shard count. The "bytes/shard" metric is the
-// memory-regression gate: with the shared-base design the graph heap must
-// stay ~flat as shards grow (one immutable base + N thin overlay views),
-// so bytes/shard should fall ~linearly with the shard count — a fleet
-// whose total grows with N means replicas are carrying full graph copies
-// again. Caching is disabled so the measurement isolates graph storage.
-func BenchmarkFleetGraphMemory(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	train := env.Split.Train
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := longtail.DefaultConfig()
-			cfg.CacheSize = 0
-			cfg.ShardCount = shards
-			var ms runtime.MemStats
-			for i := 0; i < b.N; i++ {
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				before := ms.HeapAlloc
-				sys, err := longtail.NewSystem(train, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				heap := float64(ms.HeapAlloc - before)
-				runtime.KeepAlive(sys)
-				b.ReportMetric(heap, "fleet-bytes")
-				b.ReportMetric(heap/float64(shards), "bytes/shard")
-			}
-		})
 	}
 }
 

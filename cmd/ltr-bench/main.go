@@ -10,8 +10,9 @@
 // (diversity), table3 (similarity), table4 (µ sweep), table5 (timing),
 // table6 (simulated user study); plus the extensions gini (sales-diversity
 // aggregates), ranking (MRR/NDCG on the Figure 5 protocol), beyond
-// (novelty / serendipity / intra-list-similarity / coverage) and
-// throughput (RecommendBatch scaling across cores).
+// (novelty / serendipity / intra-list-similarity / coverage) and strata
+// (recall by held-out item popularity, with bootstrap intervals).
+// experiments.Names is the one list of ids.
 package main
 
 import (
@@ -59,7 +60,7 @@ func run(expFlag, scaleFlag string, seed int64) error {
 	}
 	var ids []string
 	if expFlag == "all" {
-		ids = []string{"fig2", "table1", "fig5a", "fig5b", "fig6a", "fig6b", "table2", "table3", "table4", "table5", "table6", "gini", "ranking", "beyond", "strata", "throughput"}
+		ids = experiments.Names()
 	} else {
 		for _, id := range strings.Split(expFlag, ",") {
 			if id = strings.TrimSpace(id); id != "" {
@@ -223,16 +224,6 @@ func (r *runner) experiment(id string) (string, error) {
 			return "", err
 		}
 		res, err := experiments.StratifiedExperiment(e)
-		if err != nil {
-			return "", err
-		}
-		return res.Text, nil
-	case "throughput":
-		e, err := r.env("movielens")
-		if err != nil {
-			return "", err
-		}
-		res, err := experiments.ThroughputExperiment(e)
 		if err != nil {
 			return "", err
 		}

@@ -1,9 +1,11 @@
 package longtail
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,5 +283,124 @@ func TestConcurrentOpenUniverseServing(t *testing.T) {
 	}
 	if len(recs) == 0 {
 		t.Error("no recommendations for grown user with two ratings")
+	}
+}
+
+// TestConcurrentColdStartStorm: four writers drain ONE ascending arrival
+// stream of brand-new users (two ratings each) into a two-shard auto-grow
+// fleet. No write may be rejected, the universe must grow by exactly the
+// number of newcomers, and every newcomer must be served by the walk
+// engine on its own ratings — no fallback. (TestConcurrentOpenUniverseServing
+// above has a single writer.)
+func TestConcurrentColdStartStorm(t *testing.T) {
+	_, w := smallSystem(t, 19)
+	cfg := ServingConfig(512, 0)
+	cfg.ShardCount = 2
+	sys, err := NewSystem(w.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseUsers, numItems := w.Data.NumUsers(), w.Data.NumItems()
+	const newcomers, perUser, writers = 48, 2, 4
+
+	type write struct{ user, item int }
+	// 32 slots: with the writers' own hands that is at most 36 ops in
+	// flight, so however the writers interleave, the ids they carry stay
+	// far inside graph.MaxDenseAdmissions (1,024) of the universe edge.
+	feed := make(chan write, 32)
+	go func() {
+		for k := 0; k < newcomers; k++ {
+			for r := 0; r < perUser; r++ {
+				feed <- write{user: baseUsers + k, item: (7*k + 31*r) % numItems}
+			}
+		}
+		close(feed)
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op := range feed {
+				if _, _, err := sys.ApplyRating(op.user, op.item, 1+float64(op.item%5)); err != nil {
+					t.Errorf("storm write (user %d, item %d) rejected: %v", op.user, op.item, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if nu, ni := sys.Universe(); nu != baseUsers+newcomers || ni != numItems {
+		t.Fatalf("universe %d/%d, want %d/%d", nu, ni, baseUsers+newcomers, numItems)
+	}
+	ctx := context.Background()
+	for u := baseUsers; u < baseUsers+newcomers; u++ {
+		resp, err := sys.Recommend(ctx, "AT", Request{User: u, K: 5})
+		if err != nil {
+			t.Fatalf("newcomer %d not servable: %v", u, err)
+		}
+		if resp.Fallback || len(resp.Items) == 0 {
+			t.Fatalf("newcomer %d: fallback=%v, %d items; want a walk result", u, resp.Fallback, len(resp.Items))
+		}
+	}
+}
+
+// TestConcurrentFlashCrowd: eight readers hammer eight hot users through
+// a cold cache, all walking the hot set in the same order so every first
+// touch is a thundering herd. Singleflight must coalesce it (at most one
+// miss per hot user), the hit share must clear 0.9, and on an unwritten
+// graph every read of a user must equal the first read of that user.
+func TestConcurrentFlashCrowd(t *testing.T) {
+	_, w := smallSystem(t, 23)
+	cfg := DefaultConfig()
+	cfg.CacheSize = 512
+	sys, err := NewSystem(w.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := sys.Data().SampleUsers(rand.New(rand.NewSource(7)), 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, readsEach = 8, 64
+	ctx := context.Background()
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first = map[int][]Scored{}
+	)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < readsEach; i++ {
+				u := hot[i%len(hot)]
+				resp, err := sys.Recommend(ctx, "AT", Request{User: u, K: 10})
+				if err != nil {
+					t.Errorf("read of user %d: %v", u, err)
+					return
+				}
+				mu.Lock()
+				if prev, ok := first[u]; !ok {
+					first[u] = resp.Items
+				} else if !slices.Equal(prev, resp.Items) {
+					t.Errorf("user %d: read differs from the first read on an unwritten graph", u)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := sys.ServingStats().Cache
+	if st.Misses > uint64(len(hot)) {
+		t.Errorf("%d cache misses for %d hot users: the herd was not coalesced", st.Misses, len(hot))
+	}
+	lookups := st.Hits + st.Misses + st.Shared
+	if lookups != readers*readsEach {
+		t.Errorf("cache saw %d lookups, want %d", lookups, readers*readsEach)
+	}
+	if share := float64(st.Hits+st.Shared) / float64(lookups); share < 0.9 {
+		t.Errorf("hit share %.3f under 0.9 (%+v)", share, st)
 	}
 }

@@ -12,10 +12,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
 	"strings"
-	"time"
 
 	"longtailrec"
 	"longtailrec/internal/dataset"
@@ -636,84 +633,6 @@ func StratifiedExperiment(env *Env) (*StratifiedPanel, error) {
 	return out, nil
 }
 
-// ThroughputRow is one parallelism setting of the batch-scaling sweep.
-type ThroughputRow struct {
-	Algorithm   string
-	Parallelism int
-	UsersPerSec float64
-	Speedup     float64 // versus the same algorithm at parallelism 1
-}
-
-// ThroughputPanel is the batch-throughput extension output: how per-query
-// cost amortizes when the panel is served through the pooled walk query
-// engine's RecommendBatch instead of one Recommend call at a time.
-type ThroughputPanel struct {
-	Dataset string
-	Rows    []ThroughputRow
-	Text    string
-}
-
-// ThroughputExperiment measures RecommendBatch users/sec for the walk
-// recommenders over the env panel at increasing parallelism (1, 2, ...,
-// GOMAXPROCS). The walk algorithms share one engine design, so AT and AC2
-// stand in for the family. Each measurement serves the whole panel rounds
-// times to smooth scheduler noise.
-func ThroughputExperiment(env *Env) (*ThroughputPanel, error) {
-	ac2, err := env.Sys.AC2()
-	if err != nil {
-		return nil, err
-	}
-	recs := []longtail.Recommender{env.Sys.AT(), ac2}
-	levels := []int{1}
-	for p := 2; p <= runtime.GOMAXPROCS(0); p *= 2 {
-		levels = append(levels, p)
-	}
-	if max := runtime.GOMAXPROCS(0); levels[len(levels)-1] != max && max > 1 {
-		levels = append(levels, max)
-	}
-	const rounds = 2
-	out := &ThroughputPanel{Dataset: env.Kind}
-	var rows [][]string
-	for _, rec := range recs {
-		br, ok := rec.(longtail.BatchRecommender)
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s does not support batch scoring", rec.Name())
-		}
-		base := 0.0
-		for _, p := range levels {
-			start := time.Now()
-			for r := 0; r < rounds; r++ {
-				if _, err := br.RecommendBatch(env.Panel, env.Scale.ListSize, p); err != nil {
-					return nil, fmt.Errorf("experiments: %s batch: %w", rec.Name(), err)
-				}
-			}
-			elapsed := time.Since(start).Seconds()
-			ups := float64(rounds*len(env.Panel)) / elapsed
-			if p == 1 {
-				base = ups
-			}
-			speedup := 0.0
-			if base > 0 {
-				speedup = ups / base
-			}
-			out.Rows = append(out.Rows, ThroughputRow{
-				Algorithm: rec.Name(), Parallelism: p,
-				UsersPerSec: ups, Speedup: speedup,
-			})
-			rows = append(rows, []string{
-				rec.Name(),
-				fmt.Sprintf("%d", p),
-				fmt.Sprintf("%.1f", ups),
-				fmt.Sprintf("%.2fx", speedup),
-			})
-		}
-	}
-	out.Text = renderTable(
-		fmt.Sprintf("Batch-throughput extension (%s): RecommendBatch over %d users", env.Kind, len(env.Panel)),
-		[]string{"algorithm", "parallelism", "users/sec", "speedup"}, rows)
-	return out, nil
-}
-
 // at reads curve[n-1] defensively.
 func at(curve []float64, n int) float64 {
 	if n > len(curve) {
@@ -725,9 +644,8 @@ func at(curve []float64, n int) float64 {
 	return curve[n-1]
 }
 
-// Names lists the experiment identifiers understood by ltr-bench.
+// Names lists the experiment identifiers understood by ltr-bench, in the
+// paper's order (the order `ltr-bench -exp all` runs them in).
 func Names() []string {
-	names := []string{"fig2", "table1", "fig5a", "fig5b", "fig6a", "fig6b", "table2", "table3", "table4", "table5", "table6", "gini", "ranking", "beyond", "strata", "throughput"}
-	sort.Strings(names)
-	return names
+	return []string{"fig2", "table1", "fig5a", "fig5b", "fig6a", "fig6b", "table2", "table3", "table4", "table5", "table6", "gini", "ranking", "beyond", "strata"}
 }

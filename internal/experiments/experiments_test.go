@@ -308,34 +308,9 @@ func TestStratifiedExperiment(t *testing.T) {
 	}
 }
 
-func TestThroughputExperiment(t *testing.T) {
-	env := sharedEnv(t)
-	res, err := ThroughputExperiment(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no throughput rows")
-	}
-	for _, row := range res.Rows {
-		if row.UsersPerSec <= 0 {
-			t.Fatalf("%s@%d: users/sec %v", row.Algorithm, row.Parallelism, row.UsersPerSec)
-		}
-		if row.Speedup <= 0 {
-			t.Fatalf("%s@%d: speedup %v", row.Algorithm, row.Parallelism, row.Speedup)
-		}
-	}
-	if res.Rows[0].Parallelism != 1 || res.Rows[0].Speedup != 1 {
-		t.Fatalf("first row not the parallelism-1 baseline: %+v", res.Rows[0])
-	}
-	if !strings.Contains(res.Text, "users/sec") {
-		t.Fatalf("text missing users/sec column: %s", res.Text)
-	}
-}
-
 func TestNames(t *testing.T) {
 	names := Names()
-	if len(names) != 16 {
+	if len(names) != 15 {
 		t.Fatalf("names %v", names)
 	}
 	seen := map[string]bool{}

@@ -10,6 +10,10 @@ import (
 	"time"
 )
 
+// unmatchedKey collects every request no registered route matched (404s
+// and 405s), so junk paths cannot mint metrics keys.
+const unmatchedKey = "unmatched"
+
 // metrics accumulates per-endpoint counters. Safe for concurrent use.
 type metrics struct {
 	mu    sync.Mutex
@@ -65,7 +69,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for key, st := range s.metrics.byKey {
 		em := EndpointMetrics{Requests: st.Requests, Errors: st.Errors}
 		if st.Requests > 0 {
-			em.MeanLatencyMS = float64(st.TotalLatency.Milliseconds()) / float64(st.Requests)
+			em.MeanLatencyMS = st.TotalLatency.Seconds() * 1e3 / float64(st.Requests)
 		}
 		out.Endpoints[key] = em
 	}

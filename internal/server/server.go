@@ -252,29 +252,16 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		s.metrics.observe(r.Method+" "+normalizePath(r.URL.Path), sw.status, elapsed)
+		// Key by the route ServeMux matched (it sets r.Pattern on this same
+		// request, e.g. "GET /v1/users/{id}"), never by anything the client
+		// chose: the metrics map is bounded by the registered routes.
+		key := r.Pattern
+		if key == "" {
+			key = unmatchedKey
+		}
+		s.metrics.observe(key, sw.status, elapsed)
 		s.opts.Logger.Printf("%s %s -> %d (%s)", r.Method, r.URL.Path, sw.status, elapsed.Round(time.Microsecond))
 	})
-}
-
-// normalizePath collapses numeric path segments to "{id}" so
-// /v1/users/1 and /v1/users/2 aggregate under one metrics key.
-func normalizePath(path string) string {
-	segs := strings.Split(path, "/")
-	changed := false
-	for i, seg := range segs {
-		if seg == "" {
-			continue
-		}
-		if _, err := strconv.Atoi(seg); err == nil {
-			segs[i] = "{id}"
-			changed = true
-		}
-	}
-	if !changed {
-		return path
-	}
-	return strings.Join(segs, "/")
 }
 
 func (s *Server) recoverPanics(next http.Handler) http.Handler {

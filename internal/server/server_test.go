@@ -348,22 +348,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	if users.Requests != 3 || users.Errors != 1 {
 		t.Fatalf("user route stats %+v", users)
 	}
-	if users.MeanLatencyMS < 0 {
+	// Three sub-millisecond requests: a mean computed from a total
+	// truncated to whole milliseconds would read exactly 0.
+	if users.MeanLatencyMS <= 0 {
 		t.Fatalf("latency %v", users.MeanLatencyMS)
 	}
 }
 
-func TestNormalizePath(t *testing.T) {
-	for in, want := range map[string]string{
-		"/v1/users/123":         "/v1/users/{id}",
-		"/v1/items/5/similar":   "/v1/items/{id}/similar",
-		"/v1/stats":             "/v1/stats",
-		"/v1/recommend":         "/v1/recommend",
-		"/v1/items/abc/similar": "/v1/items/abc/similar",
-	} {
-		if got := normalizePath(in); got != want {
-			t.Fatalf("normalizePath(%q) = %q, want %q", in, got, want)
+// TestMetricsKeysBounded: the metrics map is keyed by the matched route,
+// so a client walking distinct junk paths (unknown routes, non-numeric
+// ids on a real route) cannot grow it past the registered routes plus
+// the one "unmatched" bucket.
+func TestMetricsKeysBounded(t *testing.T) {
+	_, ts := testServer(t)
+	for i := 0; i < 50; i++ {
+		for _, path := range []string{
+			fmt.Sprintf("/v1/nope/%dx", i),
+			fmt.Sprintf("/v1/items/abc%d/similar", i),
+			fmt.Sprintf("/x%d", i),
+		} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
 		}
+	}
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
+	if len(m.Endpoints) != 2 {
+		t.Fatalf("150 junk requests left %d metrics keys, want 2: %v", len(m.Endpoints), m.Endpoints)
+	}
+	if got := m.Endpoints[unmatchedKey].Requests; got != 100 {
+		t.Fatalf("unmatched bucket counted %d requests, want 100", got)
+	}
+	if got := m.Endpoints["GET /v1/items/{id}/similar"]; got.Requests != 50 || got.Errors != 50 {
+		t.Fatalf("similar route stats %+v, want 50 requests, all errors", got)
 	}
 }
 

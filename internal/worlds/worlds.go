@@ -1,10 +1,10 @@
 // Package worlds is the single source of the named synthetic corpora the
-// tooling measures against. The kind→synth.Config mapping used to live
-// inside internal/experiments (behind cmd/ltr-bench); the lab harness
-// (internal/lab, cmd/ltr-lab) needs the exact same worlds, and two
-// hand-kept copies of the calibration would silently drift — a BENCH
-// trajectory point is only comparable to its predecessors if "movielens"
-// still means the same corpus. Both tools now resolve kinds here.
+// tooling measures against. The paper's experiments (internal/experiments,
+// behind cmd/ltr-bench), the serving benchmark (benchmark/) and
+// `ltr-server -synthetic` all need the exact same worlds, and hand-kept
+// copies of the calibration would silently drift — a benchmark run is
+// only comparable to its predecessors if "movielens" still means the same
+// corpus. They all resolve kinds here.
 package worlds
 
 import (
@@ -46,7 +46,7 @@ func Config(kind string, seed int64) (synth.Config, error) {
 }
 
 // Generate builds the named world at the given seed — the one-call path
-// shared by the experiment runner and the lab harness.
+// for callers that need no change to the configuration.
 func Generate(kind string, seed int64) (*synth.World, error) {
 	cfg, err := Config(kind, seed)
 	if err != nil {

@@ -1484,7 +1484,7 @@ func GenerateDoubanLike(seed int64) (*World, error) {
 
 // GenerateWorld builds any corpus from the internal/worlds registry
 // ("movielens", "douban", "clustered", ...) — the same single-sourced
-// calibrations the bench and lab tooling measure against.
+// calibrations ltr-bench and the serving benchmark measure against.
 func GenerateWorld(kind string, seed int64) (*World, error) {
 	return worlds.Generate(kind, seed)
 }

@@ -336,3 +336,107 @@ func TestConcurrentShardedWriteIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFloodSpraysEveryShard: a write-heavy sweep whose user stride is
+// coprime to the user count visits every user, so with users assigned to
+// shards by id every shard's epoch moves — the cache's worst case — while
+// the interleaved reads must keep returning lists.
+func TestWriteFloodSpraysEveryShard(t *testing.T) {
+	w := shardTestWorld(t)
+	sys := shardTestSystem(t, w, 4, 1024)
+	ctx := context.Background()
+	numUsers, numItems := w.Data.NumUsers(), w.Data.NumItems()
+
+	const stride = 7 // coprime to the 60 users
+	writes, writer := 0, 0
+	for i := 0; i < 150; i++ {
+		if i%5 != 4 { // 4 writes per read
+			if _, _, err := sys.ApplyRating(writer, (3*i)%numItems, 1+float64(i%5)); err != nil {
+				t.Fatalf("flood write %d (user %d) rejected: %v", i, writer, err)
+			}
+			writes++
+			writer = (writer + stride) % numUsers
+			continue
+		}
+		u := (7*i + 1) % numUsers
+		resp, err := sys.Recommend(ctx, "AT", Request{User: u, K: 10})
+		if err != nil {
+			t.Fatalf("read %d (user %d) under the flood: %v", i, u, err)
+		}
+		if len(resp.Items) == 0 {
+			t.Fatalf("read %d (user %d) under the flood returned an empty list", i, u)
+		}
+	}
+
+	st := sys.ServingStats()
+	for i, sh := range st.Shards {
+		if sh.Epoch == 0 {
+			t.Errorf("shard %d saw no write: the sweep does not spray the fleet", i)
+		}
+	}
+	// Re-rating an edge with its current score moves no epoch, so the
+	// bound is one-sided: every epoch tick needs an accepted write.
+	if st.Epoch == 0 || st.Epoch > uint64(writes) {
+		t.Errorf("fleet epoch %d after %d accepted writes", st.Epoch, writes)
+	}
+}
+
+// TestCachePrecisionClusteredFloor: on the clustered world (8 islands with
+// no ratings between them) at ONE shard, every write bumps the only epoch,
+// so an entry can only survive a write because its fingerprint proves the
+// write could not reach its subgraph. One in-cluster write per 8 reads
+// over one user per island must keep the hit share at or above 0.60 and
+// must exercise the fingerprint path.
+func TestCachePrecisionClusteredFloor(t *testing.T) {
+	w, err := GenerateWorld("clustered", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.CacheSize = 1024
+	sys, err := NewSystem(w.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	uPer, iPer := w.Config.UsersPerCluster(), w.Config.ItemsPerCluster()
+	users := make([]int, w.Config.Clusters)
+	for c := range users {
+		users[c] = c * uPer
+	}
+	read := func(u int) {
+		t.Helper()
+		if _, err := sys.Recommend(ctx, "AT", Request{User: u, K: 10}); err != nil {
+			t.Fatalf("read of user %d: %v", u, err)
+		}
+	}
+	for _, u := range users { // warm: the one guaranteed miss per user
+		read(u)
+	}
+	warm := sys.ServingStats().Cache
+
+	for i := 0; i < 144; i++ {
+		if i%9 == 8 {
+			u := users[i%len(users)]
+			item := (u/uPer)*iPer + i%iPer // the writer's own island
+			if _, _, err := sys.ApplyRating(u, item, 1+float64(i%5)); err != nil {
+				t.Fatalf("write %d (user %d, item %d): %v", i, u, item, err)
+			}
+			continue
+		}
+		read(users[(7*i+1)%len(users)])
+	}
+
+	// One goroutine, so no lookup is ever shared: hits and misses are all.
+	st := sys.ServingStats().Cache
+	hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
+	if hits+misses != 128 {
+		t.Fatalf("cache saw %d lookups, want 128", hits+misses)
+	}
+	if share := float64(hits) / 128; share < 0.60 {
+		t.Errorf("mixed hit share %.3f under the 0.60 floor: fingerprints are not retaining other islands' entries (%+v)", share, st)
+	}
+	if st.FingerprintHits == warm.FingerprintHits {
+		t.Error("no fingerprint-validated hit at one shard: the precision path never ran")
+	}
+}
