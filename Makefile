@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fuzz fmt-check lint serving-bench serving-compare
+.PHONY: all build test race bench fuzz fmt-check lint serving-bench serving-compare serving-pairs
 
 all: build test
 
@@ -70,6 +70,17 @@ serving-bench:
 
 serving-compare:
 	bash benchmark/run.sh -compare $(BASE) $(NEW)
+
+# The ten pairs themselves: N alternating parent/change runs of one
+# workload, each checkout through its own benchmark/run.sh (untraced, the
+# BENCHMARK.json phase length), then per end-to-end metric both sides'
+# median and quartiles and the pairs the change won. PARENT is a checkout
+# of the parent commit (git clone, not a worktree); ~15 min at N=10.
+#   make serving-pairs PARENT=/root/scratch/parent WORKLOAD=big_universe SEED=5 N=10
+N ?= 10
+
+serving-pairs:
+	bash scripts/serving-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
 # for the extractor, the live graph (closed- and open-universe), the WAL

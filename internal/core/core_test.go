@@ -167,15 +167,12 @@ func TestColdUser(t *testing.T) {
 	if _, err := ac.ScoreItems(1); !errors.Is(err, ErrColdUser) {
 		t.Fatalf("cold user error = %v", err)
 	}
-	// HT anchors at the user node itself, which is isolated: every item
-	// is unreachable, so no recommendations — but no error either.
+	// HT anchors at the user node itself, which is isolated: every item is
+	// unreachable. That is the same cold user, not an empty success — the
+	// caller's AllowFallback hangs on the error.
 	ht := NewHittingTime(g, WalkOptions{Exact: true})
-	recs, err := ht.Recommend(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("isolated user got recs %+v", recs)
+	if recs, err := ht.Recommend(1, 5); !errors.Is(err, ErrColdUser) {
+		t.Fatalf("HT isolated user: recs %+v, err = %v, want ErrColdUser", recs, err)
 	}
 }
 

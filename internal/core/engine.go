@@ -141,17 +141,44 @@ func (e *Engine) scoreCompact(ctx context.Context, scr *engineScratch, u int, sp
 func (e *Engine) readSeeds(scr *engineScratch, u int, spec walkSpec) (seeds []int, gen uint64, err error) {
 	gen = e.g.WriteGen()
 	userNode := e.g.UserNode(u)
-	if spec.seedUser {
-		scr.absorb = append(scr.absorb[:0], userNode)
-		return scr.absorb, gen, nil
-	}
 	// S_q as node ids is exactly the user node's neighbor list (aliased
-	// parent storage; Extract only reads it).
+	// parent storage; Extract only reads it). A user without ratings is
+	// cold whichever node anchors the walk: from the user's own node (HT)
+	// the subgraph would be that node alone.
 	nbrs, _ := e.g.Neighbors(userNode)
 	if len(nbrs) == 0 {
 		return nil, 0, fmt.Errorf("%w: user %d", ErrColdUser, u)
 	}
+	if spec.seedUser {
+		scr.absorb = append(scr.absorb[:0], userNode)
+		return scr.absorb, gen, nil
+	}
 	return nbrs, gen, nil
+}
+
+// userEnterCost is the Eq. 9 cost of entering user node v. Users (and under
+// AC3, items) past the end of the entropy vector joined after the model
+// snapshot: they carry the floor cost until the entropies are recomputed.
+//
+//ltr:allocfree
+func (e *Engine) userEnterCost(spec *walkSpec, v int) float64 {
+	if idx := e.g.UserIndex(v); idx < len(spec.userEnter) {
+		return spec.userEnter[idx]
+	}
+	return spec.enterFloor
+}
+
+// itemEnterCost is the Eq. 9 cost of entering item node v.
+//
+//ltr:allocfree
+func (e *Engine) itemEnterCost(spec *walkSpec, v int) float64 {
+	if spec.itemEnter == nil {
+		return spec.userCost
+	}
+	if idx := e.g.ItemIndex(v); idx < len(spec.itemEnter) {
+		return spec.itemEnter[idx]
+	}
+	return spec.enterFloor
 }
 
 // scoreSeeded is scoreCompact after the seed read: extraction, chain
@@ -180,32 +207,26 @@ func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, see
 		return nil, fmt.Errorf("core: chain: %w", err)
 	}
 	n := sg.Len()
-	numAbsorb := len(seeds) // seeds are distinct node ids, kept in order
+	// Local ids are the seeds (= the absorbing set; distinct node ids, kept
+	// in order), then the other users, then the other items: only a seed
+	// has to be asked what it is.
+	numAbsorb, firstItem := sg.Blocks()
 	scr.mkv.Resize(n)
 	var enter []float64
 	if spec.costed {
 		enter = scr.mkv.Enter
-		for l := 0; l < n; l++ {
-			orig := sg.OriginalNode(l)
-			switch {
-			case e.g.IsUserNode(orig):
-				// Users (and under AC3, items) past the end of the entropy
-				// vector joined after the model snapshot: they carry the
-				// floor cost until the entropies are recomputed.
-				if idx := e.g.UserIndex(orig); idx < len(spec.userEnter) {
-					enter[l] = spec.userEnter[idx]
-				} else {
-					enter[l] = spec.enterFloor
-				}
-			case spec.itemEnter != nil:
-				if idx := e.g.ItemIndex(orig); idx < len(spec.itemEnter) {
-					enter[l] = spec.itemEnter[idx]
-				} else {
-					enter[l] = spec.enterFloor
-				}
-			default:
-				enter[l] = spec.userCost
+		for l := 0; l < numAbsorb; l++ {
+			if orig := sg.OriginalNode(l); e.g.IsUserNode(orig) {
+				enter[l] = e.userEnterCost(&spec, orig)
+			} else {
+				enter[l] = e.itemEnterCost(&spec, orig)
 			}
+		}
+		for l := numAbsorb; l < firstItem; l++ {
+			enter[l] = e.userEnterCost(&spec, sg.OriginalNode(l))
+		}
+		for l := firstItem; l < n; l++ {
+			enter[l] = e.itemEnterCost(&spec, sg.OriginalNode(l))
 		}
 	}
 	var times []float64
@@ -231,16 +252,19 @@ func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, see
 	if err != nil {
 		return nil, fmt.Errorf("core: absorbing solve: %w", err)
 	}
+	// Item entries only: under the fused kernel's block schedule the user
+	// entries are one sweep behind (see markov.AbsorbingCostFused).
 	scr.compact = scr.compact[:0]
-	for l, t := range times {
-		orig := sg.OriginalNode(l)
-		if !e.g.IsItemNode(orig) {
-			continue
+	for l := 0; l < numAbsorb; l++ {
+		// An absorbing item: time 0, never +Inf.
+		if orig := sg.OriginalNode(l); e.g.IsItemNode(orig) {
+			scr.compact = append(scr.compact, ItemScore{Item: e.g.ItemIndex(orig), Score: -times[l]})
 		}
-		if math.IsInf(t, 1) {
-			continue // unreachable even inside the subgraph
+	}
+	for l := firstItem; l < n; l++ {
+		if t := times[l]; !math.IsInf(t, 1) { // +Inf: unreachable even inside the subgraph
+			scr.compact = append(scr.compact, ItemScore{Item: e.g.ItemIndex(sg.OriginalNode(l)), Score: -t})
 		}
-		scr.compact = append(scr.compact, ItemScore{Item: e.g.ItemIndex(orig), Score: -t})
 	}
 	return scr.compact, nil
 }

@@ -215,18 +215,33 @@ func TestBatchRecommendFallback(t *testing.T) {
 	if _, ok := Recommender(at).(BatchRecommender); !ok {
 		t.Fatal("AbsorbingTime does not implement BatchRecommender")
 	}
+	// There a cold user (0) is a zero Response — the marker the serving
+	// layer hangs its popularity fallback on — and never fails the batch,
+	// whether the walk is anchored at S_q (AT) or at the user's own node
+	// (HT, which used to answer an Algo-stamped empty success).
+	for _, rec := range []Recommender{at, NewHittingTime(g, WalkOptions{Iterations: 4})} {
+		resps, err := BatchRecommendRequests(rec, PlainRequests([]int{1, 0, 2}, 3), 2)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.Name(), err)
+		}
+		if resps[1].Algo != "" || resps[1].Items != nil {
+			t.Fatalf("%s: cold batch entry %+v, want the zero Response", rec.Name(), resps[1])
+		}
+		for _, i := range []int{0, 2} {
+			if resps[i].Algo != rec.Name() || len(resps[i].Items) != 3 {
+				t.Fatalf("%s: warm batch entry %d = %+v", rec.Name(), i, resps[i])
+			}
+		}
+	}
 }
 
-// TestEngineColdUserError checks the single-query cold-user contract is
-// unchanged.
+// TestEngineColdUserError checks the single-query cold-user contract:
+// ErrColdUser wherever the walk is anchored.
 func TestEngineColdUserError(t *testing.T) {
 	g := engineTestGraph(t, 10, 20, 6)
-	at := NewAbsorbingTime(g, WalkOptions{})
-	if _, err := at.Recommend(0, 3); !errors.Is(err, ErrColdUser) {
-		t.Fatalf("err = %v, want ErrColdUser", err)
-	}
-	ht := NewHittingTime(g, WalkOptions{})
-	if recs, err := ht.Recommend(0, 3); err != nil || len(recs) != 0 {
-		t.Fatalf("HT cold user: recs %v err %v, want empty and nil", recs, err)
+	for _, rec := range []Recommender{NewAbsorbingTime(g, WalkOptions{}), NewHittingTime(g, WalkOptions{})} {
+		if recs, err := rec.Recommend(0, 3); !errors.Is(err, ErrColdUser) {
+			t.Fatalf("%s cold user: recs %v, err = %v, want ErrColdUser", rec.Name(), recs, err)
+		}
 	}
 }

@@ -1,12 +1,15 @@
 // An independent ranking check for the walk recommenders: a deliberately
 // naive Algorithm 1 that shares nothing with the engine's hot path — map
 // based BFS that numbers nodes in DISCOVERY order, a COO-built adjacency,
-// explicit StepCosts into the allocating AbsorbingCostTruncated, a full
-// sort for the top k. The extractor numbers non-seed nodes by ascending
-// original id instead, so every row of its chain sums its neighbours in a
-// different order than this reference does; the two must still rank the
-// same items in the same order with scores within 1e-9 — renumbering a
-// chain's states moves rounding, nothing else. The one freedom rounding
+// explicit StepCosts into the allocating AbsorbingCostTruncated (every
+// state advanced on every sweep), a full sort for the top k. The extractor
+// numbers non-seed nodes users first, then items, each by ascending
+// original id, so every row of its chain sums its neighbours in a different
+// order than this reference does, and the fused kernel advances one of the
+// two blocks per sweep; the two must still rank the same items in the same
+// order with scores within 1e-9 — renumbering a chain's states moves
+// rounding, nothing else, and the block schedule moves nothing on an item
+// row. The one freedom rounding
 // has: items whose scores tie in exact arithmetic (structural twins, e.g.
 // two items rated once each, by the same user, with the same score) are
 // ordered by the last bits, so within such a tie the two paths may differ.
@@ -33,6 +36,7 @@ import (
 type naiveWalk struct {
 	seedUser  bool
 	userEnter []float64 // floored entropies; nil for HT/AT
+	floor     float64   // entry cost of a user admitted after userEnter was computed
 	userCost  float64
 	mu, tau   int
 }
@@ -96,10 +100,13 @@ func (w naiveWalk) rank(t *testing.T, g *graph.Bipartite, u int) []Scored {
 	if w.userEnter != nil {
 		enter := make([]float64, len(nodes))
 		for l, v := range nodes {
-			if g.IsUserNode(v) {
-				enter[l] = w.userEnter[g.UserIndex(v)]
-			} else {
+			switch {
+			case !g.IsUserNode(v):
 				enter[l] = w.userCost
+			case g.UserIndex(v) < len(w.userEnter):
+				enter[l] = w.userEnter[g.UserIndex(v)]
+			default:
+				enter[l] = w.floor
 			}
 		}
 		stepCost = chain.StepCosts(enter)
@@ -131,7 +138,10 @@ func (w naiveWalk) rank(t *testing.T, g *graph.Bipartite, u int) []Scored {
 // TestEngineMatchesNaiveDiscoveryOrderWalk compares HT, AT, AC1 and AC2
 // through the engine against the naive walk on a graph where µ cuts the
 // BFS short (the subgraph is a strict subset of the component, so which
-// nodes are members is itself under test).
+// nodes are members is itself under test) — first as built, then after
+// users and items were admitted alternately and rated, so that node ids
+// past the base interleave the two types and the extractor has to pull
+// them into their blocks.
 func TestEngineMatchesNaiveDiscoveryOrderWalk(t *testing.T) {
 	const numUsers, numItems, mu, tau, k = 60, 150, 25, 15, 10
 	rng := rand.New(rand.NewSource(11))
@@ -168,20 +178,52 @@ func TestEngineMatchesNaiveDiscoveryOrderWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		rec   Recommender
-		naive naiveWalk
-	}{
+	cases := []naiveWalkCase{
 		{NewHittingTime(g, opts.WalkOptions), naiveWalk{seedUser: true}},
 		{NewAbsorbingTime(g, opts.WalkOptions), naiveWalk{}},
-		{ac1, naiveWalk{userEnter: entropy.Floor(itemBased, opts.EntropyFloor), userCost: opts.UserCost}},
-		{ac2, naiveWalk{userEnter: entropy.Floor(topicBased, opts.EntropyFloor), userCost: opts.UserCost}},
+		{ac1, naiveWalk{userEnter: entropy.Floor(itemBased, opts.EntropyFloor), floor: opts.EntropyFloor, userCost: opts.UserCost}},
+		{ac2, naiveWalk{userEnter: entropy.Floor(topicBased, opts.EntropyFloor), floor: opts.EntropyFloor, userCost: opts.UserCost}},
 	}
+	t.Run("as built", func(t *testing.T) { compareWithNaiveWalk(t, g, cases, mu, tau, k) })
+
+	for n := 0; n < 8; n++ {
+		for _, w := range [][2]int{{g.NumUsers(), rng.Intn(numItems)}, {rng.Intn(numUsers), g.NumItems()}} {
+			if _, err := g.UpsertRatingAutoGrow(w[0], w[1], float64(1+rng.Intn(5))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for n := 0; n < 80; n++ {
+		// Half the new ratings join an admitted user to an admitted item.
+		u, i := rng.Intn(g.NumUsers()), rng.Intn(g.NumItems())
+		if n%2 == 0 {
+			u, i = numUsers+rng.Intn(8), numItems+rng.Intn(8)
+		}
+		if _, err := g.UpsertRatingAutoGrow(u, i, float64(1+rng.Intn(5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u, i := g.UserNode(g.NumUsers()-1), g.ItemNode(numItems); u < i {
+		t.Fatalf("fixture: last user node %d below first admitted item node %d, nothing interleaves", u, i)
+	}
+	t.Run("grown universe", func(t *testing.T) { compareWithNaiveWalk(t, g, cases, mu, tau, k) })
+}
+
+// naiveWalkCase pairs an engine-backed recommender with its definition.
+type naiveWalkCase struct {
+	rec   Recommender
+	naive naiveWalk
+}
+
+// compareWithNaiveWalk checks every user's top k under every case: same
+// items in the same order (up to exact-arithmetic ties), scores within 1e-9.
+func compareWithNaiveWalk(t *testing.T, g *graph.Bipartite, cases []naiveWalkCase, mu, tau, k int) {
+	t.Helper()
 	truncated := false
 	ranks, tieFlips := 0, 0
 	for _, c := range cases {
 		c.naive.mu, c.naive.tau = mu, tau
-		for u := 0; u < numUsers; u++ {
+		for u := 0; u < g.NumUsers(); u++ {
 			got, err := c.rec.Recommend(u, k)
 			if err != nil {
 				t.Fatalf("%s user %d: %v", c.rec.Name(), u, err)

@@ -97,8 +97,9 @@ func TestExtractorReuseMatchesOneShot(t *testing.T) {
 
 // TestExtractorSeedsOccupyPrefix locks in the contract the query engine
 // and the benchmark's replay rely on: distinct seeds take local ids 0..s-1
-// in seed order, whatever that order is; every other member follows in
-// ascending original id.
+// in seed order, whatever that order is; every other member follows, users
+// then items — which on a graph without admitted nodes, like this one, is
+// plain ascending original id.
 func TestExtractorSeedsOccupyPrefix(t *testing.T) {
 	g := randomTestGraph(t, 10, 30, 100, 3)
 	rated, _ := g.Neighbors(g.UserNode(4))
@@ -279,6 +280,70 @@ func TestExtractorReusedAcrossGrowth(t *testing.T) {
 	check()
 	g.Compact()
 	check()
+}
+
+// TestExtractorBlocksUnderGrowth admits users and items alternately, so
+// their node ids interleave past the base, rates them against each other
+// and against base nodes, and checks what the block schedule of the fused
+// sweeps rests on: behind the seeds the subgraph is one contiguous run of
+// users, then one of items, each ascending in original id; rows stay
+// strictly increasing although local ids no longer ascend with original
+// ids; and the cached degrees are bit-equal to the row sums (the last two
+// through requireMatchesRef).
+func TestExtractorBlocksUnderGrowth(t *testing.T) {
+	g := randomTestGraph(t, 6, 10, 30, 7)
+	baseUsers, baseItems := g.NumUsers(), g.NumItems()
+	rng := rand.New(rand.NewSource(8))
+	upsert := func(u, i int) {
+		t.Helper()
+		if _, err := g.UpsertRatingAutoGrow(u, i, float64(1+rng.Intn(5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 8; k++ {
+		upsert(g.NumUsers(), rng.Intn(baseItems)) // admits a user
+		upsert(rng.Intn(baseUsers), g.NumItems()) // admits an item
+	}
+	for k := 0; k < 60; k++ {
+		upsert(baseUsers+rng.Intn(8), baseItems+rng.Intn(8)) // admitted x admitted
+		upsert(rng.Intn(g.NumUsers()), rng.Intn(g.NumItems()))
+	}
+	if u, i := g.UserNode(g.NumUsers()-1), g.ItemNode(baseItems); u < i {
+		t.Fatalf("fixture: last user node %d below first admitted item node %d, nothing interleaves", u, i)
+	}
+	ext := NewSubgraphExtractor(g)
+	check := func(seeds []int, maxItems int) {
+		t.Helper()
+		sg, err := ext.Extract(seeds, maxItems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := sg.Blocks()
+		for l := a; l < sg.Len(); l++ {
+			orig := sg.OriginalNode(l)
+			if g.IsItemNode(orig) != (l >= b) {
+				t.Fatalf("seeds %v µ=%d: local %d (node %d) in the wrong block, blocks (%d,%d)", seeds, maxItems, l, orig, a, b)
+			}
+			if l != a && l != b && orig <= sg.OriginalNode(l-1) {
+				t.Fatalf("seeds %v µ=%d: locals %d,%d = nodes %d,%d not ascending inside their block", seeds, maxItems, l-1, l, sg.OriginalNode(l-1), orig)
+			}
+		}
+		// Strictly increasing rows, degrees bit-equal to row sums, no entry
+		// inside a block, and the numbering against the naive reference.
+		requireMatchesRef(t, g, sg, seeds, maxItems)
+	}
+	for round := 0; round < 2; round++ {
+		for _, maxItems := range []int{0, 5} {
+			check([]int{g.UserNode(0)}, maxItems)                // HT, base user
+			check([]int{g.UserNode(g.NumUsers() - 1)}, maxItems) // HT, admitted user
+			for _, u := range []int{1, baseUsers + 2} {
+				rated, _ := g.Neighbors(g.UserNode(u)) // S_q: base and admitted items
+				check(rated, maxItems)
+			}
+			check([]int{g.ItemNode(g.NumItems() - 1), g.UserNode(baseUsers), g.ItemNode(0)}, maxItems)
+		}
+		g.Compact() // same numbering from the folded base
+	}
 }
 
 // TestExtractorDegreesMatchAdjacency verifies the cached degree vector

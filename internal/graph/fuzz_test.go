@@ -63,13 +63,17 @@ func buildFuzzGraph(d *byteDriver) (*Bipartite, int, int) {
 // refSubgraph is the naive map-based reference of Algorithm 1 step 2: the
 // same BFS policy as SubgraphExtractor.Extract decides membership in
 // discovery order, then the stated numbering rule is applied with a plain
-// sort — seeds first in seed order, every other member in ascending
-// original id — and the adjacency is a map of maps.
+// sort — seeds first in seed order, then every other user in ascending
+// original id, then every other item in ascending original id — and the
+// adjacency is a map of maps.
 type refSubgraph struct {
 	nodes []int
 	local map[int]int
 	adj   map[int]map[int]float64 // local -> local -> weight
 	items int
+	// Block boundaries: locals [0,numSeeds) are the seeds, [numSeeds,
+	// firstItem) the other users, [firstItem,len(nodes)) the other items.
+	numSeeds, firstItem int
 }
 
 func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
@@ -103,9 +107,19 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 			add(w)
 		}
 	}
-	sort.Ints(r.nodes[numSeeds:])
+	rest := r.nodes[numSeeds:]
+	sort.Slice(rest, func(a, b int) bool {
+		if ia, ib := g.IsItemNode(rest[a]), g.IsItemNode(rest[b]); ia != ib {
+			return ib
+		}
+		return rest[a] < rest[b]
+	})
+	r.numSeeds, r.firstItem = numSeeds, len(r.nodes)
 	for l, v := range r.nodes {
 		r.local[v] = l
+		if l >= numSeeds && l < r.firstItem && g.IsItemNode(v) {
+			r.firstItem = l
+		}
 	}
 	for _, orig := range r.nodes {
 		lv := r.local[orig]
@@ -123,9 +137,10 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 }
 
 // requireMatchesRef cross-checks one extraction against the naive
-// reference: node set and numbering, item count, the reverse mapping over
-// the whole universe, every weight, strictly increasing columns, symmetry
-// of the local adjacency and the cached degrees.
+// reference: node set and numbering, item count, the declared blocks, the
+// reverse mapping over the whole universe, every weight, strictly
+// increasing columns, no entry joining two non-seed rows of one block,
+// symmetry of the local adjacency and the cached degrees.
 func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, maxItems int) {
 	t.Helper()
 	ref := extractRef(g, seeds, maxItems)
@@ -139,6 +154,12 @@ func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, ma
 		if sg.OriginalNode(l) != ref.nodes[l] {
 			t.Fatalf("node order diverges at %d: %d vs %d", l, sg.OriginalNode(l), ref.nodes[l])
 		}
+	}
+	if a, b := sg.Blocks(); a != ref.numSeeds || b != ref.firstItem {
+		t.Fatalf("blocks (%d,%d), ref (%d,%d)", a, b, ref.numSeeds, ref.firstItem)
+	}
+	if a, b, ok := sg.Adjacency().Blocks(); !ok || a != ref.numSeeds || b != ref.firstItem {
+		t.Fatalf("adjacency declares blocks (%d,%d,%v), ref (%d,%d)", a, b, ok, ref.numSeeds, ref.firstItem)
 	}
 	for v := 0; v < g.NumNodes(); v++ {
 		gotL, gotOK := sg.LocalNode(v)
@@ -157,6 +178,9 @@ func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, ma
 		for k, c := range cols {
 			if k > 0 && cols[k-1] >= c {
 				t.Fatalf("row %d columns not strictly increasing: %v", l, cols)
+			}
+			if l >= ref.numSeeds && c >= ref.numSeeds && (l < ref.firstItem) == (c < ref.firstItem) {
+				t.Fatalf("entry (%d,%d) joins two rows of one block (%d,%d)", l, c, ref.numSeeds, ref.firstItem)
 			}
 			if rv, ok := ref.adj[l][c]; !ok || rv != vals[k] {
 				t.Fatalf("adj[%d][%d] = %v, ref %v (present %v)", l, c, vals[k], rv, ok)

@@ -21,10 +21,11 @@ import (
 type Subgraph struct {
 	parent *Bipartite
 	// nodes maps local id -> original node id: the distinct seeds in seed
-	// order, then every other member in ascending original id. (NOT BFS
-	// discovery order: the BFS only decides membership.)
+	// order, then every other user in ascending original id, then every
+	// other item in ascending original id (see Blocks). (NOT BFS discovery
+	// order: the BFS only decides membership.)
 	nodes   []int
-	adj     *sparse.CSR // local symmetric adjacency
+	adj     *sparse.CSR // local symmetric adjacency, blocks declared
 	degrees []float64   // cached weighted degrees of the local adjacency
 	items   int         // number of item nodes contained
 
@@ -47,10 +48,11 @@ type Subgraph struct {
 // visited/local arrays replace the per-query map[int]int node remapping, and
 // the local CSR is built directly from the parent adjacency into flat
 // scratch slices — no COO builder, no per-query map. Non-seed members are
-// numbered in ascending original id, the order the parent's rows are
-// already sorted in, so a filtered row arrives as two ascending runs (seed
-// columns, other columns) and one stable partition puts it in local column
-// order: no row is ever comparison-sorted.
+// numbered users first, then items, each in ascending original id. A row
+// holds columns of the other type only and the parent's rows are already
+// sorted by original id, so a filtered row arrives as two ascending runs
+// (seed columns, other columns) and one stable partition puts it in local
+// column order: no row is ever comparison-sorted.
 //
 // An extractor is NOT safe for concurrent use; give each worker its own
 // (see core.Engine, which pools them).
@@ -108,10 +110,18 @@ func (e *SubgraphExtractor) Graph() *Bipartite { return e.g }
 // reachable component.
 //
 // The BFS decides membership only. Local ids are then assigned as: the
-// distinct seeds 0..s-1 in seed order (duplicates skipped), every other
-// member in ascending original node id. The returned Subgraph aliases the
-// extractor's scratch and is invalidated by the next Extract call on the
-// same extractor.
+// distinct seeds 0..s-1 in seed order (duplicates skipped), then every
+// other user in ascending original node id, then every other item in
+// ascending original node id. On a graph without live-admitted nodes every
+// user id is below every item id, so that is plain ascending id; admitted
+// nodes interleave at the end of the id space and are pulled into their
+// block. The two non-seed blocks are contiguous for any universe and, the
+// graph being bipartite, no edge joins two members of one block: the
+// boundaries are declared on the adjacency handed out (Subgraph.Blocks,
+// sparse.CSR.DeclareBlocks), which is what lets the fused sweeps advance
+// one block at a time. The returned Subgraph aliases the extractor's
+// scratch and is invalidated by the next Extract call on the same
+// extractor.
 //
 //ltr:allocfree
 func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error) {
@@ -128,7 +138,12 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 	// extraction, which is the documented cost model (reads dominate).
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := g.NumNodes()
+	// One universe load serves the whole extraction. A sibling view may
+	// admit nodes meanwhile, but this view's rows cannot mention them while
+	// the read lock is held, and a universe never changes what it says
+	// about a node it already has.
+	uni := g.shared.uni.Load()
+	n := uni.numNodes()
 	e.sizeToGraph(n)
 	e.epoch++
 	e.nodes = e.nodes[:0]
@@ -143,11 +158,11 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 		e.stamp[s] = e.epoch
 		e.local[s] = len(e.nodes)
 		e.nodes = append(e.nodes, s)
-		if g.IsItemNode(s) {
+		if uni.isItem(s) {
 			items++
 		}
 	}
-	numSeeds := len(e.nodes)
+	numSeeds, seedItems := len(e.nodes), items
 	// BFS with an index-based head: e.nodes is simultaneously the discovery
 	// list and the queue, so there is no O(n²) queue = queue[1:] re-slicing
 	// and no separate queue allocation. [lo, hi] brackets the original ids
@@ -162,7 +177,7 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 			if e.stamp[w] == e.epoch {
 				continue
 			}
-			if g.IsItemNode(w) {
+			if uni.isItem(w) {
 				if maxItems > 0 && items > maxItems {
 					continue
 				}
@@ -179,22 +194,31 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 			}
 		}
 	}
-	// Number the non-seed members in ascending original id with one scan
-	// of the stamped range, overwriting the discovery order (no longer
-	// needed) in e.nodes. Seeds inside the range keep their ids (>= 0).
-	next := numSeeds
+	// Number the non-seed members with one scan of the stamped range and
+	// one cursor per block — users from numSeeds, items from where the users
+	// end — overwriting the discovery order (no longer needed) in e.nodes.
+	// Seeds inside the range keep their ids (>= 0).
+	firstItem := len(e.nodes) - (items - seedItems)
+	nextUser, nextItem := numSeeds, firstItem
 	for v := lo; v <= hi; v++ {
-		if e.stamp[v] == e.epoch && e.local[v] < 0 {
-			e.local[v] = next
-			e.nodes[next] = v
-			next++
+		if e.stamp[v] != e.epoch || e.local[v] >= 0 {
+			continue
+		}
+		if uni.isItem(v) {
+			e.local[v] = nextItem
+			e.nodes[nextItem] = v
+			nextItem++
+		} else {
+			e.local[v] = nextUser
+			e.nodes[nextUser] = v
+			nextUser++
 		}
 	}
 	e.buildLocalCSR(numSeeds)
 	e.sub = Subgraph{
 		parent:   g,
 		nodes:    e.nodes,
-		adj:      sparse.NewCSRView(len(e.nodes), len(e.nodes), e.rowPtr, e.colIdx, e.vals),
+		adj:      sparse.NewCSRView(len(e.nodes), len(e.nodes), e.rowPtr, e.colIdx, e.vals).DeclareBlocks(numSeeds, firstItem),
 		degrees:  e.degrees,
 		items:    items,
 		stamp:    e.stamp,
@@ -207,12 +231,13 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 
 // buildLocalCSR materializes the node-induced adjacency submatrix straight
 // from the parent's live rows: one pass per row filtering to stamped
-// neighbors. Parent rows are sorted by original id and non-seed local ids
-// ascend with original id, so a row's non-seed columns arrive in local
-// order and are appended in place; its seed columns (local ids below
-// numSeeds, which follow seed order instead) are parked aside and moved in
-// front once the row is complete. Degrees are the local row sums, added in
-// local column order. Caller (Extract) holds the parent graph's read lock.
+// neighbors. Parent rows are sorted by original id, a row's non-seed
+// columns all lie in one block (the other type's) and local ids ascend
+// with original id inside a block, so those columns arrive in local order
+// and are appended in place; its seed columns (local ids below numSeeds,
+// which follow seed order instead) are parked aside and moved in front
+// once the row is complete. Degrees are the local row sums, added in local
+// column order. Caller (Extract) holds the parent graph's read lock.
 //
 //ltr:allocfree
 func (e *SubgraphExtractor) buildLocalCSR(numSeeds int) {
@@ -313,6 +338,14 @@ func ExtractSubgraph(g *Bipartite, seeds []int, maxItems int) (*Subgraph, error)
 
 // Len returns the number of nodes in the subgraph.
 func (sg *Subgraph) Len() int { return len(sg.nodes) }
+
+// Blocks returns the boundaries of the local numbering: local ids [0,a) are
+// the distinct seeds (users or items), [a,b) every other user and
+// [b,Len()) every other item. The same pair is declared on Adjacency().
+func (sg *Subgraph) Blocks() (a, b int) {
+	a, b, _ = sg.adj.Blocks()
+	return a, b
+}
 
 // WriteGen returns the parent view's write-generation watermark the
 // subgraph was extracted at (see Bipartite.WriteGen / CheckFingerprint).

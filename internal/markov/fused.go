@@ -1,8 +1,9 @@
 // Fused, scratch-backed variants of the Algorithm 1 truncated solvers.
 // These are the production query path: the per-destination entry costs of
 // Eq. 9 are folded into the dynamic-programming sweep itself, so each of
-// the τ iterations is exactly one pass over the CSR — no separate StepCosts
-// vector, no per-query allocation.
+// the τ iterations is at most one pass over the CSR — half a pass when the
+// adjacency declares its two bipartite blocks — with no separate StepCosts
+// vector and no per-query allocation.
 
 package markov
 
@@ -68,6 +69,20 @@ func (s *ChainScratch) Resize(n int) {
 // their own step cost per sweep (1 with nil enter, 0 otherwise), matching
 // the allocating solvers.
 //
+// Block schedule. When the adjacency declares blocks (a, b) — rows [a,b)
+// and [b,n) each free of internal edges, see sparse.CSR.DeclareBlocks —
+// and every row below a is absorbing, the Jacobi recurrence is two
+// independent chains: block [b,n) at sweep k reads block [a,b) at sweep
+// k-1, which reads [b,n) at k-2, and the rows below a are 0 throughout.
+// Sweep k of τ then advances only the block the last sweep's [b,n) rows
+// descend from — [b,n) when τ-k is even, [a,b) when it is odd — in place
+// in one buffer, visiting half the stored entries. Every product, addition
+// and per-row column order is that of the full sweep, so on return the
+// entries of [b,n) (a subgraph's items) are bit-identical to τ full sweeps
+// and the entries of [a,b) (its users) are those of τ-1 full sweeps; rows
+// below a are 0. Without a declaration, or with a transient row below a,
+// every sweep advances all of [0,n) and every entry is the τ-sweep value.
+//
 // The returned slice aliases scr (either Cur or Nxt) and is valid until the
 // scratch is reused. scr must have been Resize'd to c.Len(), with Mask set
 // by the caller after the Resize.
@@ -106,6 +121,16 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 		return nil, ErrNoAbsorbing
 	}
 	cur, nxt, mask, arrive := scr.Cur, scr.Nxt, scr.Mask, scr.Arrive
+	a, b, blocks := c.adj.Blocks()
+	for i := 0; blocks && i < a; i++ {
+		blocks = mask[i]
+	}
+	if blocks && enter != nil {
+		// Rows below a stay 0, so their arrival cost is set once.
+		for j := 0; j < a; j++ {
+			arrive[j] = enter[j] + cur[j]
+		}
+	}
 	for t := 0; t < tau; t++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -115,27 +140,41 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 				return nil, err
 			}
 		}
+		// This sweep writes rows [lo,hi) of dst from rows [readLo,readHi)
+		// (and, under the schedule, the constant rows below a) of cur.
+		lo, hi, readLo, readHi, dst := 0, c.n, 0, c.n, nxt
+		if blocks {
+			// A block never reads itself, so it is advanced in place.
+			dst = cur
+			if (tau-1-t)%2 == 0 {
+				lo, hi, readLo, readHi = b, c.n, a, b
+			} else {
+				lo, hi, readLo, readHi = a, b, b, c.n
+			}
+		}
 		if enter != nil {
 			// The same enter[j] + cur[j] every edge into j would add, once
 			// per state instead of once per edge.
-			for j, en := range enter {
-				arrive[j] = en + cur[j]
+			for j := readLo; j < readHi; j++ {
+				arrive[j] = enter[j] + cur[j]
 			}
 		}
-		for i := 0; i < c.n; i++ {
+		for i := lo; i < hi; i++ {
 			if mask[i] {
-				nxt[i] = 0
+				dst[i] = 0
 				continue
 			}
 			d := c.degrees[i]
 			if d == 0 {
-				// Isolated transient state: never absorbed. Keep it at the
-				// running maximum-plus-one (unit costs) or frozen (entry
-				// costs contribute nothing without transitions).
+				// Isolated transient state: never absorbed. Under unit costs
+				// its time is the number of sweeps so far — stated outright
+				// rather than as cur[i] + 1, because the schedule visits a
+				// row only every other sweep; entry costs contribute
+				// nothing without transitions, so there it stays frozen.
 				if enter == nil {
-					nxt[i] = cur[i] + 1
+					dst[i] = float64(t + 1)
 				} else {
-					nxt[i] = cur[i]
+					dst[i] = cur[i]
 				}
 				continue
 			}
@@ -145,16 +184,18 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 				for k, j := range cols {
 					acc += vals[k] / d * cur[j]
 				}
-				nxt[i] = acc
+				dst[i] = acc
 			} else {
 				acc := 0.0
 				for k, j := range cols {
 					acc += vals[k] * arrive[j]
 				}
-				nxt[i] = acc / d
+				dst[i] = acc / d
 			}
 		}
-		cur, nxt = nxt, cur
+		if !blocks {
+			cur, nxt = nxt, cur
+		}
 	}
 	scr.Cur, scr.Nxt = cur, nxt
 	return cur, nil

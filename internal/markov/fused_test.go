@@ -1,6 +1,9 @@
 package markov
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -167,6 +170,182 @@ func TestFusedCostGathersOncePerEdge(t *testing.T) {
 			if cur[i] != got[i] {
 				t.Fatalf("query %d state %d: kernel %v, recurrence %v", q, i, got[i], cur[i])
 			}
+		}
+	}
+}
+
+// blockedTestChains builds one random bipartite graph in the numbering
+// graph.SubgraphExtractor hands out — seeds [0,a) of the given types, then
+// users [a,b), then items [b,n), every edge joining a user to an item — as
+// two chains over equal storage: one whose adjacency declares the blocks
+// and one whose adjacency does not. Item n-1 is left without edges.
+func blockedTestChains(t *testing.T, rng *rand.Rand, seedIsItem []bool, users, items int) (plain, blocked *Chain) {
+	t.Helper()
+	a := len(seedIsItem)
+	b, n := a+users, a+users+items
+	var userSide, itemSide []int
+	for l, isItem := range seedIsItem {
+		if isItem {
+			itemSide = append(itemSide, l)
+		} else {
+			userSide = append(userSide, l)
+		}
+	}
+	for l := a; l < b; l++ {
+		userSide = append(userSide, l)
+	}
+	for l := b; l < n-1; l++ {
+		itemSide = append(itemSide, l)
+	}
+	coo := sparse.NewCOO(n, n)
+	for e := 0; e < 4*n; e++ {
+		u, i := userSide[rng.Intn(len(userSide))], itemSide[rng.Intn(len(itemSide))]
+		w := 0.1 + rng.Float64()*4.9
+		coo.Add(u, i, w)
+		coo.Add(i, u, w)
+	}
+	plain, err := NewChain(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked, err = NewChain(coo.ToCSR().DeclareBlocks(a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plain, blocked
+}
+
+// countdownCtx reports context.Canceled from its n-th Err call on.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFusedBlockScheduleBitwise pins the block schedule to the full sweep
+// it replaces, bit for bit. On an adjacency that declares blocks (a, b)
+// with every row below a absorbing, the entries of [b,n) must equal those
+// of τ full sweeps over the same matrix without the declaration, and the
+// entries of [a,b) those of τ-1 full sweeps (the documented contract); with
+// a transient row below a the kernel must fall back to the full sweep on
+// every entry. Both kernels, both parities of τ, the seed shapes of AT, HT
+// and a mixed set, an isolated transient item and absorbing rows inside
+// both blocks; one scratch throughout, so a stale Arrive would show.
+func TestFusedBlockScheduleBitwise(t *testing.T) {
+	const users, items = 14, 19
+	shapes := []struct {
+		name       string
+		seedIsItem []bool
+	}{
+		{"item seeds (AT)", []bool{true, true, true}},
+		{"one user seed (HT)", []bool{false}},
+		{"mixed seeds", []bool{true, false, true, false}},
+	}
+	var scr ChainScratch
+	for si, shape := range shapes {
+		rng := rand.New(rand.NewSource(int64(40 + si)))
+		plain, blocked := blockedTestChains(t, rng, shape.seedIsItem, users, items)
+		a, n := len(shape.seedIsItem), plain.Len()
+		b := a + users
+		costs := make([]float64, n)
+		for i := range costs {
+			costs[i] = 0.05 + rng.Float64()*2
+		}
+		// run masks the seeds except those listed in transient, plus one
+		// more row inside each block, and returns a copy of the result.
+		run := func(ctx context.Context, ch *Chain, enter []float64, tau int, transient ...int) ([]float64, error) {
+			scr.Resize(n)
+			for l := 0; l < a; l++ {
+				scr.Mask[l] = true
+			}
+			for _, l := range transient {
+				scr.Mask[l] = false
+			}
+			scr.Mask[a+1], scr.Mask[b+2] = true, true
+			out, err := ch.AbsorbingCostFusedCtx(ctx, &scr, enter, tau)
+			return append([]float64(nil), out...), err
+		}
+		sameBits := func(what string, got, want []float64, lo, hi int) {
+			t.Helper()
+			for l := lo; l < hi; l++ {
+				if math.Float64bits(got[l]) != math.Float64bits(want[l]) {
+					t.Fatalf("%s: entry %d = %v (%#x), want %v (%#x)", what, l, got[l], math.Float64bits(got[l]), want[l], math.Float64bits(want[l]))
+				}
+			}
+		}
+		for _, enter := range [][]float64{nil, costs} {
+			for _, tau := range []int{0, 1, 2, 3, 15, 16} {
+				what := fmt.Sprintf("%s, costed %v, tau %d", shape.name, enter != nil, tau)
+				full, err := run(nil, plain, enter, tau)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				behind := make([]float64, n) // sweep τ-1; all zero before the first
+				if tau > 0 {
+					if behind, err = run(nil, plain, enter, tau-1); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				}
+				got, err := run(nil, blocked, enter, tau)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameBits(what+", rows below a", got, full, 0, a)
+				sameBits(what+", block [b,n) vs tau full sweeps", got, full, b, n)
+				sameBits(what+", block [a,b) vs tau-1 full sweeps", got, behind, a, b)
+				if want := float64(tau); enter == nil && got[n-1] != want {
+					t.Fatalf("%s: isolated transient item at %v, want %v", what, got[n-1], want)
+				}
+				if tau == 15 {
+					// The comparison above only bites if the schedule ran:
+					// after τ full sweeps block [a,b) is NOT at sweep τ-1.
+					differs := false
+					for l := a; l < b; l++ {
+						differs = differs || got[l] != full[l]
+					}
+					if !differs {
+						t.Fatalf("%s: block [a,b) equals the full sweep, the schedule did not run", what)
+					}
+				}
+
+				// A transient row below a is read by both blocks and moves
+				// every sweep: no schedule, the full sweep on every entry.
+				full, err = run(nil, plain, enter, tau, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				got, err = run(nil, blocked, enter, tau, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameBits(what+", transient row below a", got, full, 0, n)
+			}
+
+			// Cancelled between two sweeps of the schedule: the context
+			// error comes back bare and the scratch is whole — two distinct
+			// buffers — and serves the next query.
+			what := fmt.Sprintf("%s, costed %v, cancelled", shape.name, enter != nil)
+			if _, err := run(&countdownCtx{Context: context.Background(), n: 8}, blocked, enter, 15); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", what, err)
+			}
+			if len(scr.Cur) != n || len(scr.Nxt) != n || &scr.Cur[0] == &scr.Nxt[0] {
+				t.Fatalf("%s: scratch left with Cur/Nxt of %d/%d entries, aliased %v", what, len(scr.Cur), len(scr.Nxt), &scr.Cur[0] == &scr.Nxt[0])
+			}
+			full, err := run(nil, plain, enter, 15)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			got, err := run(nil, blocked, enter, 15)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameBits(what+", next query", got, full, b, n)
 		}
 	}
 }

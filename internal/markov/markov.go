@@ -78,7 +78,9 @@ func NewChainWithDegrees(adj *sparse.CSR, degrees []float64) (*Chain, error) {
 // Reset re-points an existing Chain at a new adjacency with its precomputed
 // degree vector, so per-query hot paths can keep one Chain value in scratch
 // instead of allocating one per query. degrees must hold the row sums of
-// adj; both are aliased.
+// adj; both are aliased. A block record declared on adj (see
+// sparse.CSR.DeclareBlocks) comes with it: the fused sweeps schedule by it,
+// every other solver ignores it.
 func (c *Chain) Reset(adj *sparse.CSR, degrees []float64) error {
 	r, cols := adj.Dims()
 	if r != cols {

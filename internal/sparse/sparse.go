@@ -66,6 +66,11 @@ type CSR struct {
 	rowPtr     []int // length rows+1
 	colIdx     []int // length nnz
 	vals       []float64
+
+	// blockA, blockB are the boundaries recorded by DeclareBlocks; blocked
+	// says whether any were.
+	blockA, blockB int
+	blocked        bool
 }
 
 // ToCSR compiles the builder into a CSR matrix, summing duplicates and
@@ -133,7 +138,8 @@ func NewCSRFromDense(d [][]float64) *CSR {
 // aliased, not owned: the caller promises they already satisfy the CSR
 // invariants (rowPtr of length rows+1, non-decreasing, strictly increasing
 // column indices within each row) and remain unmodified for the lifetime of
-// the returned matrix. This is the zero-copy entry point for scratch-backed
+// the returned matrix. A block record added with DeclareBlocks is one more
+// such promise. This is the zero-copy entry point for scratch-backed
 // per-query submatrices (subgraph extraction); everything else should go
 // through COO.ToCSR.
 func NewCSRView(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
@@ -148,6 +154,25 @@ func NewCSRView(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
+
+// DeclareBlocks records that rows [a,b) and rows [b,rows) of a square matrix
+// are two independent sets: no stored entry joins two rows of the same
+// block, so a row of one block holds only columns below a or inside the
+// other block. Like the CSR invariants of NewCSRView this is the caller's
+// promise and is not checked. It is part of construction — call it before
+// the matrix is shared — and returns m; matrices derived from m (Scale,
+// Transpose, ...) carry no record.
+func (m *CSR) DeclareBlocks(a, b int) *CSR {
+	if m.rows != m.cols || a < 0 || a > b || b > m.rows {
+		panic(fmt.Sprintf("sparse: DeclareBlocks(%d, %d) on a %dx%d matrix", a, b, m.rows, m.cols))
+	}
+	m.blockA, m.blockB, m.blocked = a, b, true
+	return m
+}
+
+// Blocks returns the boundaries recorded by DeclareBlocks; ok is false when
+// none were.
+func (m *CSR) Blocks() (a, b int, ok bool) { return m.blockA, m.blockB, m.blocked }
 
 // Dims returns the (rows, cols) shape.
 func (m *CSR) Dims() (int, int) { return m.rows, m.cols }

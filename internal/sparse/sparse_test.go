@@ -222,6 +222,42 @@ func TestScale(t *testing.T) {
 	}
 }
 
+// TestDeclareBlocks: the block record is absent until declared, survives on
+// the matrix it was declared on only, and rejects boundaries that do not
+// partition a square matrix.
+func TestDeclareBlocks(t *testing.T) {
+	// Row 0 a seed, rows 1-2 one block, row 3 the other.
+	m := NewCSRFromDense([][]float64{{0, 1, 0, 2}, {1, 0, 0, 3}, {0, 0, 0, 4}, {2, 3, 4, 0}})
+	if _, _, ok := m.Blocks(); ok {
+		t.Fatal("blocks reported before any were declared")
+	}
+	if got := m.DeclareBlocks(1, 3); got != m {
+		t.Fatal("DeclareBlocks did not return its receiver")
+	}
+	if a, b, ok := m.Blocks(); !ok || a != 1 || b != 3 {
+		t.Fatalf("Blocks() = %d, %d, %v, want 1, 3, true", a, b, ok)
+	}
+	if _, _, ok := m.Scale(2).Blocks(); ok {
+		t.Fatal("a derived matrix inherited the block record")
+	}
+	for _, bad := range [][2]int{{-1, 2}, {3, 2}, {1, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("DeclareBlocks(%d, %d) on a 4x4 matrix did not panic", bad[0], bad[1])
+				}
+			}()
+			m.DeclareBlocks(bad[0], bad[1])
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DeclareBlocks on a rectangular matrix did not panic")
+		}
+	}()
+	NewCSRFromDense([][]float64{{1, 0, 0}, {0, 1, 0}}).DeclareBlocks(0, 1)
+}
+
 func TestSubmatrixRows(t *testing.T) {
 	m := NewCSRFromDense([][]float64{
 		{1, 0},

@@ -457,4 +457,31 @@ func TestSystemRecommendFallback(t *testing.T) {
 	if resps[2].Algo != "" || resps[2].Items != nil {
 		t.Fatalf("cold batch entry %+v", resps[2])
 	}
+
+	// HT anchors the walk at the user's own node, not at S_q, and used to
+	// answer a rating-less user "no items, no error", flag or no flag. It
+	// is the same cold user: the same list AT's fallback serves.
+	if _, err := sys.Recommend(context.Background(), "HT", Request{User: newUser, K: 4}); !errors.Is(err, ErrColdUser) {
+		t.Fatalf("HT: err = %v, want ErrColdUser without fallback", err)
+	}
+	htResp, err := sys.Recommend(context.Background(), "HT", Request{User: newUser, K: 4, AllowFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !htResp.Fallback || htResp.Algo != "HT" || !reflect.DeepEqual(htResp.Items, resp.Items) {
+		t.Fatalf("HT fallback resp = %+v, want AT's popularity list %+v", htResp, resp.Items)
+	}
+	htResps, err := sys.RecommendRequests(context.Background(), "HT", []Request{
+		{User: newUser, K: 3, AllowFallback: true},
+		{User: newUser, K: 3},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !htResps[0].Fallback || len(htResps[0].Items) != 3 {
+		t.Fatalf("HT fallback batch entry %+v", htResps[0])
+	}
+	if htResps[1].Algo != "" || htResps[1].Items != nil {
+		t.Fatalf("HT cold batch entry %+v", htResps[1])
+	}
 }
