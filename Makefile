@@ -32,9 +32,11 @@ fmt-check:
 # walk query engine, the shared-System batch paths, the live delta-overlay
 # graph (concurrent readers + one writer), the sharded result cache, the
 # user-partitioned serving fleet (cross-shard write isolation —
-# TestConcurrentShardedWriteIsolation in the root package) and the WAL
+# TestConcurrentShardedWriteIsolation in the root package), the WAL
 # group-commit ingester plus kill-and-restart recovery (TestFleet* in the
-# root and shard packages).
+# root and shard packages), the memoised popularity vector under a writer
+# (TestConcurrentItemPopularityMemo) and the lock-free /v1/metrics
+# counters (TestConcurrentMetricsAcrossRoutes).
 # (The full suite under -race also works but takes many minutes; this is
 # the CI-sized cut.)
 # The second line self-checks the ltr-vet analyzer suite under -race
@@ -47,12 +49,14 @@ race:
 	$(GO) test -race ./benchmark
 
 # Short per-query benchmark pass with allocation counts — the regression
-# signal for the zero-allocation query engine, the Request query surface
-# and the 1-alloc warm cache hit, plus the log-only WAL group-commit
+# signal for the zero-allocation query engine, the Request query surface,
+# the 1-alloc warm cache hit and what that hit costs through the HTTP
+# handler (HandleRecommendHit: B/op says whether a hit pays for the
+# catalog or for its answer), plus the log-only WAL group-commit
 # throughput (see PERFORMANCE.md). Serving timings live in the serving
 # benchmark below, not here.
 bench: build
-	$(GO) test -run '^$$' -bench 'Query|SubgraphExtract|WalkScores|RecommendBatch|RecommendCached|RecommendRequest' -benchtime=100x -benchmem
+	$(GO) test -run '^$$' -bench 'Query|SubgraphExtract|WalkScores|RecommendBatch|RecommendCached|RecommendRequest|HandleRecommendHit' -benchtime=100x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend' -benchmem ./internal/wal/
 
 # The serving benchmark (benchmark/README.md): HTTP in, JSON out, all four
@@ -84,12 +88,14 @@ serving-pairs:
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
 # for the extractor, the live graph (closed- and open-universe), the WAL
-# record decoder against torn and corrupted log tails, and the fingerprint
-# cache's serve-stale-never soundness property (CI runs the seed corpus
-# via `make test` plus a 10s smoke; this explores further).
+# record decoder against torn and corrupted log tails, the fingerprint
+# cache's serve-stale-never soundness property and the /v1/recommend
+# append encoder's byte equality with encoding/json (CI runs the seed
+# corpus via `make test` plus a 10s smoke; this explores further).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSubgraphExtract -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzBuilderAddRating -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzUpsertRatingAutoGrow -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprintSoundness -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzRecommendEncoding -fuzztime 30s ./internal/server/

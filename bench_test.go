@@ -8,6 +8,10 @@ package longtail_test
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,6 +20,7 @@ import (
 	"longtailrec/internal/core"
 	"longtailrec/internal/experiments"
 	"longtailrec/internal/graph"
+	"longtailrec/internal/server"
 )
 
 // benchScale keeps every experiment benchmark in the seconds range.
@@ -335,6 +340,47 @@ func BenchmarkRecommendCached(b *testing.B) {
 		if _, err := rec.Recommend(u, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps nothing: the handler
+// benchmark measures the handler, not a recorder's buffer.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkHandleRecommendHit is one GET /v1/recommend answered from a
+// warm cache, through the whole handler stack (recovery, request log to a
+// discarded logger, mux, parse, cache hit, popularity decoration, encode)
+// with no socket: what a hit costs the server once HTTP is taken away.
+// B/op is the number to read — it says whether a hit still pays for the
+// catalog (one popularity vector per request) or only for its answer;
+// internal/server's TestHandleRecommendHitAllocs holds the allocs/op.
+func BenchmarkHandleRecommendHit(b *testing.B) {
+	env := benchEnv(b, "movielens")
+	cfg := longtail.DefaultConfig()
+	cfg.CacheSize = 8192
+	sys, err := longtail.NewSystem(env.Split.Train, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(sys, server.Options{DefaultAlgorithm: "AT", Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	reqs := make([]*http.Request, len(env.Panel))
+	w := &discardResponse{h: make(http.Header)}
+	for i, u := range env.Panel { // warm: one miss per panel user
+		reqs[i] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/recommend?user=%d&k=10", u), nil)
+		h.ServeHTTP(w, reqs[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%len(reqs)])
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"longtailrec/internal/graph"
@@ -125,6 +126,57 @@ func TestFleetRestartRecovery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFleetItemPopularityMemoTracksWrites is the System-level half of
+// internal/graph's TestItemPopularityMemoTracksWrites: after group-committed
+// writes, a snapshot refresh (the fleet's group fold) and a kill-and-recover
+// into a fresh NewSystem, every shard's memoised popularity equals a
+// recount from that shard's live rows, and the recovered system's equals
+// the one that never died.
+func TestFleetItemPopularityMemoTracksWrites(t *testing.T) {
+	w := shardTestWorld(t)
+	check := func(step string, sys *System) {
+		t.Helper()
+		for sh := 0; sh < sys.ShardCount(); sh++ {
+			g := sys.ShardGraph(sh)
+			want := make([]int, g.NumItems())
+			for i := range want {
+				nodes, _ := g.Neighbors(g.ItemNode(i))
+				want[i] = len(nodes)
+			}
+			if got := g.ItemPopularity(); !slices.Equal(got, want) {
+				t.Fatalf("%s, shard %d: ItemPopularity() = %v, recount %v", step, sh, got, want)
+			}
+		}
+	}
+	control := durableSystem(t, w, 2, t.TempDir())
+	defer control.Close()
+	victimDir := t.TempDir()
+	victim := durableSystem(t, w, 2, victimDir)
+	for _, sys := range []*System{control, victim} {
+		check("construction", sys)
+		writeStream(t, sys, 1)
+		check("group-committed writes", sys)
+		if err := sys.SnapshotRefresh(); err != nil {
+			t.Fatal(err)
+		}
+		check("snapshot refresh", sys)
+		writeStream(t, sys, 2)
+		check("writes after the checkpoint", sys)
+	}
+	victim = nil // killed: no flush, no final checkpoint
+
+	recovered := durableSystem(t, w, 2, victimDir)
+	defer recovered.Close()
+	check("recovery", recovered)
+	for u := 0; u < 8; u++ { // enough users to land on both shards
+		if got, want := recovered.LiveItemPopularityFor(u), control.LiveItemPopularityFor(u); !slices.Equal(got, want) {
+			t.Fatalf("user %d: recovered popularity %v, uninterrupted %v", u, got, want)
+		}
+	}
+	writeStream(t, recovered, 3)
+	check("writes after recovery", recovered)
 }
 
 // TestFleetDurableConvergenceAndShutdown covers the snapshot-refresh

@@ -88,10 +88,10 @@ type engineScratch struct {
 	candStamp []int
 	candEpoch int
 
-	// popBuf / popSorted are the live popularity vector and its sorted
-	// copy for the Request.LongTailOnly percentile cutoff. Touched only
+	// popSorted is the sorted copy of the live popularity vector the
+	// Request.LongTailOnly percentile cutoff is read from. Touched only
 	// by option-carrying requests.
-	popBuf, popSorted []int
+	popSorted []int
 }
 
 // scoreCompact runs Algorithm 1 for user u inside scr and returns the
@@ -354,10 +354,11 @@ func (e *Engine) recommendRequest(scr *engineScratch, req Request, spec walkSpec
 			}
 		}
 	}
+	var pop []int // the graph's memoised vector: shared, read-only
 	cutoff := 0
 	if req.LongTailOnly > 0 {
-		scr.popBuf = e.g.ItemPopularityInto(scr.popBuf)
-		cutoff, scr.popSorted = longTailCutoff(scr.popBuf, req.LongTailOnly, scr.popSorted)
+		pop = e.g.ItemPopularity()
+		cutoff, scr.popSorted = longTailCutoff(pop, req.LongTailOnly, scr.popSorted)
 	}
 	sel := topk.NewSelector(req.K)
 	for _, is := range compact {
@@ -367,7 +368,7 @@ func (e *Engine) recommendRequest(scr *engineScratch, req Request, spec walkSpec
 		if hasCand && (is.Item >= len(scr.candStamp) || scr.candStamp[is.Item] != scr.candEpoch) {
 			continue
 		}
-		if req.LongTailOnly > 0 && is.Item < len(scr.popBuf) && scr.popBuf[is.Item] > cutoff {
+		if is.Item < len(pop) && pop[is.Item] > cutoff {
 			continue
 		}
 		sel.Offer(is.Item, is.Score)

@@ -87,6 +87,10 @@ type Bipartite struct {
 	// accepted write on this view. Guarded by mu; allocated lazily like the
 	// overlay.
 	nodeGens map[int]uint64
+
+	// popularity is the last ItemPopularity result, reused until this
+	// view's write generation, the shared base or the universe moves.
+	popularity atomic.Pointer[popularityMemo]
 }
 
 // Builder accumulates ratings before freezing them into a Bipartite.
@@ -336,40 +340,52 @@ func (g *Bipartite) Stationary() []float64 {
 	return pi
 }
 
-// ItemPopularity returns, for every item, the number of users who rated it
-// (its rating frequency — the paper's popularity measure in §5.2.2). Live.
-func (g *Bipartite) ItemPopularity() []int {
-	return g.ItemPopularityInto(nil)
+// popularityMemo is one published ItemPopularity result together with the
+// state it was counted from. Immutable once stored.
+type popularityMemo struct {
+	gen  uint64        // the view's write generation
+	base *baseSnapshot // what the view's unwritten rows count from
+	uni  *universe     // how long the vector is
+	pop  []int
 }
 
-// ItemPopularityInto is ItemPopularity writing into caller-provided
-// storage when it has the capacity — the allocation-free variant the
-// query engine's long-tail filter uses with pooled scratch. The filled
-// slice (re-sliced to the live item count, or freshly allocated with
-// growth headroom when buf is too small) is returned.
-func (g *Bipartite) ItemPopularityInto(buf []int) []int {
+// current reports whether nothing that can change the view's rater counts
+// has happened since m was counted: every edge write and admission on this
+// view moves the write generation, a group fold (which makes siblings'
+// writes visible in this view's base rows) swaps the base pointer, and an
+// admission through any view swaps the universe pointer. None of the three
+// is ever set back — unlike the epoch, which RestoreEpoch may rewind.
+func (m *popularityMemo) current(g *Bipartite) bool {
+	return m != nil && m.gen == g.journal.head.Load() &&
+		m.base == g.shared.base.Load() && m.uni == g.shared.uni.Load()
+}
+
+// ItemPopularity returns, for every item, the number of users who rated it
+// (its rating frequency — the paper's popularity measure in §5.2.2). Live.
+// The vector is memoised: between writes every call returns the same
+// shared slice at the cost of a few atomic loads, and the first call after
+// a write, admission or fold recounts the catalog once. Like Degrees, the
+// result aliases internal storage — do not modify.
+func (g *Bipartite) ItemPopularity() []int {
+	if m := g.popularity.Load(); m.current(g) {
+		return m.pop
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	uni := g.shared.uni.Load()
-	base := g.shared.base.Load()
-	var pop []int
-	if cap(buf) >= uni.numItems {
-		pop = buf[:uni.numItems]
-	} else {
-		pop = make([]int, uni.numItems, uni.numItems+uni.numItems/8)
-	}
-	for i := 0; i < uni.numItems; i++ {
-		v := uni.itemNode(i)
-		switch r, ok := g.overlay[v]; {
-		case ok:
-			pop[i] = len(r.cols)
-		case v < len(base.degrees):
-			pop[i] = base.adj.RowNNZ(v)
-		default:
-			pop[i] = 0
+	// The key is read under the same read lock as the rows it describes:
+	// every change to either needs the write lock.
+	m := &popularityMemo{gen: g.journal.head.Load(), base: g.shared.base.Load(), uni: g.shared.uni.Load()}
+	m.pop = make([]int, m.uni.numItems)
+	for i := range m.pop {
+		v := m.uni.itemNode(i)
+		if r, ok := g.overlay[v]; ok {
+			m.pop[i] = len(r.cols)
+		} else if v < len(m.base.degrees) {
+			m.pop[i] = m.base.adj.RowNNZ(v)
 		}
 	}
-	return pop
+	g.popularity.Store(m)
+	return m.pop
 }
 
 // UserItems returns the item indices rated by user u (the set S_u) along

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -237,24 +238,24 @@ type RecommendResponse struct {
 // parseRequestOptions reads the shared per-request option parameters —
 // exclude, candidates, long_tail_only, fallback — into a core.Request
 // (User/K/Ctx left for the caller). A non-nil error is a client error.
-func parseRequestOptions(r *http.Request, fallbackDefault bool) (core.Request, error) {
+func parseRequestOptions(q url.Values, fallbackDefault bool) (core.Request, error) {
 	var req core.Request
-	exclude, err := queryIntList(r, "exclude")
+	exclude, err := queryIntList(q, "exclude")
 	if err != nil {
 		return req, err
 	}
-	candidates, err := queryIntList(r, "candidates")
+	candidates, err := queryIntList(q, "candidates")
 	if err != nil {
 		return req, err
 	}
-	longTail, err := queryFloat(r, "long_tail_only", 0)
+	longTail, err := queryFloat(q, "long_tail_only", 0)
 	if err != nil {
 		return req, err
 	}
 	// Range (and NaN) validation of long_tail_only is core's:
 	// Request.validate rejects it as ErrInvalidOptions, which errStatus
 	// maps to 400 — one definition of the accepted range.
-	allowFallback, err := queryBool(r, "fallback", fallbackDefault)
+	allowFallback, err := queryBool(q, "fallback", fallbackDefault)
 	if err != nil {
 		return req, err
 	}
@@ -276,12 +277,13 @@ func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc)
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user", -1)
+	q := r.URL.Query()
+	user, err := queryInt(q, "user", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, err := queryInt(r, "k", 10)
+	k, err := queryInt(q, "k", 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -293,13 +295,13 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	// Fallback defaults on: cold-start traffic gets the deterministic
 	// live-popularity list (minus whatever the user HAS rated) instead
 	// of a failure; ?fallback=false restores the hard 404.
-	req, err := parseRequestOptions(r, true)
+	req, err := parseRequestOptions(q, true)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req.User, req.K = user, k
-	algo := r.URL.Query().Get("algo")
+	algo := q.Get("algo")
 	if algo == "" {
 		algo = s.opts.DefaultAlgorithm
 	}
@@ -310,14 +312,14 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RecommendResponse{
+	writeRecommend(w, &RecommendResponse{
 		User:      user,
 		Algorithm: resp.Algo,
 		Fallback:  resp.Fallback,
 		Epoch:     resp.Epoch,
 		CacheHit:  resp.CacheHit,
-		// Decorate with the serving shard's own popularity view: one
-		// catalog scan, consistent with the graph that ranked the items.
+		// Decorate with the serving shard's own popularity view (memoised
+		// between writes), consistent with the graph that ranked the items.
 		Items: s.renderItems(resp.Items, s.src.LiveItemPopularityFor(user)),
 	})
 }
@@ -341,7 +343,8 @@ type RecommendBatchResponse struct {
 // out across cores through the pooled walk query engine (Engine.
 // RecommendBatch) when the algorithm supports concurrent scoring.
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
-	rawUsers := r.URL.Query().Get("users")
+	q := r.URL.Query()
+	rawUsers := q.Get("users")
 	if rawUsers == "" {
 		writeError(w, http.StatusBadRequest, "missing required parameter %q", "users")
 		return
@@ -365,7 +368,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		users = append(users, u)
 	}
-	k, err := queryInt(r, "k", 10)
+	k, err := queryInt(q, "k", 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -374,7 +377,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k must be in [1,%d], got %d", s.opts.MaxK, k)
 		return
 	}
-	parallelism, err := queryInt(r, "parallelism", 0)
+	parallelism, err := queryInt(q, "parallelism", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -388,12 +391,12 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// The same option params as /v1/recommend apply to every user of the
 	// batch. Fallback defaults off here, preserving the historical
 	// batch contract (cold users get empty lists).
-	template, err := parseRequestOptions(r, false)
+	template, err := parseRequestOptions(q, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	algo := r.URL.Query().Get("algo")
+	algo := q.Get("algo")
 	if algo == "" {
 		algo = s.opts.DefaultAlgorithm
 	}
@@ -461,12 +464,13 @@ type ExplainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user", -1)
+	q := r.URL.Query()
+	user, err := queryInt(q, "user", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	item, err := queryInt(r, "item", -1)
+	item, err := queryInt(q, "item", -1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -535,7 +539,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "item id %q is not an integer", r.PathValue("id"))
 		return
 	}
-	k, err := queryInt(r, "k", 10)
+	k, err := queryInt(r.URL.Query(), "k", 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -6,7 +6,7 @@ package server
 
 import (
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -14,37 +14,36 @@ import (
 // and 405s), so junk paths cannot mint metrics keys.
 const unmatchedKey = "unmatched"
 
-// metrics accumulates per-endpoint counters. Safe for concurrent use.
+// metrics accumulates per-endpoint counters. The table is filled while New
+// registers the routes and only read afterwards, and the counters are
+// atomics, so recording a request takes no lock.
 type metrics struct {
-	mu    sync.Mutex
-	start time.Time
-	byKey map[string]*endpointStats
+	start   time.Time
+	byRoute map[string]*endpointStats // registered patterns + unmatchedKey
 }
 
 type endpointStats struct {
-	Requests     int64
-	Errors       int64 // responses with status >= 400
-	TotalLatency time.Duration
+	requests       atomic.Int64
+	errors         atomic.Int64 // responses with status >= 400
+	totalLatencyNS atomic.Int64
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now(), byKey: make(map[string]*endpointStats)}
+	return &metrics{start: time.Now(), byRoute: map[string]*endpointStats{unmatchedKey: {}}}
 }
 
-// observe records one served request.
-func (m *metrics) observe(key string, status int, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.byKey[key]
+// observe records one served request under the route pattern ServeMux
+// matched ("" when none did).
+func (m *metrics) observe(pattern string, status int, elapsed time.Duration) {
+	st := m.byRoute[pattern]
 	if st == nil {
-		st = &endpointStats{}
-		m.byKey[key] = st
+		st = m.byRoute[unmatchedKey]
 	}
-	st.Requests++
 	if status >= 400 {
-		st.Errors++
+		st.errors.Add(1)
 	}
-	st.TotalLatency += elapsed
+	st.totalLatencyNS.Add(int64(elapsed))
+	st.requests.Add(1)
 }
 
 // EndpointMetrics is one endpoint's row in the /v1/metrics body.
@@ -60,19 +59,24 @@ type MetricsResponse struct {
 	Endpoints     map[string]EndpointMetrics `json:"endpoints"`
 }
 
+// handleMetrics lists every route that has served a request. The three
+// counters of a row are read one by one, so a row may run a request or two
+// ahead of itself while traffic is in flight.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.metrics.mu.Lock()
 	out := MetricsResponse{
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		Endpoints:     make(map[string]EndpointMetrics, len(s.metrics.byKey)),
+		Endpoints:     make(map[string]EndpointMetrics, len(s.metrics.byRoute)),
 	}
-	for key, st := range s.metrics.byKey {
-		em := EndpointMetrics{Requests: st.Requests, Errors: st.Errors}
-		if st.Requests > 0 {
-			em.MeanLatencyMS = st.TotalLatency.Seconds() * 1e3 / float64(st.Requests)
+	for key, st := range s.metrics.byRoute {
+		requests := st.requests.Load()
+		if requests == 0 {
+			continue
 		}
-		out.Endpoints[key] = em
+		out.Endpoints[key] = EndpointMetrics{
+			Requests:      requests,
+			Errors:        st.errors.Load(),
+			MeanLatencyMS: time.Duration(st.totalLatencyNS.Load()).Seconds() * 1e3 / float64(requests),
+		}
 	}
-	s.metrics.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }

@@ -61,14 +61,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"longtailrec/internal/cf"
@@ -111,13 +114,15 @@ type Source interface {
 	// endpoints validate against, as opposed to the Data() snapshot.
 	Universe() (numUsers, numItems int)
 	// LiveItemPopularity returns each item's live rater count, covering
-	// items admitted after startup — the fleet-wide view (one catalog
-	// scan per shard when serving is sharded).
+	// items admitted after startup — the fleet-wide view (a catalog scan
+	// across the shards when serving is sharded). Read-only: the slice
+	// may be shared with the graph and with other callers.
 	LiveItemPopularity() []int
 	// LiveItemPopularityFor returns the live rater counts as seen by the
 	// given user's serving shard: the view consistent with that user's
-	// recommendations, at one catalog scan regardless of shard count —
-	// what the single-request render path uses.
+	// recommendations — what the single-request render path calls once
+	// per request, so it must cost nothing between writes (the graph
+	// memoises the vector). Read-only, like LiveItemPopularity.
 	LiveItemPopularityFor(user int) []int
 	// PopularItems returns the k most-popular items of the live graph the
 	// user has not rated, deterministically ordered — the degraded
@@ -202,17 +207,23 @@ func New(src Source, opts Options) (*Server, error) {
 		mux:     http.NewServeMux(),
 		metrics: newMetrics(),
 	}
-	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
-	s.mux.HandleFunc("GET /v1/recommend", s.handleRecommend)
-	s.mux.HandleFunc("GET /v1/recommend/batch", s.handleRecommendBatch)
-	s.mux.HandleFunc("POST /v1/ratings", s.handleAddRating)
-	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
-	s.mux.HandleFunc("GET /v1/users/{id}", s.handleUser)
-	s.mux.HandleFunc("GET /v1/items/{id}", s.handleItem)
-	s.mux.HandleFunc("GET /v1/items/{id}/similar", s.handleSimilar)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	// Every route gets its metrics row here, so the table is complete (and
+	// from then on read-only) before the first request.
+	handle := func(pattern string, h http.HandlerFunc) {
+		s.mux.HandleFunc(pattern, h)
+		s.metrics.byRoute[pattern] = &endpointStats{}
+	}
+	handle("GET /v1/health", s.handleHealth)
+	handle("GET /v1/stats", s.handleStats)
+	handle("GET /v1/algorithms", s.handleAlgorithms)
+	handle("GET /v1/recommend", s.handleRecommend)
+	handle("GET /v1/recommend/batch", s.handleRecommendBatch)
+	handle("POST /v1/ratings", s.handleAddRating)
+	handle("GET /v1/explain", s.handleExplain)
+	handle("GET /v1/users/{id}", s.handleUser)
+	handle("GET /v1/items/{id}", s.handleItem)
+	handle("GET /v1/items/{id}/similar", s.handleSimilar)
+	handle("GET /v1/metrics", s.handleMetrics)
 	s.http = &http.Server{
 		Addr:              opts.Addr,
 		Handler:           s.Handler(),
@@ -252,14 +263,10 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		// Key by the route ServeMux matched (it sets r.Pattern on this same
-		// request, e.g. "GET /v1/users/{id}"), never by anything the client
-		// chose: the metrics map is bounded by the registered routes.
-		key := r.Pattern
-		if key == "" {
-			key = unmatchedKey
-		}
-		s.metrics.observe(key, sw.status, elapsed)
+		// Count under the route ServeMux matched (it sets r.Pattern on this
+		// same request, e.g. "GET /v1/users/{id}"; "" when none matched),
+		// never under anything the client chose.
+		s.metrics.observe(r.Pattern, sw.status, elapsed)
 		s.opts.Logger.Printf("%s %s -> %d (%s)", r.Method, r.URL.Path, sw.status, elapsed.Round(time.Microsecond))
 	})
 }
@@ -289,23 +296,60 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // --- JSON plumbing ---
 
+// bodyPool holds the buffers response bodies are built in. A body is
+// complete before its status line is written, so a value that cannot be
+// encoded is reported as a 500 instead of a 200 with nothing after it.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeRecommend is writeJSON for the one body with an append encoder
+// (encode.go): same bytes, same failure handling, no reflection.
+func writeRecommend(w http.ResponseWriter, resp *RecommendResponse) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	body, err := appendRecommendResponse(buf.AvailableBuffer(), resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	buf.Write(body) // keeps whatever the append grew for the next request
+	writeBody(w, http.StatusOK, buf.Bytes())
+}
+
+// writeBody sends one finished JSON body in a single Write, which lets
+// net/http state its Content-Length (it does for any body that fits its
+// 2 KiB buffer, as before) without the handler allocating the header.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	// Encoding a value we constructed cannot fail except on a dead
-	// connection, which there is no way to report anyway.
-	_ = enc.Encode(v)
+	// A write fails only on a dead connection, which there is no way to
+	// report anyway.
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// The query helpers read a request's parameters from q, parsed once per
+// request by the handler (r.URL.Query() re-parses the raw query on every
+// call).
+
 // queryInt parses an integer query parameter, with def used when absent
 // (def < 0 marks the parameter required).
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		if def < 0 {
 			return 0, fmt.Errorf("missing required parameter %q", name)
@@ -320,8 +364,8 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 }
 
 // queryFloat parses a float query parameter, def used when absent.
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+func queryFloat(q url.Values, name string, def float64) (float64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -333,8 +377,8 @@ func queryFloat(r *http.Request, name string, def float64) (float64, error) {
 }
 
 // queryBool parses a boolean query parameter, def used when absent.
-func queryBool(r *http.Request, name string, def bool) (bool, error) {
-	raw := r.URL.Query().Get(name)
+func queryBool(q url.Values, name string, def bool) (bool, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -348,11 +392,11 @@ func queryBool(r *http.Request, name string, def bool) (bool, error) {
 // queryIntList parses a comma-separated integer list parameter. Absent
 // means nil; an explicitly empty value ("candidates=") means an empty
 // non-nil list, so clients can express an empty candidate slate.
-func queryIntList(r *http.Request, name string) ([]int, error) {
-	if !r.URL.Query().Has(name) {
+func queryIntList(q url.Values, name string) ([]int, error) {
+	if !q.Has(name) {
 		return nil, nil
 	}
-	raw := r.URL.Query().Get(name)
+	raw := q.Get(name)
 	if raw == "" {
 		return []int{}, nil
 	}

@@ -738,3 +738,66 @@ func TestRecommendServerRequestTimeout(t *testing.T) {
 	// Batch honors the deadline too.
 	getJSON(t, ts.URL+"/v1/recommend/batch?users=0,1&k=2", http.StatusGatewayTimeout, &e)
 }
+
+// TestConcurrentMetricsAcrossRoutes: requests on several routes (and on
+// none) recorded from many goroutines, with /v1/metrics read meanwhile.
+// The counters are lock-free, so the totals must still be exact. Run under
+// -race.
+func TestConcurrentMetricsAcrossRoutes(t *testing.T) {
+	srv, _ := testServer(t)
+	h := srv.Handler()
+	paths := []struct {
+		path, key string
+		status    int
+	}{
+		{"/v1/health", "GET /v1/health", http.StatusOK},
+		{"/v1/users/0", "GET /v1/users/{id}", http.StatusOK},
+		{"/v1/users/99", "GET /v1/users/{id}", http.StatusNotFound},
+		{"/v1/recommend?user=0&k=2&algo=HT", "GET /v1/recommend", http.StatusOK},
+		{"/v1/nope", unmatchedKey, http.StatusNotFound},
+		{"/v1/metrics", "GET /v1/metrics", http.StatusOK},
+	}
+	const workers, rounds = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, p := range paths {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p.path, nil))
+					if rec.Code != p.status {
+						t.Errorf("GET %s = %d, want %d", p.path, rec.Code, p.status)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	var m MetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]EndpointMetrics{}
+	for _, p := range paths {
+		row := want[p.key]
+		row.Requests += workers * rounds
+		if p.status >= 400 {
+			row.Errors += workers * rounds
+		}
+		want[p.key] = row
+	}
+	if len(m.Endpoints) != len(want) {
+		t.Fatalf("metrics keys %v, want those of %v", m.Endpoints, want)
+	}
+	for key, row := range want {
+		if got := m.Endpoints[key]; got.Requests != row.Requests || got.Errors != row.Errors {
+			t.Errorf("%s: %d requests / %d errors, want %d / %d", key, got.Requests, got.Errors, row.Requests, row.Errors)
+		}
+	}
+}

@@ -295,8 +295,9 @@ func (f *Fleet) ShardStats() []core.ShardStats {
 // by that replica's own accepted writes, and every write lands on exactly
 // one replica, so summing the per-replica deltas over the base
 // reconstructs the exact union count (items admitted live have base 0).
-// With one replica this is just its live popularity. The output is sized
-// from the scans themselves, not a prior Universe() snapshot — an
+// With one replica this is just its live popularity — the graph's own
+// memoised vector, so callers must not modify the result. The output is
+// sized from the scans themselves, not a prior Universe() snapshot — an
 // auto-grow admission racing this call may extend a replica's vector
 // between any two reads, and a stale pre-sized slice would be indexed out
 // of range.

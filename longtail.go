@@ -550,17 +550,21 @@ func (s *System) Universe() (numUsers, numItems int) {
 
 // LiveItemPopularity returns each item's live rater count — the dataset
 // popularity plus every accepted live write across all shards, covering
-// items admitted after construction. The fleet-wide view costs one
-// catalog scan per shard; latency-sensitive per-user callers should use
-// LiveItemPopularityFor instead.
+// items admitted after construction. With one shard it is that shard's
+// memoised vector (see LiveItemPopularityFor); a sharded fleet merges a
+// fresh one on every call, so latency-sensitive per-user callers should
+// use LiveItemPopularityFor instead. Do not modify the result.
 func (s *System) LiveItemPopularity() []int {
 	return s.fleet.MergedItemPopularity(s.basePop)
 }
 
 // LiveItemPopularityFor returns the live rater counts as seen by the
 // given user's serving shard — the view consistent with that user's
-// recommendations, at the cost of a single catalog scan regardless of
-// the shard count (with one shard it is exactly LiveItemPopularity).
+// recommendations. The shard's graph memoises the vector
+// (graph.Bipartite.ItemPopularity): between writes every call returns
+// the same shared slice for a few atomic loads, and the first call after
+// a write to that shard, an admission anywhere in the fleet or a fold
+// recounts the catalog once. Do not modify the result.
 func (s *System) LiveItemPopularityFor(user int) []int {
 	return s.fleet.GraphFor(user).ItemPopularity()
 }
