@@ -17,6 +17,7 @@ import (
 	"longtailrec/internal/entropy"
 	"longtailrec/internal/eval"
 	"longtailrec/internal/markov"
+	"longtailrec/internal/topk"
 )
 
 // BenchmarkAblationTau measures how the truncated ranking converges to the
@@ -29,7 +30,7 @@ func BenchmarkAblationTau(b *testing.B) {
 	exact := core.NewAbsorbingTime(g, core.WalkOptions{Exact: true})
 	exactTop := make(map[int][]core.Scored)
 	for _, u := range users {
-		recs, err := exact.Recommend(u, 10)
+		recs, err := longtail.RecommendItems(exact, u, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func BenchmarkAblationTau(b *testing.B) {
 			trunc := core.NewAbsorbingTime(g, core.WalkOptions{Iterations: tau})
 			agree, total := 0, 0
 			for _, u := range users {
-				recs, err := trunc.Recommend(u, 10)
+				recs, err := longtail.RecommendItems(trunc, u, 10)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,7 +92,7 @@ func BenchmarkAblationEntropySignal(b *testing.B) {
 		for _, rec := range []longtail.Recommender{real1, sham} {
 			meanPop, slots := 0.0, 0
 			for _, u := range env.Panel[:15] {
-				recs, err := rec.Recommend(u, 10)
+				recs, err := longtail.RecommendItems(rec, u, 10)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -125,7 +126,7 @@ func BenchmarkAblationUserCost(b *testing.B) {
 			}
 			meanPop, slots := 0.0, 0
 			for _, u := range env.Panel[:10] {
-				recs, err := rec.Recommend(u, 10)
+				recs, err := longtail.RecommendItems(rec, u, 10)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,9 +191,13 @@ func BenchmarkAblationTimeVariance(b *testing.B) {
 	}
 	at := core.NewAbsorbingTime(g, core.WalkOptions{MaxSubgraphItems: train.NumItems() + 1})
 	pop := train.ItemPopularity()
+	sel := topk.NewSelector(10)
+	for i, p := range pop {
+		sel.Offer(i, float64(p))
+	}
 	top := make([]int, 0, 10)
-	for _, s := range core.TopK(popScores(pop), 10, nil) {
-		top = append(top, s.Item)
+	for _, it := range sel.Take() {
+		top = append(top, it.ID)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -207,7 +212,7 @@ func BenchmarkAblationTimeVariance(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			recs, err := at.Recommend(u, 10)
+			recs, err := longtail.RecommendItems(at, u, 10)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -231,15 +236,6 @@ func BenchmarkAblationTimeVariance(b *testing.B) {
 	}
 }
 
-// popScores views popularity counts as a float score vector for TopK.
-func popScores(pop []int) []float64 {
-	out := make([]float64, len(pop))
-	for i, p := range pop {
-		out[i] = float64(p)
-	}
-	return out
-}
-
 // BenchmarkAblationSubgraph measures how much the µ-bounded subgraph
 // ranking agrees with the whole-graph ranking, and its speedup — the
 // Algorithm 1 trade-off.
@@ -251,7 +247,7 @@ func BenchmarkAblationSubgraph(b *testing.B) {
 	whole := core.NewAbsorbingTime(g, core.WalkOptions{MaxSubgraphItems: train.NumItems() + 1})
 	wholeTop := map[int]map[int]struct{}{}
 	for _, u := range users {
-		recs, err := whole.Recommend(u, 10)
+		recs, err := longtail.RecommendItems(whole, u, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +263,7 @@ func BenchmarkAblationSubgraph(b *testing.B) {
 			sub := core.NewAbsorbingTime(g, core.WalkOptions{MaxSubgraphItems: mu})
 			agree, total := 0, 0
 			for _, u := range users {
-				recs, err := sub.Recommend(u, 10)
+				recs, err := longtail.RecommendItems(sub, u, 10)
 				if err != nil {
 					b.Fatal(err)
 				}

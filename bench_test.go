@@ -7,6 +7,7 @@
 package longtail_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -226,7 +227,7 @@ func benchAlgorithmQuery(b *testing.B, name string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := users[i%len(users)]
-		if _, err := rec.Recommend(u, 10); err != nil {
+		if _, err := longtail.RecommendItems(rec, u, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,22 +288,19 @@ func BenchmarkWalkScores(b *testing.B) {
 }
 
 // BenchmarkRecommendBatch measures serving the whole panel through
-// Engine.RecommendBatch at GOMAXPROCS workers. Compare -cpu 1,2,4 runs to
-// see the multi-core scaling.
+// System.RecommendRequests — the one batch fan-out over the single-request
+// path — at GOMAXPROCS workers. Compare -cpu 1,2,4 runs to see the
+// multi-core scaling.
 func BenchmarkRecommendBatch(b *testing.B) {
 	env := benchEnv(b, "movielens")
-	rec, err := env.Sys.Algorithm("AT")
-	if err != nil {
-		b.Fatal(err)
+	reqs := make([]longtail.Request, len(env.Panel))
+	for i, u := range env.Panel {
+		reqs[i] = longtail.Request{User: u, K: 10}
 	}
-	br, ok := rec.(longtail.BatchRecommender)
-	if !ok {
-		b.Fatal("AT recommender does not implement BatchRecommender")
-	}
-	users := env.Panel
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := br.RecommendBatch(users, 10, runtime.GOMAXPROCS(0)); err != nil {
+		if _, err := env.Sys.RecommendRequests(ctx, "AT", reqs, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,7 +327,7 @@ func BenchmarkRecommendCached(b *testing.B) {
 	}
 	users := env.Panel
 	for _, u := range users { // warm: one miss per panel user
-		if _, err := rec.Recommend(u, 10); err != nil {
+		if _, err := longtail.RecommendItems(rec, u, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +335,7 @@ func BenchmarkRecommendCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := users[i%len(users)]
-		if _, err := rec.Recommend(u, 10); err != nil {
+		if _, err := longtail.RecommendItems(rec, u, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,25 +395,21 @@ func BenchmarkSystemConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommendRequest measures one no-options Request-path query —
-// the primary serving surface. PERFORMANCE.md tracks its allocs/op,
-// which must stay at parity with BenchmarkQueryAT (the legacy wrapper):
-// the Request plumbing may not cost the hot path anything.
+// BenchmarkRecommendRequest measures one no-options query straight
+// through Recommender.Recommend — the primary serving surface.
+// PERFORMANCE.md tracks its allocs/op, which must stay at parity with
+// BenchmarkQueryAT (the same query through the RecommendItems helper).
 func BenchmarkRecommendRequest(b *testing.B) {
 	env := benchEnv(b, "movielens")
 	rec, err := env.Sys.Algorithm("AT")
 	if err != nil {
 		b.Fatal(err)
 	}
-	v2, ok := rec.(longtail.RecommenderV2)
-	if !ok {
-		b.Fatal("AT does not implement RecommenderV2")
-	}
 	users := env.Panel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := longtail.Request{User: users[i%len(users)], K: 10}
-		if _, err := v2.RecommendRequest(req); err != nil {
+		if _, err := rec.Recommend(req, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -432,13 +426,12 @@ func BenchmarkRecommendRequestOptions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v2 := rec.(longtail.RecommenderV2)
 	users := env.Panel
 	exclude := []int{1, 2, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := longtail.Request{User: users[i%len(users)], K: 10, ExcludeItems: exclude, LongTailOnly: 0.8}
-		if _, err := v2.RecommendRequest(req); err != nil {
+		if _, err := rec.Recommend(req, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,32 +10,73 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"longtailrec/internal/lda"
+	"longtailrec/internal/synth"
 )
 
+// batchLists serves the plain (users, k) batch through
+// System.RecommendRequests and strips the Responses to their lists (nil
+// for a cold user).
+func batchLists(sys *System, algo string, users []int, k, parallelism int) ([][]Scored, error) {
+	reqs := make([]Request, len(users))
+	for i, u := range users {
+		reqs[i] = Request{User: u, K: k}
+	}
+	resps, err := sys.RecommendRequests(context.Background(), algo, reqs, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	lists := make([][]Scored, len(resps))
+	for i, resp := range resps {
+		lists[i] = resp.Items
+	}
+	return lists, nil
+}
+
 // TestConcurrentRecommendSharedSystem hammers one shared System from many
-// goroutines mixing single Recommend calls and RecommendBatch across the
-// walk algorithms. Run with `go test -race` (the Makefile's race target)
-// this locks in the thread-safety of the pooled walk query engine and the
-// System's lazy recommender cache.
+// goroutines mixing single requests and batches across EVERY algorithm of
+// the suite: the one batch fan-out calls the score-function adapters from
+// several goroutines, exactly as the HTTP server does for single
+// requests, so each trained model's scoring path has to be read-only.
+// Run with `go test -race` (the Makefile's race target) this locks in the
+// thread-safety of the pooled walk query engine, the adapters' models and
+// the System's lazy recommender cache.
 func TestConcurrentRecommendSharedSystem(t *testing.T) {
-	sys, _ := smallSystem(t, 11)
+	// A 70-node graph: CommuteTime solves one linear system per node and
+	// query (seconds on smallSystem's 320 nodes).
+	w, err := synth.Generate(synth.Config{
+		NumUsers: 30, NumItems: 40, NumGenres: 3,
+		MeanRatingsPerUser: 8, MinRatingsPerUser: 4, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.LDA = lda.Config{NumTopics: 3, Alpha: 0.5, Iterations: 15, Seed: 11}
+	cfg.SVDRank = 6
+	cfg.Seed = 11
+	sys, err := NewSystem(w.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	users, err := sys.Data().SampleUsers(rand.New(rand.NewSource(3)), 12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	algos := []string{"HT", "AT", "AC1", "AC3"}
-	// Resolve sequentially once so lazy construction itself is also probed
-	// concurrently below for a second system.
+	algos := AlgorithmNames()
+	// Lazy construction is probed concurrently too: nothing is resolved
+	// before the workers start.
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
 	for w := 0; w < 2*runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for q := 0; q < 8; q++ {
+			for q := 0; q < 2*len(algos); q++ {
 				algo := algos[(w+q)%len(algos)]
 				if q%3 == 0 {
-					if _, err := sys.RecommendBatch(algo, users, 5, 3); err != nil {
+					if _, err := batchLists(sys, algo, users, 5, 3); err != nil {
 						errc <- err
 						return
 					}
@@ -46,7 +87,7 @@ func TestConcurrentRecommendSharedSystem(t *testing.T) {
 					errc <- err
 					return
 				}
-				if _, err := rec.Recommend(users[(w*5+q)%len(users)], 5); err != nil {
+				if _, err := RecommendItems(rec, users[(w*5+q)%len(users)], 5); err != nil {
 					errc <- err
 					return
 				}
@@ -60,9 +101,10 @@ func TestConcurrentRecommendSharedSystem(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchDeterministic checks that concurrent batch scoring
-// returns exactly what sequential scoring returns, for every walk
-// algorithm, regardless of parallelism.
+// TestConcurrentBatchDeterministic checks that a batch returns, item for
+// item, what one single request per user returns — for every walk
+// algorithm and regardless of parallelism. (The kNN baselines sum over Go
+// maps, so two runs of one query already differ in the last float bit.)
 func TestConcurrentBatchDeterministic(t *testing.T) {
 	sys, _ := smallSystem(t, 12)
 	users, err := sys.Data().SampleUsers(rand.New(rand.NewSource(4)), 15, 3)
@@ -70,25 +112,23 @@ func TestConcurrentBatchDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"HT", "AT", "AC1", "AC3"} {
-		sequential, err := sys.RecommendBatch(algo, users, 6, 1)
-		if err != nil {
-			t.Fatal(err)
+		sequential := make([][]Scored, len(users))
+		for i, u := range users {
+			resp, err := sys.Recommend(context.Background(), algo, Request{User: u, K: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sequential[i] = resp.Items
 		}
-		for _, par := range []int{2, 4, 0} {
-			parallel, err := sys.RecommendBatch(algo, users, 6, par)
+		for _, par := range []int{1, 2, 4, 0} {
+			parallel, err := batchLists(sys, algo, users, 6, par)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range users {
-				if len(sequential[i]) != len(parallel[i]) {
-					t.Fatalf("%s user %d parallelism %d: %d vs %d items",
-						algo, users[i], par, len(parallel[i]), len(sequential[i]))
-				}
-				for j := range sequential[i] {
-					if sequential[i][j] != parallel[i][j] {
-						t.Fatalf("%s user %d slot %d differs at parallelism %d",
-							algo, users[i], j, par)
-					}
+				if !slices.Equal(sequential[i], parallel[i]) {
+					t.Fatalf("%s user %d at parallelism %d:\nbatch  %+v\nsingle %+v",
+						algo, users[i], par, parallel[i], sequential[i])
 				}
 			}
 		}
@@ -96,8 +136,8 @@ func TestConcurrentBatchDeterministic(t *testing.T) {
 }
 
 // TestConcurrentLiveWriteServing is the PR 2 serving-layer race check:
-// one shared cache-enabled System serves concurrent Recommend and
-// RecommendBatch traffic while a single writer streams live ratings into
+// one shared cache-enabled System serves concurrent single-request and
+// batch traffic while a single writer streams live ratings into
 // the graph, compacting and sweeping stale cache entries along the way.
 // Run under `make race`.
 func TestConcurrentLiveWriteServing(t *testing.T) {
@@ -131,7 +171,7 @@ func TestConcurrentLiveWriteServing(t *testing.T) {
 				}
 				algo := []string{"HT", "AT"}[(g+q)%2]
 				if q%5 == 0 {
-					if _, err := sys.RecommendBatch(algo, users, 5, 2); err != nil {
+					if _, err := batchLists(sys, algo, users, 5, 2); err != nil {
 						errc <- err
 						return
 					}
@@ -143,7 +183,7 @@ func TestConcurrentLiveWriteServing(t *testing.T) {
 					errc <- err
 					return
 				}
-				if _, err := rec.Recommend(users[(g*3+q)%len(users)], 5); err != nil {
+				if _, err := RecommendItems(rec, users[(g*3+q)%len(users)], 5); err != nil {
 					errc <- err
 					return
 				}
@@ -233,7 +273,7 @@ func TestConcurrentOpenUniverseServing(t *testing.T) {
 					nu, _ := sys.Universe()
 					u = nu - 1
 				}
-				if _, err := rec.Recommend(u, 5); err != nil && !errors.Is(err, ErrColdUser) {
+				if _, err := RecommendItems(rec, u, 5); err != nil && !errors.Is(err, ErrColdUser) {
 					errc <- err
 					return
 				}
@@ -277,7 +317,7 @@ func TestConcurrentOpenUniverseServing(t *testing.T) {
 		t.Errorf("universe %d/%d, want %d/%d", nu, ni, baseUsers+newcomers, baseItems+newcomers)
 	}
 	// The newest user is immediately servable by the live walk engine.
-	recs, err := sys.AT().Recommend(nu-1, 5)
+	recs, err := RecommendItems(sys.AT(), nu-1, 5)
 	if err != nil {
 		t.Fatalf("recommend for grown user: %v", err)
 	}

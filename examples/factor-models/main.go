@@ -84,7 +84,7 @@ func main() {
 	for _, rec := range recs {
 		total, slots := 0.0, 0
 		for _, u := range users {
-			list, err := rec.Recommend(u, 10)
+			list, err := longtail.RecommendItems(rec, u, 10)
 			if err != nil {
 				log.Fatal(err)
 			}

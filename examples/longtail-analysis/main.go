@@ -71,7 +71,7 @@ func main() {
 		slots, totalSlots := 0, 0
 		uniqueTail := map[int]struct{}{}
 		for _, u := range panel {
-			recs, err := rec.Recommend(u, 10)
+			recs, err := longtail.RecommendItems(rec, u, 10)
 			if err != nil {
 				log.Fatal(err)
 			}

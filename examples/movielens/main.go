@@ -78,7 +78,7 @@ func runSuite(data *longtail.Dataset) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		recs, err := rec.Recommend(user, 10)
+		recs, err := longtail.RecommendItems(rec, user, 10)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -39,7 +39,7 @@ func main() {
 	const u5 = 4
 	fmt.Println("Recommendations for U5 (likes action: rated M2, M3):")
 
-	recs, err := sys.HT().Recommend(u5, 4)
+	recs, err := longtail.RecommendItems(sys.HT(), u5, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// For contrast: what a pure popularity ranking would suggest.
-	popRecs, err := sys.MostPopular().Recommend(u5, 1)
+	popRecs, err := longtail.RecommendItems(sys.MostPopular(), u5, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func run() error {
 		return err
 	}
 	const user = 7
-	recs, err := sys.AT().Recommend(user, 5)
+	recs, err := longtail.RecommendItems(sys.AT(), user, 5)
 	if err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func run() error {
 	//    result cache: the walk recomputes nothing.
 	at := sys.AT()
 	for q := 0; q < 3; q++ { // one miss, then hits
-		if _, err := at.Recommend(user, 5); err != nil {
+		if _, err := longtail.RecommendItems(at, user, 5); err != nil {
 			return err
 		}
 	}
@@ -136,7 +136,7 @@ func run() error {
 
 	// 3. The next query recomputes against the live graph: the freshly
 	//    rated item disappears from the user's recommendations.
-	recs2, err := at.Recommend(user, 5)
+	recs2, err := longtail.RecommendItems(at, user, 5)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func run() error {
 	//    grows instead of rejecting the cold-start write.
 	newUser := reloaded.NumUsers() // first id past the snapshot
 	newItem := reloaded.NumItems()
-	taste, _ := sys.AT().Recommend(user, 3) // borrow an existing taste cluster
+	taste, _ := longtail.RecommendItems(sys.AT(), user, 3) // borrow an existing taste cluster
 	if _, _, err := sys.ApplyRating(newUser, newItem, 5); err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func run() error {
 
 	// The newcomer is servable by the walk engine the moment their first
 	// ratings land — no retrain, no reload.
-	newRecs, err := at.Recommend(newUser, 5)
+	newRecs, err := longtail.RecommendItems(at, newUser, 5)
 	if err != nil {
 		return err
 	}

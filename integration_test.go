@@ -166,8 +166,8 @@ func TestPersistRoundTripPreservesRecommendations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < 20; u++ {
-			a, errA := recA.Recommend(u, 5)
-			b, errB := recB.Recommend(u, 5)
+			a, errA := RecommendItems(recA, u, 5)
+			b, errB := RecommendItems(recB, u, 5)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("%s user %d: error divergence %v vs %v", name, u, errA, errB)
 			}
@@ -239,7 +239,7 @@ func TestSystemConcurrentUse(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if _, err := rec.Recommend((worker*7+i)%world.Data.NumUsers(), 5); err != nil {
+				if _, err := RecommendItems(rec, (worker*7+i)%world.Data.NumUsers(), 5); err != nil {
 					errCh <- err
 					return
 				}

@@ -68,22 +68,13 @@ func (f *FuncRecommender) ScoreItems(u int) ([]float64, error) {
 	return scores, nil
 }
 
-// Recommend implements Recommender — the legacy surface, a thin wrapper
-// over the Request path so the adapter has exactly one selection loop.
-func (f *FuncRecommender) Recommend(u, k int) ([]Scored, error) {
-	resp, err := f.RecommendRequest(Request{User: u, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
-}
-
-// RecommendRequest implements RecommenderV2 for the score-function
-// adapters: the wrapped model scores the full universe (checked against
-// the request context first — these models can take tens of
-// milliseconds), then the option filters are applied during top-k
-// selection so an option-narrowed request still fills its K slots.
-func (f *FuncRecommender) RecommendRequest(req Request) (Response, error) {
+// Recommend implements Recommender for the score-function adapters: the
+// wrapped model scores the full universe (checked against the request
+// context first — these models can take tens of milliseconds), then the
+// option filters are applied during top-k selection so an option-narrowed
+// request still fills its K slots. The adapters cannot fingerprint: fp is
+// left untouched, so cached entries revalidate epoch-exactly.
+func (f *FuncRecommender) Recommend(req Request, _ *graph.Fingerprint) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}

@@ -28,20 +28,6 @@ import (
 	"longtailrec/internal/graph"
 )
 
-// EpochSource exposes the current graph epoch. *graph.Bipartite satisfies
-// it; tests can substitute a counter.
-type EpochSource interface {
-	Epoch() uint64
-}
-
-// FingerprintSource extends EpochSource with journal-backed fingerprint
-// revalidation. *graph.Bipartite satisfies it; sources that don't are
-// validated epoch-exactly.
-type FingerprintSource interface {
-	EpochSource
-	CheckFingerprint(*graph.Fingerprint) graph.FingerprintStatus
-}
-
 // CacheEntry is one stored recommendation result plus the freshness
 // evidence needed to revalidate it: the epoch read BEFORE its compute
 // started (so an entry computed while a write landed can only be served
@@ -56,23 +42,21 @@ type CacheEntry struct {
 }
 
 // EntryValidator builds the cache validate function for entries served
-// against src: epoch unchanged → fresh; otherwise the entry's
-// fingerprint is checked against the source's write journal when both
-// sides support it, and anything unprovable is stale. Used by
-// CachedRecommender on every lookup and by the fleet's revalidation
-// sweep (shard.Fleet.EvictStale) — validation is graph-level, not
-// algorithm-level, so one validator serves every algorithm sharing a
-// graph view.
-func EntryValidator(src EpochSource) func(*CacheEntry) cache.Verdict {
-	fps, _ := src.(FingerprintSource)
+// against g: epoch unchanged → fresh; otherwise the entry's fingerprint,
+// when it has a valid one, is checked against g's write journal, and
+// anything unprovable is stale. Used by CachedRecommender on every lookup
+// and by the fleet's revalidation sweep (shard.Fleet.EvictStale) —
+// validation is graph-level, not algorithm-level, so one validator serves
+// every algorithm sharing a graph view.
+func EntryValidator(g *graph.Bipartite) func(*CacheEntry) cache.Verdict {
 	return func(e *CacheEntry) cache.Verdict {
-		if e.BuildEpoch == src.Epoch() {
+		if e.BuildEpoch == g.Epoch() {
 			return cache.VerdictFresh
 		}
-		if fps == nil || !e.FP.Valid() {
+		if !e.FP.Valid() {
 			return cache.VerdictStale
 		}
-		switch fps.CheckFingerprint(&e.FP) {
+		switch g.CheckFingerprint(&e.FP) {
 		case graph.FingerprintFresh:
 			return cache.VerdictFreshValidated
 		case graph.FingerprintOverflow:
@@ -146,105 +130,67 @@ type ShardStats struct {
 	Cache cache.Stats
 }
 
-// fingerprintRecommender is the fingerprint production path the walk
-// recommenders implement: RecommendRequest also reporting the query's
-// dependency fingerprint.
-type fingerprintRecommender interface {
-	RecommendRequestFP(req Request) (Response, graph.Fingerprint, error)
-}
-
-// fingerprintBatchRecommender is the batch counterpart.
-type fingerprintBatchRecommender interface {
-	RecommendRequestBatchFP(reqs []Request, parallelism int) ([]Response, []graph.Fingerprint, error)
-}
-
 // CachedRecommender wraps a Recommender with a revalidating result cache
-// (see the package comment above and EntryValidator). Recommend and
-// RecommendRequest consult the cache; ScoreItems (a full-universe
-// diagnostic vector) always recomputes. Safe for concurrent use when the
-// inner recommender is.
+// (see the package comment above and EntryValidator). Recommend consults
+// the cache; ScoreItems (a full-universe diagnostic vector) always
+// recomputes. Safe for concurrent use when the inner recommender is.
 type CachedRecommender struct {
-	inner  Recommender
-	epochs EpochSource
-	cache  *cache.Cache[CacheEntry]
-	// validate is the entry validator bound to epochs, built once at
+	inner Recommender
+	g     *graph.Bipartite
+	cache *cache.Cache[CacheEntry]
+	// validate is the entry validator bound to g, built once at
 	// construction (one closure for the recommender's lifetime — none per
 	// lookup).
 	validate func(*CacheEntry) cache.Verdict
-	// fpInner / fpBatchInner are inner's fingerprint production paths when
-	// it has them (the walk recommenders do); nil means entries store no
-	// fingerprint and revalidate epoch-exactly.
-	fpInner      fingerprintRecommender
-	fpBatchInner fingerprintBatchRecommender
 }
 
-// NewCachedRecommender builds the caching wrapper. The cache may be shared
-// across many wrapped algorithms: keys include the algorithm name, and
-// revalidation is graph-level, so algorithms sharing a graph view share
-// the validator's verdicts.
-func NewCachedRecommender(inner Recommender, epochs EpochSource, c *cache.Cache[CacheEntry]) (*CachedRecommender, error) {
-	if inner == nil || epochs == nil || c == nil {
-		return nil, fmt.Errorf("core: NewCachedRecommender needs inner, epochs and cache")
+// NewCachedRecommender builds the caching wrapper over inner, which must
+// serve from g (the graph whose epoch and write journal decide entry
+// freshness). The cache may be shared across many wrapped algorithms:
+// keys include the algorithm name, and revalidation is graph-level, so
+// algorithms sharing a graph view share the validator's verdicts.
+func NewCachedRecommender(inner Recommender, g *graph.Bipartite, c *cache.Cache[CacheEntry]) (*CachedRecommender, error) {
+	if inner == nil || g == nil || c == nil {
+		return nil, fmt.Errorf("core: NewCachedRecommender needs inner, graph and cache")
 	}
-	r := &CachedRecommender{inner: inner, epochs: epochs, cache: c, validate: EntryValidator(epochs)}
-	r.fpInner, _ = inner.(fingerprintRecommender)
-	r.fpBatchInner, _ = inner.(fingerprintBatchRecommender)
-	return r, nil
+	return &CachedRecommender{inner: inner, g: g, cache: c, validate: EntryValidator(g)}, nil
 }
 
 // Name implements Recommender.
 func (r *CachedRecommender) Name() string { return r.inner.Name() }
-
-// Inner returns the wrapped recommender.
-func (r *CachedRecommender) Inner() Recommender { return r.inner }
 
 // ScoreItems delegates to the wrapped recommender uncached.
 func (r *CachedRecommender) ScoreItems(u int) ([]float64, error) {
 	return r.inner.ScoreItems(u)
 }
 
-// ScoreItemsCompact delegates to the wrapped recommender's compact scoring
-// path when it has one (the walk recommenders do).
-func (r *CachedRecommender) ScoreItemsCompact(u int) ([]ItemScore, error) {
-	if c, ok := r.inner.(interface {
-		ScoreItemsCompact(u int) ([]ItemScore, error)
-	}); ok {
-		return c.ScoreItemsCompact(u)
-	}
-	return nil, fmt.Errorf("core: %s has no compact scoring path", r.inner.Name())
-}
-
-// key builds the cache key for one request, with the option set already
-// canonically encoded. Freshness is NOT part of the key (entries
-// revalidate on lookup); the request's context and fallback policy are
-// deliberately absent too: neither shapes the personalized result
-// (fallback is applied — and never cached — above this layer).
-func (r *CachedRecommender) key(req Request, opts string) cache.Key {
+// key builds the cache key for one request. Freshness is NOT part of the
+// key (entries revalidate on lookup); the request's context and fallback
+// policy are deliberately absent too: neither shapes the personalized
+// result (fallback is applied — and never cached — above this layer).
+func (r *CachedRecommender) key(req Request) cache.Key {
 	return cache.Key{
 		User: req.User,
 		Algo: r.inner.Name(),
 		K:    req.K,
-		Opts: opts,
+		Opts: req.OptionsKey(),
 	}
 }
 
 // computeEntry runs one cache-miss compute, producing the storable entry:
 // the epoch is read BEFORE the compute starts (see CacheEntry), and the
-// fingerprint path is used when inner has one and the request's result
-// depends only on its subgraph — a long-tail-only cutoff reads the
+// inner recommender is asked for a fingerprint only when the request's
+// result depends only on its subgraph — a long-tail-only cutoff reads the
 // GLOBAL popularity vector, which any write anywhere can shift, so those
-// entries stay epoch-exact.
+// entries stay epoch-exact (as do entries of an inner recommender that
+// leaves the fingerprint invalid).
 func (r *CachedRecommender) computeEntry(req Request) (CacheEntry, error) {
-	ent := CacheEntry{BuildEpoch: r.epochs.Epoch()}
-	if r.fpInner != nil && req.LongTailOnly == 0 {
-		resp, fp, err := r.fpInner.RecommendRequestFP(req)
-		if err != nil {
-			return CacheEntry{}, err
-		}
-		ent.Resp, ent.FP = resp, fp
-		return ent, nil
+	ent := CacheEntry{BuildEpoch: r.g.Epoch()}
+	fp := &ent.FP
+	if req.LongTailOnly != 0 {
+		fp = nil
 	}
-	resp, err := RecommendRequest(r.inner, req)
+	resp, err := r.inner.Recommend(req, fp)
 	if err != nil {
 		return CacheEntry{}, err
 	}
@@ -263,9 +209,9 @@ func shareResponse(v Response, epoch uint64, hit bool) Response {
 	return v
 }
 
-// RecommendRequest implements RecommenderV2. On a hit the cached
-// Response is returned (Items copied, so the caller may mutate them,
-// CacheHit set); a hit is a stored entry the validator rules fresh —
+// Recommend implements Recommender. On a hit the cached Response is
+// returned (Items copied, so the caller may mutate them, CacheHit set); a
+// hit is a stored entry the validator rules fresh —
 // epoch unchanged, or proven untouched by its subgraph fingerprint. On a
 // miss the inner recommender runs exactly once per (user, k, option set)
 // regardless of concurrency. Errors — including ErrColdUser and a
@@ -279,14 +225,16 @@ func shareResponse(v Response, epoch uint64, hit bool) Response {
 // leader's context error retries the lookup (becoming the new leader
 // or joining a healthier flight) — one impatient client cannot poison
 // a patient one. The retry is bounded.
-func (r *CachedRecommender) RecommendRequest(req Request) (Response, error) {
+//
+// The wrapper reports no fingerprint of its own: *fp is left untouched.
+func (r *CachedRecommender) Recommend(req Request, _ *graph.Fingerprint) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
-	key := r.key(req, req.OptionsKey())
+	key := r.key(req)
 	// Serve under the epoch of the original lookup even across retries —
 	// the same stamp the old epoch-keyed design put on hits and misses.
-	epoch := r.epochs.Epoch()
+	epoch := r.g.Epoch()
 	for attempt := 0; ; attempt++ {
 		v, fromCache, err := r.cache.DoCtx(req.Ctx, key, r.validate, func() (CacheEntry, error) {
 			return r.computeEntry(req)
@@ -316,101 +264,6 @@ func (r *CachedRecommender) RecommendRequest(req Request) (Response, error) {
 // isContextErr reports whether err is a context cancellation/deadline.
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Recommend implements Recommender — the legacy surface as a thin
-// wrapper over the Request path (same cache keys as before: the
-// no-options request encodes an empty option set).
-func (r *CachedRecommender) Recommend(u, k int) ([]Scored, error) {
-	resp, err := r.RecommendRequest(Request{User: u, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
-}
-
-// RecommendRequestBatch implements BatchRecommenderV2: cached requests
-// are served directly (after revalidation), the misses go through the
-// inner recommender's batch path in one call, and their results —
-// fingerprinted when the inner batch path can — are stored for the next
-// batch. The epoch is read once at batch start so every served Response
-// carries one consistent stamp; BuildEpoch for stored misses is read
-// per-store just before the batch compute ran, preserving the
-// entry-only-served-while-provably-fresh contract. Cold users yield zero
-// Responses and are not cached.
-func (r *CachedRecommender) RecommendRequestBatch(reqs []Request, parallelism int) ([]Response, error) {
-	epoch := r.epochs.Epoch()
-	out := make([]Response, len(reqs))
-	keys := make([]cache.Key, len(reqs))
-	var missIdx []int
-	var opts string
-	for i, req := range reqs {
-		// Batches usually fan one option template across users: validate
-		// and canonically encode the option storage once per distinct
-		// template instead of re-scanning it per user.
-		if i == 0 || !SameOptionStorage(req, reqs[i-1]) {
-			if err := req.Validate(); err != nil {
-				return nil, err
-			}
-			opts = req.OptionsKey()
-		}
-		keys[i] = r.key(req, opts)
-		if v, ok := r.cache.GetValidated(keys[i], r.validate); ok {
-			out[i] = shareResponse(v.Resp, epoch, true)
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	missing := make([]Request, len(missIdx))
-	for j, i := range missIdx {
-		missing[j] = reqs[i]
-	}
-	// BuildEpoch for the whole miss set: read before the computes start.
-	buildEpoch := r.epochs.Epoch()
-	var computed []Response
-	var fps []graph.Fingerprint
-	var err error
-	if r.fpBatchInner != nil {
-		computed, fps, err = r.fpBatchInner.RecommendRequestBatchFP(missing, parallelism)
-	} else {
-		computed, err = BatchRecommendRequests(r.inner, missing, parallelism)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		resp := computed[j]
-		if resp.Algo == "" {
-			continue // cold user: keep the zero entry, cache nothing
-		}
-		stored := resp
-		stored.Items = make([]Scored, len(resp.Items))
-		copy(stored.Items, resp.Items)
-		ent := CacheEntry{Resp: stored, BuildEpoch: buildEpoch}
-		// The long-tail cutoff depends on the global popularity vector, so
-		// those entries revalidate epoch-exactly (see computeEntry).
-		if fps != nil && reqs[i].LongTailOnly == 0 {
-			ent.FP = fps[j]
-		}
-		r.cache.Put(keys[i], ent)
-		resp.Epoch = epoch
-		out[i] = resp
-	}
-	return out, nil
-}
-
-// RecommendBatch implements BatchRecommender — the legacy batch surface
-// as a thin wrapper over RecommendRequestBatch. Cold users yield nil
-// entries, matching the historical contract.
-func (r *CachedRecommender) RecommendBatch(users []int, k, parallelism int) ([][]Scored, error) {
-	resps, err := r.RecommendRequestBatch(PlainRequests(users, k), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return ResponseItems(resps), nil
 }
 
 // CacheStats returns the underlying cache counters.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"longtailrec/internal/cache"
@@ -34,19 +35,19 @@ func TestCachedGoldenEquivalence(t *testing.T) {
 	g, at, cached := newCachedAT(t, c)
 	uncachedTwin := NewAbsorbingTime(g, WalkOptions{Iterations: 15})
 	for u := 0; u < g.NumUsers(); u++ {
-		want, err := uncachedTwin.Recommend(u, 4)
+		want, err := RecommendItems(uncachedTwin, u, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		miss, err := cached.Recommend(u, 4)
+		miss, err := RecommendItems(cached, u, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hit, err := cached.Recommend(u, 4)
+		hit, err := RecommendItems(cached, u, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := at.Recommend(u, 4)
+		direct, err := RecommendItems(at, u, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	// Warm the cache for every user at epoch 0.
 	before := make(map[int][]Scored)
 	for u := 0; u < g.NumUsers(); u++ {
-		recs, err := cached.Recommend(u, 4)
+		recs, err := RecommendItems(cached, u, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 		t.Fatalf("warmup: %+v len=%d", warm, c.Len())
 	}
 	// Every repeat at the same epoch hits.
-	if _, err := cached.Recommend(1, 4); err != nil {
+	if _, err := RecommendItems(cached, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits == 0 {
@@ -109,7 +110,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	// entry's fingerprint rules it stale) and reflects the write: item 3
 	// is now rated by user 4 and must be excluded.
 	missesBefore := c.Stats().Misses
-	after, err := cached.Recommend(4, 4)
+	after, err := RecommendItems(cached, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries after sweep, want 1", c.Len())
 	}
-	if _, err := cached.Recommend(4, 4); err != nil {
+	if _, err := RecommendItems(cached, 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits < 2 {
@@ -145,42 +146,120 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestCachedBatch checks the batch path: cached users are served without
-// recompute, misses fill the cache, cold users stay nil and uncached.
+// countingRecommender counts the computes that reach the recommender it
+// wraps.
+type countingRecommender struct {
+	Recommender
+	calls atomic.Int64
+}
+
+func (c *countingRecommender) Recommend(req Request, fp *graph.Fingerprint) (Response, error) {
+	c.calls.Add(1)
+	return c.Recommender.Recommend(req, fp)
+}
+
+// TestCachedBatch checks a batch over the cached path: cached users are
+// served without recompute, misses fill the cache, cold users stay zero
+// and uncached, and a cold-cache batch naming one user several times
+// computes once per distinct (user, k, option set) — every batch request
+// goes through the same singleflight a single request does.
 func TestCachedBatch(t *testing.T) {
 	c := cache.New[CacheEntry](128)
-	_, at, cached := newCachedAT(t, c)
+	g := figure2Graph(t)
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: 15})
+	inner := &countingRecommender{Recommender: at}
+	cached, err := NewCachedRecommender(inner, g, c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	users := []int{0, 2, 4}
-	want, err := at.RecommendBatch(users, 3, 1)
+	want, err := serveUsers(at, users, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cached.RecommendBatch(users, 3, 1)
+	lists := func(resps []Response) [][]Scored {
+		out := make([][]Scored, len(resps))
+		for i, resp := range resps {
+			out[i] = resp.Items
+		}
+		return out
+	}
+	got, err := serveUsers(cached, users, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
+	if !reflect.DeepEqual(lists(want), lists(got)) {
 		t.Fatalf("cold batch diverged:\nwant %+v\ngot  %+v", want, got)
 	}
 	misses := c.Stats().Misses
-	got2, err := cached.RecommendBatch(users, 3, 1)
+	got2, err := serveUsers(cached, users, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got2) {
+	if !reflect.DeepEqual(lists(want), lists(got2)) {
 		t.Fatalf("warm batch diverged")
 	}
-	if c.Stats().Misses != misses {
-		t.Fatalf("warm batch recomputed: misses %d -> %d", misses, c.Stats().Misses)
+	if c.Stats().Misses != misses || inner.calls.Load() != int64(len(users)) {
+		t.Fatalf("warm batch recomputed: misses %d -> %d, %d inner calls", misses, c.Stats().Misses, inner.calls.Load())
+	}
+	for i, resp := range got2 {
+		if !resp.CacheHit || resp.Epoch != g.Epoch() {
+			t.Fatalf("warm batch entry %d metadata: %+v", i, resp)
+		}
 	}
 	// Mutating a returned list must not corrupt the cache.
-	got2[0][0].Item = -99
-	got3, err := cached.RecommendBatch(users, 3, 1)
+	got2[0].Items[0].Item = -99
+	got3, err := serveUsers(cached, users, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got3[0][0].Item == -99 {
+	if got3[0].Items[0].Item == -99 {
 		t.Fatal("caller mutation leaked into the cache")
+	}
+
+	// Duplicates on a cold cache, at every worker count: one compute per
+	// distinct key, every copy answered alike.
+	dupes := []Request{
+		{User: 1, K: 3}, {User: 1, K: 3}, {User: 3, K: 3}, {User: 1, K: 3},
+		{User: 1, K: 2}, {User: 3, K: 3}, {User: 1, K: 3, ExcludeItems: []int{0}},
+		{User: 1, K: 3, ExcludeItems: []int{0, 0}}, {User: 1, K: 3},
+	}
+	const distinct = 4 // (1,3) (3,3) (1,2) (1,3,x:0)
+	for _, parallelism := range []int{1, 2, 8} {
+		c.Purge()
+		callsBefore, missesBefore := inner.calls.Load(), c.Stats().Misses
+		resps, err := ServeBatch(dupes, parallelism, func(req Request) (Response, error) {
+			return cached.Recommend(req, nil)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls, misses := inner.calls.Load()-callsBefore, c.Stats().Misses-missesBefore; calls != distinct || misses != distinct {
+			t.Fatalf("parallelism %d: %d inner computes, %d misses for %d distinct keys", parallelism, calls, misses, distinct)
+		}
+		for _, i := range []int{1, 3, 8} {
+			if !reflect.DeepEqual(resps[0].Items, resps[i].Items) {
+				t.Fatalf("parallelism %d: duplicate %d answered %+v, first copy %+v", parallelism, i, resps[i].Items, resps[0].Items)
+			}
+		}
+	}
+
+	// A cold user is a zero Response and leaves nothing behind.
+	cg, err := graph.FromRatings(2, 2, []graph.Rating{{User: 0, Item: 0, Weight: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := cache.New[CacheEntry](16)
+	coldCached, err := NewCachedRecommender(NewAbsorbingTime(cg, WalkOptions{Iterations: 5}), cg, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resps, err := serveUsers(coldCached, []int{0, 1}, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resps[0].Algo != "AT" || resps[1].Algo != "" || resps[1].Items != nil || cc.Len() != 1 {
+		t.Fatalf("cold batch: %+v, %d entries cached", resps, cc.Len())
 	}
 }
 
@@ -196,7 +275,7 @@ func TestCachedColdUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cached.Recommend(1, 3); !errors.Is(err, ErrColdUser) {
+	if _, err := RecommendItems(cached, 1, 3); !errors.Is(err, ErrColdUser) {
 		t.Fatalf("err = %v, want ErrColdUser", err)
 	}
 	if c.Len() != 0 {
@@ -206,7 +285,7 @@ func TestCachedColdUser(t *testing.T) {
 	if err := g.AddRating(1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cached.Recommend(1, 3); err != nil {
+	if _, err := RecommendItems(cached, 1, 3); err != nil {
 		t.Fatalf("post-write query failed: %v", err)
 	}
 }
@@ -230,12 +309,12 @@ func TestConcurrentCachedRecommend(t *testing.T) {
 				default:
 				}
 				u := (w + q) % g.NumUsers()
-				if _, err := cached.Recommend(u, 4); err != nil {
+				if _, err := RecommendItems(cached, u, 4); err != nil {
 					t.Error(err)
 					return
 				}
 				if q%7 == 0 {
-					if _, err := cached.RecommendBatch([]int{0, 2, 4}, 3, 2); err != nil {
+					if _, err := serveUsers(cached, []int{0, 2, 4}, 3, 2); err != nil {
 						t.Error(err)
 						return
 					}
@@ -268,11 +347,11 @@ func TestCachedOptionKeyIsolation(t *testing.T) {
 	plain := Request{User: 0, K: 4}
 	filtered := Request{User: 0, K: 4, LongTailOnly: 0.2}
 
-	p1, err := cached.RecommendRequest(plain)
+	p1, err := cached.Recommend(plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := cached.RecommendRequest(filtered)
+	f1, err := cached.Recommend(filtered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +363,11 @@ func TestCachedOptionKeyIsolation(t *testing.T) {
 	}
 	// Warm repeats: each option set hits its own entry and returns its
 	// own result — never the other's.
-	p2, err := cached.RecommendRequest(plain)
+	p2, err := cached.Recommend(plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := cached.RecommendRequest(filtered)
+	f2, err := cached.Recommend(filtered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +385,11 @@ func TestCachedOptionKeyIsolation(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
 	// Both match their uncached twins.
-	wantPlain, err := at.RecommendRequest(plain)
+	wantPlain, err := at.Recommend(plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFiltered, err := at.RecommendRequest(filtered)
+	wantFiltered, err := at.Recommend(filtered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +398,11 @@ func TestCachedOptionKeyIsolation(t *testing.T) {
 	}
 	// Canonically equal option encodings DO share: a reordered,
 	// duplicated exclude list is the same option set.
-	e1, err := cached.RecommendRequest(Request{User: 1, K: 4, ExcludeItems: []int{2, 0}})
+	e1, err := cached.Recommend(Request{User: 1, K: 4, ExcludeItems: []int{2, 0}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := cached.RecommendRequest(Request{User: 1, K: 4, ExcludeItems: []int{0, 2, 0}})
+	e2, err := cached.Recommend(Request{User: 1, K: 4, ExcludeItems: []int{0, 2, 0}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +417,14 @@ func TestCachedOptionKeyIsolation(t *testing.T) {
 func TestCachedResponseMetadata(t *testing.T) {
 	c := cache.New[CacheEntry](128)
 	g, _, cached := newCachedAT(t, c)
-	miss, err := cached.RecommendRequest(Request{User: 2, K: 3})
+	miss, err := cached.Recommend(Request{User: 2, K: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if miss.CacheHit || miss.Epoch != g.Epoch() || miss.Algo != "AT" {
 		t.Fatalf("miss metadata: %+v (graph epoch %d)", miss, g.Epoch())
 	}
-	hit, err := cached.RecommendRequest(Request{User: 2, K: 3})
+	hit, err := cached.Recommend(Request{User: 2, K: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +433,7 @@ func TestCachedResponseMetadata(t *testing.T) {
 	}
 	// Mutating a returned list must not corrupt the cache.
 	hit.Items[0].Item = -99
-	again, err := cached.RecommendRequest(Request{User: 2, K: 3})
+	again, err := cached.Recommend(Request{User: 2, K: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +444,7 @@ func TestCachedResponseMetadata(t *testing.T) {
 	if err := g.AddRating(2, 4, 5); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cached.RecommendRequest(Request{User: 2, K: 3})
+	fresh, err := cached.Recommend(Request{User: 2, K: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +472,11 @@ func TestCachedSingleflightLeaderCancellation(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			_, leaderErr = cached.RecommendRequest(Request{Ctx: ctx, User: 0, K: 3})
+			_, leaderErr = cached.Recommend(Request{Ctx: ctx, User: 0, K: 3}, nil)
 		}()
 		go func() {
 			defer wg.Done()
-			_, waiterErr = cached.RecommendRequest(Request{User: 0, K: 3})
+			_, waiterErr = cached.Recommend(Request{User: 0, K: 3}, nil)
 		}()
 		cancel()
 		wg.Wait()

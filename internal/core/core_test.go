@@ -47,7 +47,7 @@ func TestHittingTimeFigure2(t *testing.T) {
 	if ht.Name() != "HT" {
 		t.Fatalf("name %q", ht.Name())
 	}
-	recs, err := ht.Recommend(4, 4)
+	recs, err := RecommendItems(ht, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestHittingTimeTruncatedMatchesExactRanking(t *testing.T) {
 	g := figure2Graph(t)
 	exact := NewHittingTime(g, WalkOptions{Exact: true})
 	trunc := NewHittingTime(g, WalkOptions{Iterations: 15})
-	re, err := exact.Recommend(4, 4)
+	re, err := RecommendItems(exact, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := trunc.Recommend(4, 4)
+	rt, err := RecommendItems(trunc, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAbsorbingTimeFigure2(t *testing.T) {
 	if at.Name() != "AT" {
 		t.Fatalf("name %q", at.Name())
 	}
-	recs, err := at.Recommend(4, 6)
+	recs, err := RecommendItems(at, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestColdUser(t *testing.T) {
 	// unreachable. That is the same cold user, not an empty success — the
 	// caller's AllowFallback hangs on the error.
 	ht := NewHittingTime(g, WalkOptions{Exact: true})
-	if recs, err := ht.Recommend(1, 5); !errors.Is(err, ErrColdUser) {
+	if recs, err := RecommendItems(ht, 1, 5); !errors.Is(err, ErrColdUser) {
 		t.Fatalf("HT isolated user: recs %+v, err = %v, want ErrColdUser", recs, err)
 	}
 }
@@ -234,7 +234,7 @@ func TestAbsorbingCostPrefersSpecificUsersPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ac.Recommend(4, 4)
+	recs, err := RecommendItems(ac, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestFuncRecommender(t *testing.T) {
 	if fr.Name() != "Pop" {
 		t.Fatalf("name %q", fr.Name())
 	}
-	recs, err := fr.Recommend(4, 2)
+	recs, err := RecommendItems(fr, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,21 +322,6 @@ func TestFuncRecommenderValidation(t *testing.T) {
 	}
 	if _, err := fr.ScoreItems(-1); err == nil {
 		t.Fatal("negative user accepted")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	scores := []float64{1, 5, math.Inf(-1), 3, 5, math.NaN()}
-	got := TopK(scores, 3, map[int]struct{}{3: {}})
-	// Expect items 1 and 4 (score 5, tie → lower index first), then 0.
-	if len(got) != 3 || got[0].Item != 1 || got[1].Item != 4 || got[2].Item != 0 {
-		t.Fatalf("TopK = %+v", got)
-	}
-	if TopK(scores, 0, nil) != nil {
-		t.Fatal("k=0 should return nil")
-	}
-	if got := TopK(scores, 100, nil); len(got) != 4 {
-		t.Fatalf("k=100 returned %d", len(got))
 	}
 }
 
@@ -375,7 +360,7 @@ func TestWalkRecommendersExcludeRated(t *testing.T) {
 		ac,
 	} {
 		for u := 0; u < g.NumUsers(); u++ {
-			recs, err := rec.Recommend(u, 10)
+			recs, err := RecommendItems(rec, u, 10)
 			if err != nil {
 				t.Fatalf("%s user %d: %v", rec.Name(), u, err)
 			}

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"longtailrec/internal/graph"
 	"longtailrec/internal/markov"
@@ -302,19 +299,20 @@ func (e *Engine) scoreItemsFull(u int, spec walkSpec) ([]float64, error) {
 	return scores, nil
 }
 
-// recommendRequest serves one Request inside scr — the native
-// RecommenderV2 implementation behind every walk recommender. The
-// option-free request takes exactly the legacy path: epoch-stamped
-// exclusion of rated items, compact top-k, no per-query allocation
-// beyond the result. Options add their own stamped structures
-// (ExcludeItems folds into the exclusion stamps, CandidateItems into a
-// second stamp array, LongTailOnly into a pooled popularity sort), so
-// even the option-carrying paths settle into zero steady-state
-// allocation.
-func (e *Engine) recommendRequest(scr *engineScratch, req Request, spec walkSpec, algo string, fp *graph.Fingerprint) (Response, error) {
+// recommend serves one Request inside a scratch borrowed from the pool —
+// the implementation behind every walk recommender's Recommend. The
+// option-free request is the fast path: epoch-stamped exclusion of rated
+// items, compact top-k, no per-query allocation beyond the result.
+// Options add their own stamped structures (ExcludeItems folds into the
+// exclusion stamps, CandidateItems into a second stamp array,
+// LongTailOnly into a pooled popularity sort), so even the
+// option-carrying paths settle into zero steady-state allocation.
+func (e *Engine) recommend(req Request, spec walkSpec, algo string, fp *graph.Fingerprint) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
+	scr := e.pool.Get().(*engineScratch)
+	defer e.pool.Put(scr)
 	compact, err := e.scoreCompact(req.Ctx, scr, req.User, spec, fp)
 	if err != nil {
 		return Response{}, err
@@ -379,83 +377,4 @@ func (e *Engine) recommendRequest(scr *engineScratch, req Request, spec walkSpec
 		out[i] = Scored{Item: it.ID, Score: it.Score}
 	}
 	return Response{Items: out, Epoch: e.g.Epoch(), Algo: algo}, nil
-}
-
-// recommend is the single-query pooled entry point — the legacy
-// Recommend(u, k) surface as a thin wrapper over recommendRequest.
-func (e *Engine) recommend(u, k int, spec walkSpec) ([]Scored, error) {
-	resp, err := e.recommendRequestPooled(Request{User: u, K: k}, spec, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
-}
-
-// recommendRequestPooled borrows a scratch for one recommendRequest.
-func (e *Engine) recommendRequestPooled(req Request, spec walkSpec, algo string, fp *graph.Fingerprint) (Response, error) {
-	scr := e.pool.Get().(*engineScratch)
-	defer e.pool.Put(scr)
-	return e.recommendRequest(scr, req, spec, algo, fp)
-}
-
-// recommendRequestBatch serves many Requests concurrently. parallelism
-// <= 0 means GOMAXPROCS. Each worker borrows one scratch for its whole
-// share of the batch, and each request's own context is honored. Cold
-// users (no rated items) yield a zero Response rather than failing the
-// batch; any other error — including a cancelled per-request context —
-// aborts and is returned. fps, when non-nil, must align with reqs: each
-// request's dependency fingerprint is written to fps[i] (cold users
-// leave an invalid zero fingerprint).
-func (e *Engine) recommendRequestBatch(reqs []Request, parallelism int, spec walkSpec, algo string, fps []graph.Fingerprint) ([]Response, error) {
-	out := make([]Response, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(reqs) {
-		parallelism = len(reqs)
-	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	next.Store(-1)
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			scr := e.pool.Get().(*engineScratch)
-			defer e.pool.Put(scr)
-			for {
-				i := int(next.Add(1))
-				if i >= len(reqs) || failed.Load() {
-					return
-				}
-				var fp *graph.Fingerprint
-				if fps != nil {
-					fp = &fps[i]
-				}
-				resp, err := e.recommendRequest(scr, reqs[i], spec, algo, fp)
-				if err != nil {
-					if errors.Is(err, ErrColdUser) {
-						continue // cold user: leave out[i] zero
-					}
-					errOnce.Do(func() { firstErr = fmt.Errorf("core: batch user %d: %w", reqs[i].User, err) })
-					failed.Store(true)
-					return
-				}
-				out[i] = resp
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"longtailrec/internal/graph"
@@ -26,7 +29,7 @@ func engineTestGraph(t testing.TB, numUsers, numItems int, seed int64) *graph.Bi
 }
 
 // walkRecommenders builds one of each engine-backed recommender over g.
-func walkRecommenders(t testing.TB, g *graph.Bipartite, opts WalkOptions) []BatchRecommender {
+func walkRecommenders(t testing.TB, g *graph.Bipartite, opts WalkOptions) []Recommender {
 	t.Helper()
 	ue := make([]float64, g.NumUsers())
 	ie := make([]float64, g.NumItems())
@@ -45,11 +48,23 @@ func walkRecommenders(t testing.TB, g *graph.Bipartite, opts WalkOptions) []Batc
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []BatchRecommender{
+	return []Recommender{
 		NewHittingTime(g, opts),
 		NewAbsorbingTime(g, opts),
 		ac, ac3,
 	}
+}
+
+// serveUsers is the plain (users, k) batch: one option-free Request per
+// user through ServeBatch over rec.
+func serveUsers(rec Recommender, users []int, k, parallelism int) ([]Response, error) {
+	reqs := make([]Request, len(users))
+	for i, u := range users {
+		reqs[i] = Request{User: u, K: k}
+	}
+	return ServeBatch(reqs, parallelism, func(req Request) (Response, error) {
+		return rec.Recommend(req, nil)
+	})
 }
 
 // TestCompactScoresMatchFull checks the compact (item, score) view against
@@ -95,7 +110,8 @@ func TestCompactScoresMatchFull(t *testing.T) {
 }
 
 // TestRecommendBatchMatchesSequential checks that batch results are
-// identical to one-at-a-time Recommend calls for every walk recommender.
+// identical to one-at-a-time Recommend calls, for every walk recommender
+// and at every parallelism.
 func TestRecommendBatchMatchesSequential(t *testing.T) {
 	g := engineTestGraph(t, 40, 100, 2)
 	users := make([]int, 0, 39)
@@ -103,53 +119,60 @@ func TestRecommendBatchMatchesSequential(t *testing.T) {
 		users = append(users, u)
 	}
 	for _, rec := range walkRecommenders(t, g, WalkOptions{MaxSubgraphItems: 30, Iterations: 8}) {
-		batch, err := rec.RecommendBatch(users, 5, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) != len(users) {
-			t.Fatalf("batch returned %d lists for %d users", len(batch), len(users))
-		}
-		for i, u := range users {
-			want, err := rec.Recommend(u, 5)
+		for _, parallelism := range []int{0, 1, 4, 64} {
+			batch, err := serveUsers(rec, users, 5, parallelism)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := batch[i]
-			if len(got) != len(want) {
-				t.Fatalf("%T user %d: batch %d items, sequential %d", rec, u, len(got), len(want))
+			if len(batch) != len(users) {
+				t.Fatalf("batch returned %d lists for %d users", len(batch), len(users))
 			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%T user %d slot %d: batch %+v, sequential %+v", rec, u, j, got[j], want[j])
+			for i, u := range users {
+				want, err := RecommendItems(rec, u, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := batch[i].Items
+				if len(got) != len(want) {
+					t.Fatalf("%T user %d: batch %d items, sequential %d", rec, u, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%T user %d slot %d: batch %+v, sequential %+v", rec, u, j, got[j], want[j])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestRecommendBatchColdUser checks cold users yield nil entries without
-// failing the batch, while out-of-range users abort it.
+// TestRecommendBatchColdUser checks cold users yield zero Responses — the
+// marker the serving layer hangs its popularity fallback on — without
+// failing the batch, whether the walk is anchored at S_q (AT) or at the
+// user's own node (HT), while out-of-range users abort it.
 func TestRecommendBatchColdUser(t *testing.T) {
 	g := engineTestGraph(t, 20, 50, 3)
-	at := NewAbsorbingTime(g, WalkOptions{Iterations: 5})
-	batch, err := at.RecommendBatch([]int{5, 0, 6}, 3, 2) // user 0 is cold
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch[0] == nil || batch[2] == nil {
-		t.Fatal("warm users got nil lists")
-	}
-	if batch[1] != nil {
-		t.Fatalf("cold user got %v", batch[1])
-	}
-	if _, err := at.RecommendBatch([]int{5, 99}, 3, 2); err == nil {
-		t.Fatal("out-of-range user accepted")
+	for _, rec := range []Recommender{NewAbsorbingTime(g, WalkOptions{Iterations: 5}), NewHittingTime(g, WalkOptions{Iterations: 5})} {
+		batch, err := serveUsers(rec, []int{5, 0, 6}, 3, 2) // user 0 is cold
+		if err != nil {
+			t.Fatalf("%s: %v", rec.Name(), err)
+		}
+		for _, i := range []int{0, 2} {
+			if batch[i].Algo != rec.Name() || len(batch[i].Items) != 3 {
+				t.Fatalf("%s: warm batch entry %d = %+v", rec.Name(), i, batch[i])
+			}
+		}
+		if batch[1].Algo != "" || batch[1].Items != nil {
+			t.Fatalf("%s: cold batch entry %+v, want the zero Response", rec.Name(), batch[1])
+		}
+		if _, err := serveUsers(rec, []int{5, 99}, 3, 2); !errors.Is(err, ErrUserOutOfRange) {
+			t.Fatalf("%s: out-of-range user: err = %v", rec.Name(), err)
+		}
 	}
 }
 
 // TestEngineConcurrentUse hammers one shared engine from many goroutines
-// mixing Recommend and RecommendBatch; run under -race this locks in the
+// mixing single requests and batches; run under -race this locks in the
 // pool's thread-safety.
 func TestEngineConcurrentUse(t *testing.T) {
 	g := engineTestGraph(t, 30, 60, 4)
@@ -164,13 +187,13 @@ func TestEngineConcurrentUse(t *testing.T) {
 				rec := recs[(w+q)%len(recs)]
 				u := 1 + (w*7+q)%29
 				if q%3 == 0 {
-					if _, err := rec.RecommendBatch([]int{u, 1 + u%29, 1 + (u+3)%29}, 4, 2); err != nil {
+					if _, err := serveUsers(rec, []int{u, 1 + u%29, 1 + (u+3)%29}, 4, 2); err != nil {
 						errc <- err
 						return
 					}
 					continue
 				}
-				if _, err := rec.Recommend(u, 4); err != nil {
+				if _, err := RecommendItems(rec, u, 4); err != nil {
 					errc <- err
 					return
 				}
@@ -184,9 +207,11 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestBatchRecommendFallback routes a plain (non-batch) recommender
-// through the generic helper.
-func TestBatchRecommendFallback(t *testing.T) {
+// TestServeBatch pins the one fan-out's own contract on a recommender
+// with no engine behind it (a score-function adapter) and on a bare serve
+// func: input order at any worker count, an empty batch, cold → zero
+// Response, and the first other error aborting with its user named.
+func TestServeBatch(t *testing.T) {
 	g := engineTestGraph(t, 10, 20, 5)
 	fr, err := NewFuncRecommender("const", g, func(u int) ([]float64, error) {
 		out := make([]float64, g.NumItems())
@@ -198,39 +223,48 @@ func TestBatchRecommendFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Recommender(fr).(BatchRecommender); ok {
-		t.Fatal("FuncRecommender unexpectedly implements BatchRecommender; fallback untested")
-	}
-	lists, err := BatchRecommend(fr, []int{1, 2}, 3, runtime.GOMAXPROCS(0))
+	resps, err := serveUsers(fr, []int{1, 2}, 3, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range lists {
-		if len(l) != 3 {
-			t.Fatalf("list %d has %d items", i, len(l))
+	for i, resp := range resps {
+		if resp.Algo != "const" || len(resp.Items) != 3 {
+			t.Fatalf("entry %d = %+v", i, resp)
 		}
 	}
-	// The engine-backed path dispatches to the concurrent implementation.
-	at := NewAbsorbingTime(g, WalkOptions{Iterations: 4})
-	if _, ok := Recommender(at).(BatchRecommender); !ok {
-		t.Fatal("AbsorbingTime does not implement BatchRecommender")
+	if out, err := ServeBatch(nil, 4, nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: %v, %v", out, err)
 	}
-	// There a cold user (0) is a zero Response — the marker the serving
-	// layer hangs its popularity fallback on — and never fails the batch,
-	// whether the walk is anchored at S_q (AT) or at the user's own node
-	// (HT, which used to answer an Algo-stamped empty success).
-	for _, rec := range []Recommender{at, NewHittingTime(g, WalkOptions{Iterations: 4})} {
-		resps, err := BatchRecommendRequests(rec, PlainRequests([]int{1, 0, 2}, 3), 2)
-		if err != nil {
-			t.Fatalf("%s: %v", rec.Name(), err)
-		}
-		if resps[1].Algo != "" || resps[1].Items != nil {
-			t.Fatalf("%s: cold batch entry %+v, want the zero Response", rec.Name(), resps[1])
-		}
-		for _, i := range []int{0, 2} {
-			if resps[i].Algo != rec.Name() || len(resps[i].Items) != 3 {
-				t.Fatalf("%s: warm batch entry %d = %+v", rec.Name(), i, resps[i])
+	boom := errors.New("boom")
+	reqs := make([]Request, 50)
+	for i := range reqs {
+		reqs[i].User = i
+	}
+	for _, parallelism := range []int{-1, 1, 3, 500} {
+		var calls atomic.Int64
+		out, err := ServeBatch(reqs, parallelism, func(req Request) (Response, error) {
+			calls.Add(1)
+			if req.User%7 == 3 {
+				return Response{}, fmt.Errorf("wrapped: %w", ErrColdUser)
 			}
+			return Response{Algo: "x", Epoch: uint64(req.User)}, nil
+		})
+		if err != nil || calls.Load() != 50 {
+			t.Fatalf("parallelism %d: err %v after %d calls", parallelism, err, calls.Load())
+		}
+		for i, resp := range out {
+			if cold := i%7 == 3; cold != (resp.Algo == "") || (!cold && resp.Epoch != uint64(i)) {
+				t.Fatalf("parallelism %d: entry %d = %+v", parallelism, i, resp)
+			}
+		}
+		out, err = ServeBatch(reqs, parallelism, func(req Request) (Response, error) {
+			if req.User == 20 {
+				return Response{}, boom
+			}
+			return Response{Algo: "x"}, nil
+		})
+		if out != nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "batch user 20") {
+			t.Fatalf("parallelism %d: failing batch = %v, %v", parallelism, out, err)
 		}
 	}
 }
@@ -240,7 +274,7 @@ func TestBatchRecommendFallback(t *testing.T) {
 func TestEngineColdUserError(t *testing.T) {
 	g := engineTestGraph(t, 10, 20, 6)
 	for _, rec := range []Recommender{NewAbsorbingTime(g, WalkOptions{}), NewHittingTime(g, WalkOptions{})} {
-		if recs, err := rec.Recommend(0, 3); !errors.Is(err, ErrColdUser) {
+		if recs, err := RecommendItems(rec, 0, 3); !errors.Is(err, ErrColdUser) {
 			t.Fatalf("%s cold user: recs %v, err = %v, want ErrColdUser", rec.Name(), recs, err)
 		}
 	}

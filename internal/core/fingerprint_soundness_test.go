@@ -46,11 +46,11 @@ func twoClusterGraph(t testing.TB) *graph.Bipartite {
 // never diverge from.
 func checkSoundness(t testing.TB, golden *AbsorbingTime, cached *CachedRecommender, req Request, step int) {
 	t.Helper()
-	got, err := cached.RecommendRequest(req)
+	got, err := cached.Recommend(req, nil)
 	if err != nil {
 		t.Fatalf("step %d: cached request %+v: %v", step, req, err)
 	}
-	want, err := golden.RecommendRequest(req)
+	want, err := golden.Recommend(req, nil)
 	if err != nil {
 		t.Fatalf("step %d: golden request %+v: %v", step, req, err)
 	}

@@ -224,7 +224,7 @@ func compareWithNaiveWalk(t *testing.T, g *graph.Bipartite, cases []naiveWalkCas
 	for _, c := range cases {
 		c.naive.mu, c.naive.tau = mu, tau
 		for u := 0; u < g.NumUsers(); u++ {
-			got, err := c.rec.Recommend(u, k)
+			got, err := RecommendItems(c.rec, u, k)
 			if err != nil {
 				t.Fatalf("%s user %d: %v", c.rec.Name(), u, err)
 			}

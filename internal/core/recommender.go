@@ -14,9 +14,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"longtailrec/internal/topk"
+	"longtailrec/internal/graph"
 )
 
 // ErrColdUser is returned when a query user has no rated items to anchor
@@ -28,6 +27,11 @@ var ErrColdUser = errors.New("core: user has no rated items")
 // on the message wording.
 var ErrUserOutOfRange = errors.New("user out of range")
 
+// ErrUnknownAlgorithm marks a request for an algorithm name the suite
+// does not hold — a sentinel for the same reason as ErrUserOutOfRange:
+// the HTTP layer's 400 must not hinge on the message wording.
+var ErrUnknownAlgorithm = errors.New("unknown algorithm")
+
 // Scored pairs an item with its ranking score (higher is better).
 type Scored struct {
 	Item  int
@@ -35,7 +39,8 @@ type Scored struct {
 }
 
 // Recommender is the uniform interface over all algorithms in the paper's
-// evaluation.
+// evaluation: one query method, whatever sits behind it (the pooled walk
+// engine, a score-function adapter, the caching wrapper, a shard router).
 type Recommender interface {
 	// Name identifies the algorithm (e.g. "HT", "AC2", "PureSVD").
 	Name() string
@@ -43,65 +48,29 @@ type Recommender interface {
 	// meaning more recommendable. Unscorable items are -Inf. The caller
 	// owns the returned slice.
 	ScoreItems(u int) ([]float64, error)
-	// Recommend returns the top-k items for u by score, excluding the
-	// items u has already rated. Fewer than k items may be returned when
-	// the algorithm cannot score enough candidates.
-	Recommend(u, k int) ([]Scored, error)
+	// Recommend serves one Request: the top-K items for req.User by score,
+	// excluding the items the user has already rated, honoring the
+	// request's context and option fields. Fewer than K items may be
+	// returned when the algorithm cannot score enough candidates.
+	//
+	// fp, when non-nil, receives the query's dependency fingerprint — what
+	// a caching layer stores to revalidate the result precisely instead of
+	// by whole-graph epoch. Pass a zero Fingerprint: an implementation that
+	// cannot fingerprint leaves *fp untouched (invalid), which the cache
+	// treats as "revalidate epoch-exactly". nil means not wanted and costs
+	// nothing.
+	Recommend(req Request, fp *graph.Fingerprint) (Response, error)
 }
 
-// BatchRecommender is implemented by recommenders that can score many
-// users concurrently (the walk recommenders, via the pooled Engine).
-type BatchRecommender interface {
-	Recommender
-	// RecommendBatch returns one recommendation list per user, computed
-	// across up to parallelism workers (<= 0 means GOMAXPROCS). Cold users
-	// yield a nil entry rather than failing the batch.
-	RecommendBatch(users []int, k, parallelism int) ([][]Scored, error)
-}
-
-// BatchRecommend serves a multi-user workload through r — the legacy
-// batch surface, a thin wrapper over BatchRecommendRequests (which
-// dispatches to r's concurrent batch path when it has one and loops
-// sequentially otherwise). Cold users yield nil entries. Prefer a
-// BatchRecommender implementation if r has one: the Request path only
-// falls back to it for option-free requests.
-func BatchRecommend(r Recommender, users []int, k, parallelism int) ([][]Scored, error) {
-	if _, ok := r.(RecommenderV2); !ok {
-		if br, ok := r.(BatchRecommender); ok {
-			return br.RecommendBatch(users, k, parallelism)
-		}
-	}
-	resps, err := BatchRecommendRequests(r, PlainRequests(users, k), parallelism)
+// RecommendItems is the plain (user, k) query — no context, no options,
+// just the list — for callers that want nothing else from the Response
+// (the offline evaluation protocols, examples, tests).
+func RecommendItems(r Recommender, u, k int) ([]Scored, error) {
+	resp, err := r.Recommend(Request{User: u, K: k}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return ResponseItems(resps), nil
-}
-
-// TopK selects the k highest-scoring items from scores, skipping excluded
-// items and -Inf/NaN entries. Ties break toward the smaller item index so
-// results are deterministic. Selection runs in O(n log k) via a bounded
-// min-heap.
-func TopK(scores []float64, k int, exclude map[int]struct{}) []Scored {
-	if k <= 0 {
-		return nil
-	}
-	sel := topk.NewSelector(k)
-	for i, s := range scores {
-		if math.IsInf(s, -1) || math.IsNaN(s) {
-			continue
-		}
-		if _, skip := exclude[i]; skip {
-			continue
-		}
-		sel.Offer(i, s)
-	}
-	items := sel.Take()
-	out := make([]Scored, len(items))
-	for i, it := range items {
-		out[i] = Scored{Item: it.ID, Score: it.Score}
-	}
-	return out
+	return resp.Items, nil
 }
 
 // RankOf returns the 1-based rank of target within the candidate set under

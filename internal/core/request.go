@@ -4,8 +4,9 @@
 // serving options a production edge wants to express (candidate
 // filters, extra exclusions, long-tail-only mode, fallback policy) —
 // and a Response carries the result plus its serving metadata (graph
-// epoch, cache hit, fallback, resolved algorithm). Recommend(u, k) is
-// kept everywhere as a thin compatibility wrapper over this path.
+// epoch, cache hit, fallback, resolved algorithm). Recommender.Recommend
+// takes one Request and is the only query method there is; ServeBatch is
+// the only fan-out.
 
 package core
 
@@ -14,8 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"longtailrec/internal/topk"
 )
@@ -25,14 +29,9 @@ import (
 // The HTTP layer maps it to 400.
 var ErrInvalidOptions = errors.New("core: invalid request options")
 
-// ErrOptionsUnsupported is returned when an option-carrying Request is
-// routed to a Recommender that only implements the legacy
-// Recommend(u, k) surface.
-var ErrOptionsUnsupported = errors.New("core: recommender does not support per-request options")
-
 // Request is one recommendation query. The zero value of every field
-// beyond User and K is the legacy Recommend(u, k) query, and that
-// no-options path stays on the allocation-disciplined fast path.
+// beyond User and K is the plain (user, k) query, and that no-options
+// path stays on the allocation-disciplined fast path.
 type Request struct {
 	// Ctx cancels or deadlines the query: the walk engine checks it at
 	// the subgraph-extraction boundaries and between τ sweeps, so an
@@ -78,32 +77,10 @@ type Response struct {
 	Algo string
 }
 
-// RecommenderV2 is the context-aware query surface. All recommenders in
-// this package implement it; the walk engine implements it natively.
-type RecommenderV2 interface {
-	Recommender
-	// RecommendRequest serves one Request, honoring its context and
-	// option fields.
-	RecommendRequest(req Request) (Response, error)
-}
-
-// BatchRecommenderV2 is implemented by recommenders that serve many
-// Requests concurrently (the walk recommenders via the pooled engine,
-// and the caching wrapper).
-type BatchRecommenderV2 interface {
-	RecommenderV2
-	// RecommendRequestBatch serves one Response per Request across up to
-	// parallelism workers (<= 0 means GOMAXPROCS), honoring each
-	// request's own context. Cold users yield a zero Response; any other
-	// error — including a cancelled per-request context — aborts the
-	// batch.
-	RecommendRequestBatch(reqs []Request, parallelism int) ([]Response, error)
-}
-
 // Validate bounds-checks the option fields (LongTailOnly in [0,1] and
 // not NaN, no negative item ids), wrapping failures in
 // ErrInvalidOptions. Cheap (no allocation) for the no-options request;
-// every RecommenderV2 implementation calls it, and serving layers may
+// every Recommender implementation calls it, and serving layers may
 // call it early to reject bad requests before resolving an algorithm.
 func (r Request) Validate() error {
 	if math.IsNaN(r.LongTailOnly) || r.LongTailOnly < 0 || r.LongTailOnly > 1 {
@@ -244,7 +221,7 @@ func (r Request) optionFilter(pop []int) func(item int) bool {
 
 // FilterScored applies a Request's result-shaping options to an
 // already-ranked list — the post-filter for lists produced outside a
-// RecommenderV2 (the popularity fallback). Order is preserved; the
+// Recommender (the popularity fallback). Order is preserved; the
 // returned slice is freshly allocated.
 func FilterScored(items []Scored, req Request, pop []int) []Scored {
 	pass := req.optionFilter(pop)
@@ -284,95 +261,57 @@ func selectTopKFiltered(scores []float64, req Request, rated map[int]struct{}, p
 	return out
 }
 
-// RecommendRequest serves one Request through r: natively when r
-// implements RecommenderV2, otherwise by delegating option-free
-// requests to the legacy Recommend (option-carrying requests fail with
-// ErrOptionsUnsupported — the legacy surface has no way to honor them).
-func RecommendRequest(r Recommender, req Request) (Response, error) {
-	if v2, ok := r.(RecommenderV2); ok {
-		return v2.RecommendRequest(req)
-	}
-	if err := req.Validate(); err != nil {
-		return Response{}, err
-	}
-	if err := req.err(); err != nil {
-		return Response{}, fmt.Errorf("core: %s: %w", r.Name(), err)
-	}
-	if req.HasOptions() {
-		return Response{}, fmt.Errorf("%w: %s", ErrOptionsUnsupported, r.Name())
-	}
-	items, err := r.Recommend(req.User, req.K)
-	if err != nil {
-		return Response{}, err
-	}
-	return Response{Items: items, Algo: r.Name()}, nil
-}
-
-// BatchRecommendRequests serves a Request slice through r: concurrently
-// when r implements BatchRecommenderV2, otherwise by a sequential loop
-// (the safe default for adapters whose models make no concurrency
-// promise). Cold users yield a zero Response; any other error aborts
-// the batch. Each request's own context is honored.
-func BatchRecommendRequests(r Recommender, reqs []Request, parallelism int) ([]Response, error) {
-	if br, ok := r.(BatchRecommenderV2); ok {
-		return br.RecommendRequestBatch(reqs, parallelism)
-	}
+// ServeBatch is the one batch fan-out: it serves every Request through
+// serve across up to parallelism workers (<= 0 means GOMAXPROCS) and
+// returns one Response per Request, in input order. Each request keeps
+// its own context. A cold user (ErrColdUser) yields a zero Response
+// rather than failing the batch; any other error — including a cancelled
+// per-request context — aborts it, and the first one is returned. serve
+// must be safe for concurrent use; every Recommender in the suite is.
+func ServeBatch(reqs []Request, parallelism int, serve func(Request) (Response, error)) ([]Response, error) {
 	out := make([]Response, len(reqs))
-	for i, req := range reqs {
-		resp, err := RecommendRequest(r, req)
-		if err != nil {
-			if errors.Is(err, ErrColdUser) {
-				continue
+	if len(reqs) == 0 {
+		return out, nil
+	}
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	if parallelism > len(reqs) {
+		parallelism = len(reqs)
+	}
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	next.Store(-1)
+	wg.Add(parallelism)
+	for w := 0; w < parallelism; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i >= len(reqs) || failed.Load() {
+					return
+				}
+				resp, err := serve(reqs[i])
+				if err != nil {
+					if errors.Is(err, ErrColdUser) {
+						continue // cold user: leave out[i] zero
+					}
+					errOnce.Do(func() { firstErr = fmt.Errorf("core: batch user %d: %w", reqs[i].User, err) })
+					failed.Store(true)
+					return
+				}
+				out[i] = resp
 			}
-			return nil, fmt.Errorf("core: batch user %d: %w", req.User, err)
-		}
-		out[i] = resp
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return out, nil
-}
-
-// PlainRequests builds the option-free Request list a legacy (users, k)
-// batch call maps to — one definition of the compatibility shape shared
-// by every RecommendBatch wrapper.
-func PlainRequests(users []int, k int) []Request {
-	reqs := make([]Request, len(users))
-	for i, u := range users {
-		reqs[i] = Request{User: u, K: k}
-	}
-	return reqs
-}
-
-// ResponseItems strips a Response batch down to its item lists — nil
-// entries for cold (zero) Responses — matching the legacy [][]Scored
-// batch contract.
-func ResponseItems(resps []Response) [][]Scored {
-	out := make([][]Scored, len(resps))
-	for i, resp := range resps {
-		out[i] = resp.Items
-	}
-	return out
-}
-
-// SameOptionStorage reports whether two requests carry identical option
-// storage — the common batch shape, one template fanned across users —
-// letting batch loops validate and canonically encode the option set
-// once instead of per user.
-func SameOptionStorage(a, b Request) bool {
-	return a.LongTailOnly == b.LongTailOnly &&
-		sameIntSlice(a.ExcludeItems, b.ExcludeItems) &&
-		sameIntSlice(a.CandidateItems, b.CandidateItems)
-}
-
-// sameIntSlice reports whether two slices are the same storage (same
-// length and, when non-empty, same backing array start; empty slices
-// must agree on nil-ness, which OptionsKey distinguishes for
-// CandidateItems).
-func sameIntSlice(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 {
-		return (a == nil) == (b == nil)
-	}
-	return &a[0] == &b[0]
 }

@@ -5,14 +5,18 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestRecommendRequestEquivalence pins the compatibility contract: the
-// no-options Request path returns exactly what the legacy Recommend
-// returns, for the engine-native and the adapter implementations.
+// TestRecommendRequestEquivalence pins the no-options Request against a
+// reference that shares no code with either selection loop: the user's
+// full ScoreItems vector, rated and unscorable items dropped, sorted by
+// score (ties toward the smaller item index) and cut at K — for the
+// engine-native and the adapter implementations, metadata included.
 func TestRecommendRequestEquivalence(t *testing.T) {
 	g := figure2Graph(t)
 	at := NewAbsorbingTime(g, WalkOptions{Iterations: 15})
@@ -27,26 +31,31 @@ func TestRecommendRequestEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []Recommender{at, fr} {
-		v2, ok := rec.(RecommenderV2)
-		if !ok {
-			t.Fatalf("%s does not implement RecommenderV2", rec.Name())
-		}
 		for u := 0; u < g.NumUsers(); u++ {
-			want, err := rec.Recommend(u, 4)
+			scores, err := rec.ScoreItems(u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := v2.RecommendRequest(Request{User: u, K: 4})
+			rated, _ := g.UserItems(u)
+			var want []Scored
+			for i, sc := range scores {
+				if !math.IsInf(sc, -1) && !slices.Contains(rated, i) {
+					want = append(want, Scored{Item: i, Score: sc})
+				}
+			}
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Score > want[b].Score })
+			want = want[:min(4, len(want))]
+			resp, err := rec.Recommend(Request{User: u, K: 4}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, resp.Items) {
-				t.Fatalf("%s user %d: Request path diverged:\nwant %+v\ngot  %+v", rec.Name(), u, want, resp.Items)
+				t.Fatalf("%s user %d: Request path diverged from the sorted score vector:\nwant %+v\ngot  %+v", rec.Name(), u, want, resp.Items)
 			}
 			if resp.Algo != rec.Name() {
 				t.Fatalf("Algo = %q, want %q", resp.Algo, rec.Name())
 			}
-			if resp.Fallback || resp.CacheHit {
+			if resp.Fallback || resp.CacheHit || resp.Epoch != g.Epoch() {
 				t.Fatalf("unexpected metadata: %+v", resp)
 			}
 		}
@@ -69,8 +78,8 @@ func TestRequestOptionFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []RecommenderV2{at, fr} {
-		base, err := rec.RecommendRequest(Request{User: 0, K: 6})
+	for _, rec := range []Recommender{at, fr} {
+		base, err := rec.Recommend(Request{User: 0, K: 6}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +89,7 @@ func TestRequestOptionFilters(t *testing.T) {
 		first := base.Items[0].Item
 
 		// ExcludeItems removes exactly the excluded item.
-		excl, err := rec.RecommendRequest(Request{User: 0, K: 6, ExcludeItems: []int{first}})
+		excl, err := rec.Recommend(Request{User: 0, K: 6, ExcludeItems: []int{first}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +104,7 @@ func TestRequestOptionFilters(t *testing.T) {
 
 		// CandidateItems restricts to the slate (duplicates tolerated).
 		slate := []int{base.Items[0].Item, base.Items[1].Item, base.Items[0].Item}
-		cand, err := rec.RecommendRequest(Request{User: 0, K: 6, CandidateItems: slate})
+		cand, err := rec.Recommend(Request{User: 0, K: 6, CandidateItems: slate}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +118,7 @@ func TestRequestOptionFilters(t *testing.T) {
 		}
 
 		// An empty non-nil slate yields an empty result.
-		empty, err := rec.RecommendRequest(Request{User: 0, K: 6, CandidateItems: []int{}})
+		empty, err := rec.Recommend(Request{User: 0, K: 6, CandidateItems: []int{}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +127,7 @@ func TestRequestOptionFilters(t *testing.T) {
 		}
 
 		// LongTailOnly keeps only items at or below the percentile cutoff.
-		tail, err := rec.RecommendRequest(Request{User: 0, K: 6, LongTailOnly: 0.5})
+		tail, err := rec.Recommend(Request{User: 0, K: 6, LongTailOnly: 0.5}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,13 +140,13 @@ func TestRequestOptionFilters(t *testing.T) {
 		}
 
 		// Out-of-range (or NaN) percentile is rejected as ErrInvalidOptions.
-		if _, err := rec.RecommendRequest(Request{User: 0, K: 6, LongTailOnly: 1.5}); !errors.Is(err, ErrInvalidOptions) {
+		if _, err := rec.Recommend(Request{User: 0, K: 6, LongTailOnly: 1.5}, nil); !errors.Is(err, ErrInvalidOptions) {
 			t.Fatalf("%s: bad percentile error = %v", rec.Name(), err)
 		}
-		if _, err := rec.RecommendRequest(Request{User: 0, K: 6, LongTailOnly: math.NaN()}); !errors.Is(err, ErrInvalidOptions) {
+		if _, err := rec.Recommend(Request{User: 0, K: 6, LongTailOnly: math.NaN()}, nil); !errors.Is(err, ErrInvalidOptions) {
 			t.Fatalf("%s: NaN percentile error = %v", rec.Name(), err)
 		}
-		if _, err := rec.RecommendRequest(Request{User: 0, K: 6, ExcludeItems: []int{-3}}); !errors.Is(err, ErrInvalidOptions) {
+		if _, err := rec.Recommend(Request{User: 0, K: 6, ExcludeItems: []int{-3}}, nil); !errors.Is(err, ErrInvalidOptions) {
 			t.Fatalf("%s: negative exclusion error = %v", rec.Name(), err)
 		}
 	}
@@ -204,14 +213,14 @@ func TestRequestCancelledBeforeQuery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := at.RecommendRequest(Request{Ctx: ctx, User: 0, K: 4})
+	_, err := at.Recommend(Request{Ctx: ctx, User: 0, K: 4}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("cancelled query took %v", elapsed)
 	}
-	resp, err := at.RecommendRequest(Request{User: 0, K: 4})
+	resp, err := at.Recommend(Request{User: 0, K: 4}, nil)
 	if err != nil || len(resp.Items) == 0 {
 		t.Fatalf("post-cancel query: %v %+v", err, resp)
 	}
@@ -230,7 +239,7 @@ func TestRequestMidWalkCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := at.RecommendRequest(Request{Ctx: ctx, User: 0, K: 4})
+	_, err := at.Recommend(Request{Ctx: ctx, User: 0, K: 4}, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -240,7 +249,7 @@ func TestRequestMidWalkCancellation(t *testing.T) {
 	}
 	// The engine (and its pooled scratch) must remain serviceable.
 	quick := NewAbsorbingTime(g, WalkOptions{Iterations: 15})
-	if _, err := quick.Recommend(0, 4); err != nil {
+	if _, err := RecommendItems(quick, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -252,7 +261,7 @@ func TestRequestDeadlineExceeded(t *testing.T) {
 	at := NewAbsorbingTime(g, WalkOptions{Iterations: 500_000_000})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	_, err := at.RecommendRequest(Request{Ctx: ctx, User: 0, K: 4})
+	_, err := at.Recommend(Request{Ctx: ctx, User: 0, K: 4}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -264,18 +273,19 @@ func TestRequestDeadlineExceeded(t *testing.T) {
 func TestBatchRequestPerRequestContext(t *testing.T) {
 	g := figure2Graph(t)
 	at := NewAbsorbingTime(g, WalkOptions{Iterations: 15})
+	serve := func(req Request) (Response, error) { return at.Recommend(req, nil) }
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	reqs := []Request{
 		{User: 0, K: 3},
 		{Ctx: cancelled, User: 1, K: 3},
 	}
-	if _, err := at.RecommendRequestBatch(reqs, 1); !errors.Is(err, context.Canceled) {
+	if _, err := ServeBatch(reqs, 1, serve); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// All-live batch serves everyone.
 	live := []Request{{User: 0, K: 3}, {User: 1, K: 3}}
-	resps, err := at.RecommendRequestBatch(live, 2)
+	resps, err := ServeBatch(live, 2, serve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,34 +294,6 @@ func TestBatchRequestPerRequestContext(t *testing.T) {
 			t.Fatalf("batch entry %d: %+v", i, resp)
 		}
 	}
-}
-
-// TestRequestOptionsUnsupported: an option-carrying request routed to a
-// legacy Recommender (no RecommendRequest) fails loudly instead of
-// silently ignoring the options; the option-free request still works.
-func TestRequestOptionsUnsupported(t *testing.T) {
-	legacy := legacyRecommender{}
-	if _, err := RecommendRequest(legacy, Request{User: 0, K: 2, LongTailOnly: 0.5}); !errors.Is(err, ErrOptionsUnsupported) {
-		t.Fatalf("err = %v, want ErrOptionsUnsupported", err)
-	}
-	resp, err := RecommendRequest(legacy, Request{User: 0, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Algo != "legacy" || len(resp.Items) != 1 {
-		t.Fatalf("resp = %+v", resp)
-	}
-}
-
-// legacyRecommender implements only the v1 interface.
-type legacyRecommender struct{}
-
-func (legacyRecommender) Name() string { return "legacy" }
-func (legacyRecommender) ScoreItems(u int) ([]float64, error) {
-	return []float64{1, math.Inf(-1)}, nil
-}
-func (legacyRecommender) Recommend(u, k int) ([]Scored, error) {
-	return []Scored{{Item: 0, Score: 1}}, nil
 }
 
 // TestConcurrentRequestCancellation races option-carrying and
@@ -347,7 +329,7 @@ func TestConcurrentRequestCancellation(t *testing.T) {
 					req.ExcludeItems = []int{0}
 					req.LongTailOnly = 0.8
 				}
-				if _, err := at.RecommendRequest(req); err != nil && !errors.Is(err, context.Canceled) {
+				if _, err := at.Recommend(req, nil); err != nil && !errors.Is(err, context.Canceled) {
 					t.Error(err)
 					return
 				}

@@ -111,7 +111,7 @@ func TestSymmetricCostRecommends(t *testing.T) {
 	if ac3.Name() != "AC3" {
 		t.Fatalf("name %q", ac3.Name())
 	}
-	recs, err := ac3.Recommend(4, 4)
+	recs, err := RecommendItems(ac3, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

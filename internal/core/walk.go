@@ -32,8 +32,7 @@ func (o WalkOptions) withDefaults() WalkOptions {
 
 // walkRecommender is the shared engine-backed implementation behind the
 // four walk recommenders: each one is a walkSpec bound to a pooled
-// Engine under an algorithm name. It implements RecommenderV2 and
-// BatchRecommenderV2 natively.
+// Engine under an algorithm name.
 type walkRecommender struct {
 	g    *graph.Bipartite
 	eng  *Engine
@@ -61,58 +60,14 @@ func (w *walkRecommender) ScoreItemsCompact(u int) ([]ItemScore, error) {
 	return w.eng.scoreItemsCompact(u, w.spec)
 }
 
-// RecommendRequest serves one context-aware Request through the pooled
-// engine — the native RecommenderV2 path: the request's context is
-// checked at the extraction boundaries and between τ sweeps, and the
-// candidate/exclude/long-tail options are applied inside the engine's
-// stamped selection loop.
-func (w *walkRecommender) RecommendRequest(req Request) (Response, error) {
-	return w.eng.recommendRequestPooled(req, w.spec, w.algo, nil)
-}
-
-// RecommendRequestFP is RecommendRequest also reporting the query's
-// dependency fingerprint (write-generation watermark + bloom of the
-// subgraph's node ids) — what a caching layer stores to revalidate the
-// result precisely instead of by whole-graph epoch. Implements the
-// fingerprint production path CachedRecommender type-asserts for.
-func (w *walkRecommender) RecommendRequestFP(req Request) (Response, graph.Fingerprint, error) {
-	var fp graph.Fingerprint
-	resp, err := w.eng.recommendRequestPooled(req, w.spec, w.algo, &fp)
-	return resp, fp, err
-}
-
-// RecommendRequestBatch serves many Requests concurrently across
-// parallelism workers (<= 0 means GOMAXPROCS), honoring each request's
-// own context. Cold users yield a zero Response. Implements
-// BatchRecommenderV2.
-func (w *walkRecommender) RecommendRequestBatch(reqs []Request, parallelism int) ([]Response, error) {
-	return w.eng.recommendRequestBatch(reqs, parallelism, w.spec, w.algo, nil)
-}
-
-// RecommendRequestBatchFP is RecommendRequestBatch also reporting each
-// request's dependency fingerprint (aligned with the responses; cold
-// users get an invalid zero fingerprint).
-func (w *walkRecommender) RecommendRequestBatchFP(reqs []Request, parallelism int) ([]Response, []graph.Fingerprint, error) {
-	fps := make([]graph.Fingerprint, len(reqs))
-	resps, err := w.eng.recommendRequestBatch(reqs, parallelism, w.spec, w.algo, fps)
-	return resps, fps, err
-}
-
-// Recommend returns the top-k unrated items for u — the legacy surface,
-// a thin wrapper over the Request path.
-func (w *walkRecommender) Recommend(u, k int) ([]Scored, error) {
-	return w.eng.recommend(u, k, w.spec)
-}
-
-// RecommendBatch scores many users concurrently across parallelism workers
-// (<= 0 means GOMAXPROCS). Cold users yield a nil entry. Implements
-// BatchRecommender; a thin wrapper over RecommendRequestBatch.
-func (w *walkRecommender) RecommendBatch(users []int, k, parallelism int) ([][]Scored, error) {
-	resps, err := w.eng.recommendRequestBatch(PlainRequests(users, k), parallelism, w.spec, w.algo, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ResponseItems(resps), nil
+// Recommend implements Recommender through the pooled engine: the
+// request's context is checked at the extraction boundaries and between τ
+// sweeps, the candidate/exclude/long-tail options are applied inside the
+// engine's stamped selection loop, and fp (when non-nil) receives the
+// query's dependency fingerprint — write-generation watermark + bloom of
+// the subgraph's node ids.
+func (w *walkRecommender) Recommend(req Request, fp *graph.Fingerprint) (Response, error) {
+	return w.eng.recommend(req, w.spec, w.algo, fp)
 }
 
 // HittingTime is the user-based recommender of §3.3: items are ranked by

@@ -87,7 +87,7 @@ func MeasureBeyondAccuracy(recs []core.Recommender, train *dataset.Dataset, user
 		var novTotal, serTotal, ilsTotal float64
 		var slots, ilsLists, coldSlots int
 		for _, u := range users {
-			list, err := rec.Recommend(u, opts.ListSize)
+			list, err := core.RecommendItems(rec, u, opts.ListSize)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s recommending for user %d: %w", rec.Name(), u, err)
 			}

@@ -452,7 +452,7 @@ func TestListsQueryTemplate(t *testing.T) {
 		}
 	}
 	// Direct check that a restricted request only serves the slate.
-	resp, err := core.RecommendRequest(at, core.Request{User: users[0], K: 4, CandidateItems: slate})
+	resp, err := at.Recommend(core.Request{User: users[0], K: 4, CandidateItems: slate}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ type ListOptions struct {
 	// Ontology enables the Table 3 similarity measurement when non-nil.
 	Ontology *ontology.Tree
 	// Parallelism > 1 computes each recommender's panel lists through
-	// core.BatchRecommendRequests across that many workers.
+	// core.ServeBatch across that many workers.
 	// SecondsPerUser is then total wall-clock divided by panel size — an
 	// amortized throughput figure rather than the isolated per-query
 	// latency the sequential default measures (keep the default for
@@ -107,7 +107,9 @@ func Lists(recs []core.Recommender, train *dataset.Dataset, users []int, opts Li
 				reqs[i] = mkReq(u)
 			}
 			start := time.Now()
-			resps, err := core.BatchRecommendRequests(rec, reqs, opts.Parallelism)
+			resps, err := core.ServeBatch(reqs, opts.Parallelism, func(req core.Request) (core.Response, error) {
+				return rec.Recommend(req, nil)
+			})
 			elapsed = time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s batch recommending: %w", rec.Name(), err)
@@ -127,7 +129,7 @@ func Lists(recs []core.Recommender, train *dataset.Dataset, users []int, opts Li
 				list = batched[ui].Items
 			} else {
 				start := time.Now()
-				resp, err := core.RecommendRequest(rec, mkReq(u))
+				resp, err := rec.Recommend(mkReq(u), nil)
 				elapsed += time.Since(start)
 				if err != nil {
 					return nil, fmt.Errorf("eval: %s recommending for user %d: %w", rec.Name(), u, err)

@@ -47,7 +47,7 @@ func MeasureSalesDiversity(recs []core.Recommender, train *dataset.Dataset, user
 		exposure := make([]int, train.NumItems())
 		slots, tailSlots, covered := 0, 0, 0
 		for _, u := range users {
-			list, err := rec.Recommend(u, listSize)
+			list, err := core.RecommendItems(rec, u, listSize)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s for user %d: %w", rec.Name(), u, err)
 			}

@@ -83,7 +83,7 @@ func UserStudy(recs []core.Recommender, world *synth.World, train *dataset.Datas
 		var prefSum, novSum, serSum, scoreSum float64
 		var slots int
 		for _, u := range evaluators {
-			list, err := rec.Recommend(u, opts.ListSize)
+			list, err := core.RecommendItems(rec, u, opts.ListSize)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s for evaluator %d: %w", rec.Name(), u, err)
 			}

@@ -149,7 +149,7 @@ func Figure2() (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := sys.HT().Recommend(4, 4)
+	recs, err := longtail.RecommendItems(sys.HT(), 4, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -339,9 +339,9 @@ type RecommendBatchResponse struct {
 	Results   []BatchEntry `json:"results"`
 }
 
-// handleRecommendBatch serves ?users=1,2,3 in one call, fanning the queries
-// out across cores through the pooled walk query engine (Engine.
-// RecommendBatch) when the algorithm supports concurrent scoring.
+// handleRecommendBatch serves ?users=1,2,3 in one call: one Request per
+// user through Source.RecommendRequests, which runs the single-request
+// path across up to ?parallelism= workers (core.ServeBatch).
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rawUsers := q.Get("users")

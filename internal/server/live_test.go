@@ -333,7 +333,7 @@ func TestErrStatusMapping(t *testing.T) {
 		want int
 	}{
 		{fmt.Errorf("wrap: %w", core.ErrColdUser), http.StatusNotFound},
-		{errors.New("longtail: unknown algorithm \"X\""), http.StatusBadRequest},
+		{fmt.Errorf("no recommender is registered as %q: %w", "X", core.ErrUnknownAlgorithm), http.StatusBadRequest},
 		{errors.New("graph: edge weight -1 must be positive and finite"), http.StatusBadRequest},
 		{errors.New("graph: rating (user 1, item 2) already exists"), http.StatusConflict},
 		{errors.New("graph: rating (user 1, item 2) does not exist"), http.StatusNotFound},

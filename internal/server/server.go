@@ -80,19 +80,21 @@ import (
 )
 
 // Source is the recommendation capability the server fronts.
-// *longtail.System satisfies it.
+// *longtail.System satisfies it. Both recommendation endpoints go through
+// one query path: Recommend per request, RecommendRequests the same
+// function fanned across workers.
 type Source interface {
-	// Algorithm resolves a recommender by name.
-	Algorithm(name string) (core.Recommender, error)
 	// Algorithms lists the accepted names.
 	Algorithms() []string
 	// Recommend serves one context-aware Request through the named
 	// algorithm: per-request options honored, cold users degraded to the
-	// popularity fallback when the request allows it.
+	// popularity fallback when the request allows it. An unknown name
+	// fails with an error wrapping core.ErrUnknownAlgorithm.
 	Recommend(ctx context.Context, algo string, req core.Request) (core.Response, error)
-	// RecommendRequests serves many Requests in one call, concurrently
-	// when the algorithm supports it, honoring each request's context.
-	// Cold users yield a zero Response (or a fallback one when allowed).
+	// RecommendRequests serves many Requests in one call — each exactly
+	// as Recommend would, across up to parallelism workers, honoring each
+	// request's context. Cold users yield a zero Response (or a fallback
+	// one when allowed).
 	RecommendRequests(ctx context.Context, algo string, reqs []core.Request, parallelism int) ([]core.Response, error)
 	// Data returns the training dataset.
 	Data() *dataset.Dataset
@@ -430,13 +432,11 @@ func errStatus(err error) int {
 		return 499
 	case errors.Is(err, core.ErrInvalidOptions):
 		return http.StatusBadRequest
-	case errors.Is(err, core.ErrOptionsUnsupported):
-		return http.StatusBadRequest
 	case errors.Is(err, core.ErrColdUser):
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrUserOutOfRange):
 		return http.StatusNotFound
-	case strings.Contains(err.Error(), "unknown algorithm"):
+	case errors.Is(err, core.ErrUnknownAlgorithm):
 		return http.StatusBadRequest
 	case strings.Contains(err.Error(), "must be positive"):
 		return http.StatusBadRequest

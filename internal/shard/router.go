@@ -4,29 +4,28 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"longtailrec/internal/core"
+	"longtailrec/internal/graph"
 )
 
 // Router fronts one per-shard recommender per replica (typically each
 // shard's cache-wrapped engine over that shard's graph) as a single
-// core.RecommenderV2 / BatchRecommenderV2: single-user surfaces route by
-// user id through Assign, and the batch surface fans requests out to
-// their shards concurrently, merging responses back in input order. The
+// core.Recommender: every request routes by user id through Assign. The
 // router adds nothing to the per-shard hot path — a routed request runs
 // on exactly the same code the unsharded stack runs — so the no-options
-// fast path keeps its allocation discipline within each shard.
+// fast path keeps its allocation discipline within each shard, and a
+// batch over it (core.ServeBatch) runs at most its own worker count of
+// shard queries at once, whatever the shard count.
 type Router struct {
 	algo   string
-	shards []core.RecommenderV2
+	shards []core.Recommender
 }
 
 // NewRouter builds a router over the per-shard recommenders, indexed by
 // shard (shards[i] serves users with Assign(u, len(shards)) == i). At
 // least one shard is required and all must be non-nil.
-func NewRouter(algo string, shards []core.RecommenderV2) (*Router, error) {
+func NewRouter(algo string, shards []core.Recommender) (*Router, error) {
 	if algo == "" {
 		return nil, fmt.Errorf("shard: router needs an algorithm name")
 	}
@@ -44,14 +43,8 @@ func NewRouter(algo string, shards []core.RecommenderV2) (*Router, error) {
 // Name implements core.Recommender.
 func (r *Router) Name() string { return r.algo }
 
-// NumShards returns the shard count.
-func (r *Router) NumShards() int { return len(r.shards) }
-
-// Shard returns shard i's recommender (tests and diagnostics).
-func (r *Router) Shard(i int) core.RecommenderV2 { return r.shards[i] }
-
 // forUser returns the replica recommender serving user u.
-func (r *Router) forUser(u int) core.RecommenderV2 {
+func (r *Router) forUser(u int) core.Recommender {
 	return r.shards[Assign(u, len(r.shards))]
 }
 
@@ -60,111 +53,9 @@ func (r *Router) ScoreItems(u int) ([]float64, error) {
 	return r.forUser(u).ScoreItems(u)
 }
 
-// ScoreItemsCompact forwards the compact scoring path of the user's
-// shard when it has one (the walk recommenders and the caching wrapper
-// do).
-func (r *Router) ScoreItemsCompact(u int) ([]core.ItemScore, error) {
-	if c, ok := r.forUser(u).(interface {
-		ScoreItemsCompact(u int) ([]core.ItemScore, error)
-	}); ok {
-		return c.ScoreItemsCompact(u)
-	}
-	return nil, fmt.Errorf("core: %s has no compact scoring path", r.algo)
-}
-
-// Recommend implements core.Recommender — the legacy surface, routed.
-func (r *Router) Recommend(u, k int) ([]core.Scored, error) {
-	resp, err := r.RecommendRequest(core.Request{User: u, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
-}
-
-// RecommendRequest implements core.RecommenderV2: the request runs on
-// its user's shard — same context handling, same options, same cache —
-// and the Response's Epoch is that shard's epoch.
-func (r *Router) RecommendRequest(req core.Request) (core.Response, error) {
-	return r.forUser(req.User).RecommendRequest(req)
-}
-
-// RecommendRequestBatch implements core.BatchRecommenderV2: requests are
-// grouped by shard (stably, preserving input order within each group),
-// every shard with work runs its group concurrently — through the
-// shard's own batch path when it has one — and the per-shard responses
-// are merged back into input positions. Each request keeps its own
-// context. parallelism bounds the TOTAL worker count across the fan-out
-// (<= 0 means GOMAXPROCS): the budget is divided among the shards that
-// have work, each getting at least one worker, so a caller using
-// parallelism to bound load (the HTTP layer caps it at GOMAXPROCS
-// because every walk worker pins a graph-sized scratch) is not
-// oversubscribed by a factor of the shard count. Cold users yield zero
-// Responses, matching the unsharded contract; the first failing shard
-// (lowest index) aborts the whole batch, like any other batch error.
-func (r *Router) RecommendRequestBatch(reqs []core.Request, parallelism int) ([]core.Response, error) {
-	out := make([]core.Response, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	n := len(r.shards)
-	if n == 1 {
-		return core.BatchRecommendRequests(r.shards[0], reqs, parallelism)
-	}
-	groups := make([][]int, n) // input positions per shard, in input order
-	active := 0
-	for i, req := range reqs {
-		s := Assign(req.User, n)
-		if len(groups[s]) == 0 {
-			active++
-		}
-		groups[s] = append(groups[s], i)
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	perShard := parallelism / active
-	if perShard < 1 {
-		perShard = 1
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s, idx := range groups {
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idx []int) {
-			defer wg.Done()
-			sub := make([]core.Request, len(idx))
-			for j, i := range idx {
-				sub[j] = reqs[i]
-			}
-			resps, err := core.BatchRecommendRequests(r.shards[s], sub, perShard)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			for j, i := range idx {
-				out[i] = resps[j]
-			}
-		}(s, idx)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// RecommendBatch implements core.BatchRecommender — the legacy batch
-// surface as a thin wrapper over the fan-out path. Cold users yield nil
-// entries.
-func (r *Router) RecommendBatch(users []int, k, parallelism int) ([][]core.Scored, error) {
-	resps, err := r.RecommendRequestBatch(core.PlainRequests(users, k), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return core.ResponseItems(resps), nil
+// Recommend implements core.Recommender: the request runs on its user's
+// shard — same context handling, same options, same cache — and the
+// Response's Epoch is that shard's epoch.
+func (r *Router) Recommend(req core.Request, fp *graph.Fingerprint) (core.Response, error) {
+	return r.forUser(req.User).Recommend(req, fp)
 }

@@ -24,8 +24,7 @@
 // The package has two layers: Fleet owns the replicas and the write/stat
 // surfaces (routing ApplyRating, aggregating epochs, universes and cache
 // counters), while Router wraps one recommender per replica into a single
-// core.RecommenderV2/BatchRecommenderV2 whose batch path fans requests
-// out per shard and merges responses in input order.
+// core.Recommender that runs each request on its user's shard.
 package shard
 
 import (

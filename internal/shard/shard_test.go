@@ -3,7 +3,9 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"longtailrec/internal/cache"
@@ -181,12 +183,16 @@ func TestFleetEvictStaleUsesOwnEpochs(t *testing.T) {
 	}
 }
 
-// stubRec is a per-shard RecommenderV2 double that records the users it
-// served and answers with a response identifying itself.
+// stubRec is a per-shard Recommender double that records the users it
+// served (and how many requests the whole router had in flight at once)
+// and answers with a response identifying itself.
 type stubRec struct {
 	name  string
 	id    int
 	errOn int // user id that fails; -1 disables
+
+	// inFlight / peak are shared by every stub of one router.
+	inFlight, peak *atomic.Int64
 
 	mu    sync.Mutex
 	users []int
@@ -198,15 +204,16 @@ func (s *stubRec) ScoreItems(u int) ([]float64, error) {
 	return []float64{float64(s.id)}, nil
 }
 
-func (s *stubRec) Recommend(u, k int) ([]core.Scored, error) {
-	resp, err := s.RecommendRequest(core.Request{User: u, K: k})
-	if err != nil {
-		return nil, err
+func (s *stubRec) Recommend(req core.Request, _ *graph.Fingerprint) (core.Response, error) {
+	now := s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	for {
+		p := s.peak.Load()
+		if now <= p || s.peak.CompareAndSwap(p, now) {
+			break
+		}
 	}
-	return resp.Items, nil
-}
-
-func (s *stubRec) RecommendRequest(req core.Request) (core.Response, error) {
+	runtime.Gosched() // let the other workers overlap
 	if req.User == s.errOn {
 		return core.Response{}, fmt.Errorf("stub shard %d: boom on user %d", s.id, req.User)
 	}
@@ -223,9 +230,10 @@ func (s *stubRec) RecommendRequest(req core.Request) (core.Response, error) {
 func newStubRouter(t testing.TB, n int) (*Router, []*stubRec) {
 	t.Helper()
 	stubs := make([]*stubRec, n)
-	shards := make([]core.RecommenderV2, n)
+	shards := make([]core.Recommender, n)
+	var inFlight, peak atomic.Int64
 	for i := range stubs {
-		stubs[i] = &stubRec{name: "stub", id: i, errOn: -1}
+		stubs[i] = &stubRec{name: "stub", id: i, errOn: -1, inFlight: &inFlight, peak: &peak}
 		shards[i] = stubs[i]
 	}
 	r, err := NewRouter("stub", shards)
@@ -235,22 +243,40 @@ func newStubRouter(t testing.TB, n int) (*Router, []*stubRec) {
 	return r, stubs
 }
 
+// routedBatch serves one option-free k=1 request per user through the
+// one fan-out over the router.
+func routedBatch(r *Router, users []int, parallelism int) ([]core.Response, error) {
+	reqs := make([]core.Request, len(users))
+	for i, u := range users {
+		reqs[i] = core.Request{User: u, K: 1}
+	}
+	return core.ServeBatch(reqs, parallelism, func(req core.Request) (core.Response, error) {
+		return r.Recommend(req, nil)
+	})
+}
+
 func TestNewRouterValidation(t *testing.T) {
-	if _, err := NewRouter("", []core.RecommenderV2{&stubRec{errOn: -1}}); err == nil {
+	if _, err := NewRouter("", []core.Recommender{&stubRec{errOn: -1}}); err == nil {
 		t.Fatal("empty name accepted")
 	}
 	if _, err := NewRouter("x", nil); err == nil {
 		t.Fatal("empty shard list accepted")
 	}
-	if _, err := NewRouter("x", []core.RecommenderV2{nil}); err == nil {
+	if _, err := NewRouter("x", []core.Recommender{nil}); err == nil {
 		t.Fatal("nil shard accepted")
 	}
 }
 
 func TestRouterRoutesByUser(t *testing.T) {
 	r, stubs := newStubRouter(t, 4)
+	if r.Name() != "stub" {
+		t.Fatalf("name %q", r.Name())
+	}
+	if scores, err := r.ScoreItems(6); err != nil || scores[0] != 2 { // shard 2
+		t.Fatalf("ScoreItems routed wrong: %v %v", scores, err)
+	}
 	for u := 0; u < 20; u++ {
-		resp, err := r.RecommendRequest(core.Request{User: u, K: 1})
+		resp, err := r.Recommend(core.Request{User: u, K: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,11 +294,10 @@ func TestRouterRoutesByUser(t *testing.T) {
 }
 
 func TestRouterBatchMergesInInputOrder(t *testing.T) {
-	r, _ := newStubRouter(t, 4)
+	r, stubs := newStubRouter(t, 4)
 	// Shuffled, duplicated users across all shards.
 	users := []int{7, 0, 3, 3, 10, 1, 6, 2, 9, 5, 4, 8, 0, 11}
-	reqs := core.PlainRequests(users, 1)
-	out, err := r.RecommendRequestBatch(reqs, 2)
+	out, err := routedBatch(r, users, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,37 +314,17 @@ func TestRouterBatchMergesInInputOrder(t *testing.T) {
 			t.Fatalf("response %d (user %d) = %+v, want %+v", i, u, out[i], want)
 		}
 	}
+	// parallelism bounds the workers across the WHOLE fan-out, not per
+	// shard: four shards with work never ran more than two queries at once.
+	if peak := stubs[0].peak.Load(); peak > 2 {
+		t.Fatalf("%d shard queries in flight at parallelism 2", peak)
+	}
 }
 
 func TestRouterBatchShardErrorAborts(t *testing.T) {
 	r, stubs := newStubRouter(t, 4)
 	stubs[2].errOn = 6 // user 6 lives on shard 2
-	_, err := r.RecommendRequestBatch(core.PlainRequests([]int{0, 1, 6, 3}, 1), 0)
-	if err == nil {
+	if _, err := routedBatch(r, []int{0, 1, 6, 3}, 0); err == nil {
 		t.Fatal("failing shard did not abort the batch")
-	}
-}
-
-func TestRouterLegacySurfaces(t *testing.T) {
-	r, _ := newStubRouter(t, 3)
-	if r.Name() != "stub" || r.NumShards() != 3 {
-		t.Fatalf("identity: name %q shards %d", r.Name(), r.NumShards())
-	}
-	scores, err := r.ScoreItems(5) // shard 2
-	if err != nil || scores[0] != 2 {
-		t.Fatalf("ScoreItems routed wrong: %v %v", scores, err)
-	}
-	items, err := r.Recommend(4, 1) // shard 1
-	if err != nil || items[0].Score != 1 {
-		t.Fatalf("Recommend routed wrong: %v %v", items, err)
-	}
-	lists, err := r.RecommendBatch([]int{0, 1, 2}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range lists {
-		if l[0].Score != float64(i%3) {
-			t.Fatalf("batch entry %d served by shard %v, want %d", i, l[0].Score, i%3)
-		}
 	}
 }

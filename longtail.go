@@ -10,8 +10,8 @@
 //
 //	d, _ := longtail.LoadMovieLensFile("ratings.dat")
 //	sys, _ := longtail.NewSystem(d.Data, longtail.DefaultConfig())
-//	ac2, _ := sys.AC2() // trains the LDA entropy model lazily
-//	recs, _ := ac2.Recommend(user, 10)
+//	resp, _ := sys.Recommend(ctx, "AC2", longtail.Request{User: user, K: 10})
+//	// resp.Items is the ranked list; AC2 trains its LDA entropy model lazily
 //
 // Everything is implemented from scratch on the standard library: sparse
 // matrices, Markov-chain solvers, LDA (collapsed Gibbs), truncated SVD,
@@ -72,13 +72,14 @@ type (
 	// Response is the result of one Request plus its serving metadata
 	// (fallback, graph epoch, cache hit, resolved algorithm).
 	Response = core.Response
-	// RecommenderV2 is the context-aware query surface every recommender
-	// in the suite implements.
-	RecommenderV2 = core.RecommenderV2
 )
 
 // ErrColdUser is returned when a query user has no rated items.
 var ErrColdUser = core.ErrColdUser
+
+// ErrUnknownAlgorithm is wrapped by Algorithm (and every call that
+// resolves a name through it) for a name outside AlgorithmNames.
+var ErrUnknownAlgorithm = core.ErrUnknownAlgorithm
 
 // MaxDenseAdmissions is the dense-admission cap of the auto-grow write
 // path: one write may admit at most this many new user or item ids past
@@ -88,9 +89,12 @@ var ErrColdUser = core.ErrColdUser
 // layer, not a larger cap.
 const MaxDenseAdmissions = graph.MaxDenseAdmissions
 
-// BatchRecommender is implemented by recommenders that score many users
-// concurrently (the walk recommenders, via the pooled query engine).
-type BatchRecommender = core.BatchRecommender
+// RecommendItems is the plain (user, k) query against one recommender —
+// no context, no options, just the ranked list. System.Recommend is the
+// serving surface (fallback, per-request options, cancellation).
+func RecommendItems(r Recommender, u, k int) ([]Scored, error) {
+	return core.RecommendItems(r, u, k)
+}
 
 // Config tunes the full algorithm suite.
 type Config struct {
@@ -708,7 +712,7 @@ func (s *System) buildLocked(name string, prep func() (replicaFactory, error)) (
 		return nil, err
 	}
 	n := s.fleet.NumShards()
-	perShard := make([]core.RecommenderV2, n)
+	perShard := make([]Recommender, n)
 	for i := 0; i < n; i++ {
 		rep := s.fleet.Replica(i)
 		rec, err := mk(rep.Graph)
@@ -716,17 +720,11 @@ func (s *System) buildLocked(name string, prep func() (replicaFactory, error)) (
 			return nil, err
 		}
 		if rep.Cache != nil {
-			cr, err := core.NewCachedRecommender(rec, rep.Graph, rep.Cache)
-			if err != nil {
+			if rec, err = core.NewCachedRecommender(rec, rep.Graph, rep.Cache); err != nil {
 				return nil, err
 			}
-			rec = cr
 		}
-		v2, ok := rec.(core.RecommenderV2)
-		if !ok {
-			return nil, fmt.Errorf("longtail: %s does not implement the Request query surface", name)
-		}
-		perShard[i] = v2
+		perShard[i] = rec
 	}
 	if n == 1 {
 		// Single replica: serve the recommender directly — the exact
@@ -1143,7 +1141,7 @@ func (s *System) Algorithm(name string) (Recommender, error) {
 			return entry.build(s)
 		}
 	}
-	return nil, fmt.Errorf("longtail: unknown algorithm %q (want one of %v)", name, AlgorithmNames())
+	return nil, fmt.Errorf("longtail: %w %q (want one of %v)", core.ErrUnknownAlgorithm, name, AlgorithmNames())
 }
 
 // Algorithms lists every name this System's Algorithm method accepts.
@@ -1171,26 +1169,34 @@ func (s *System) Recommend(ctx context.Context, algo string, req Request) (Respo
 	if err != nil {
 		return Response{}, err
 	}
+	return s.serve(ctx, rec, req)
+}
+
+// serve is the one per-request function behind Recommend and
+// RecommendRequests: ctx fills a request that carries none, a phantom
+// user (see phantomUser) never reaches the engines, and a cold user takes
+// the popularity fallback when the request allows it.
+func (s *System) serve(ctx context.Context, rec Recommender, req Request) (Response, error) {
 	if req.Ctx == nil {
 		req.Ctx = ctx
 	}
+	var (
+		resp Response
+		err  error
+	)
 	if s.phantomUser(req.User) {
-		// In the fleet universe but absent from the home shard: a cold
-		// user by construction (no ratings anywhere) — same outcome the
-		// unsharded stack gives a dense-filled, rating-less user.
-		if req.AllowFallback {
-			return s.fallbackResponse(req, rec.Name()), nil
-		}
-		return Response{}, fmt.Errorf("longtail: user %d: %w", req.User, core.ErrColdUser)
+		// In the fleet universe but absent from the home shard, which
+		// would reject it as out of range: a cold user by construction (no
+		// ratings anywhere) — same outcome the unsharded stack gives a
+		// dense-filled, rating-less user.
+		err = fmt.Errorf("longtail: user %d: %w", req.User, core.ErrColdUser)
+	} else if resp, err = rec.Recommend(req, nil); err == nil {
+		return resp, nil
 	}
-	resp, err := core.RecommendRequest(rec, req)
-	if err != nil {
-		if errors.Is(err, core.ErrColdUser) && req.AllowFallback {
-			return s.fallbackResponse(req, rec.Name()), nil
-		}
-		return Response{}, err
+	if errors.Is(err, core.ErrColdUser) && req.AllowFallback {
+		return s.fallbackResponse(req, rec.Name()), nil
 	}
-	return resp, nil
+	return Response{}, err
 }
 
 // phantomUser reports whether user id u is inside the fleet universe but
@@ -1213,80 +1219,28 @@ func (s *System) phantomUser(u int) bool {
 }
 
 // RecommendRequests serves a batch of Requests through the named
-// algorithm, spreading the work across up to parallelism goroutines
-// (<= 0 means GOMAXPROCS) when the algorithm supports concurrent
-// scoring. ctx fills any request whose own Ctx is nil, and each
-// request's context is honored by the workers individually. Cold users
-// degrade to the popularity fallback when their request allows it and
-// yield a zero Response otherwise.
+// algorithm — each exactly as Recommend would serve it — across up to
+// parallelism goroutines (<= 0 means GOMAXPROCS). ctx fills any request
+// whose own Ctx is nil, and each request's context is honored by the
+// workers individually. Cold users degrade to the popularity fallback
+// when their request allows it and yield a zero Response otherwise; any
+// other error aborts the batch. Each Response's Epoch is the epoch of
+// its own lookup.
 func (s *System) RecommendRequests(ctx context.Context, algo string, reqs []Request, parallelism int) ([]Response, error) {
 	// Reject malformed option sets before the (possibly lazy-training)
-	// algorithm resolves; one validation per distinct option storage —
-	// the usual batch fans one template across every user.
+	// algorithm resolves.
 	for i := range reqs {
-		if i == 0 || !core.SameOptionStorage(reqs[i], reqs[i-1]) {
-			if err := reqs[i].Validate(); err != nil {
-				return nil, err
-			}
+		if err := reqs[i].Validate(); err != nil {
+			return nil, err
 		}
 	}
 	rec, err := s.Algorithm(algo)
 	if err != nil {
 		return nil, err
 	}
-	filled := make([]Request, len(reqs))
-	var phantoms []int // input positions of users absent from their home shard
-	for i, req := range reqs {
-		if req.Ctx == nil {
-			req.Ctx = ctx
-		}
-		filled[i] = req
-		if s.phantomUser(req.User) {
-			phantoms = append(phantoms, i)
-		}
-	}
-	// Phantom users (dense-filled on another shard, see phantomUser) must
-	// not reach the engines: their home shard would reject them as out of
-	// range and abort the whole batch, where the unsharded stack serves
-	// them as cold. Keep them out of the computed subset; they stay zero
-	// Responses and take the fallback below like any cold user.
-	serve := filled
-	if len(phantoms) > 0 {
-		serve = make([]Request, 0, len(filled)-len(phantoms))
-		next := 0
-		for i, req := range filled {
-			if next < len(phantoms) && phantoms[next] == i {
-				next++
-				continue
-			}
-			serve = append(serve, req)
-		}
-	}
-	computed, err := core.BatchRecommendRequests(rec, serve, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := computed
-	if len(phantoms) > 0 {
-		out = make([]Response, len(filled))
-		next, j := 0, 0
-		for i := range filled {
-			if next < len(phantoms) && phantoms[next] == i {
-				next++
-				continue // phantom: zero Response
-			}
-			out[i] = computed[j]
-			j++
-		}
-	}
-	for i := range out {
-		// A zero Response (no Algo) marks a user the algorithm could not
-		// anchor on; serve the fallback when that request allows it.
-		if out[i].Algo == "" && filled[i].AllowFallback {
-			out[i] = s.fallbackResponse(filled[i], rec.Name())
-		}
-	}
-	return out, nil
+	return core.ServeBatch(reqs, parallelism, func(req Request) (Response, error) {
+		return s.serve(ctx, rec, req)
+	})
 }
 
 // fallbackResponse builds the degraded Response for a cold user: the
@@ -1322,20 +1276,6 @@ func (s *System) fallbackResponse(req Request, algo string) Response {
 		Epoch:    g.Epoch(),
 		Algo:     algo,
 	}
-}
-
-// RecommendBatch resolves algo and serves the whole user list, spreading
-// the work across up to parallelism goroutines (<= 0 means GOMAXPROCS)
-// when the algorithm supports concurrent scoring, and falling back to a
-// sequential loop otherwise. Cold users yield a nil entry rather than
-// failing the batch. The legacy batch surface: a thin wrapper over
-// RecommendRequests with no context and no options.
-func (s *System) RecommendBatch(algo string, users []int, k, parallelism int) ([][]Scored, error) {
-	resps, err := s.RecommendRequests(context.Background(), algo, core.PlainRequests(users, k), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return core.ResponseItems(resps), nil
 }
 
 // AlgorithmNames lists every algorithm Algorithm accepts, in registry

@@ -61,7 +61,7 @@ func TestAllAlgorithmsProduceRecommendations(t *testing.T) {
 			t.Fatalf("algorithm %q reports name %q", name, rec.Name())
 		}
 		for _, u := range users {
-			recs, err := rec.Recommend(u, 5)
+			recs, err := RecommendItems(rec, u, 5)
 			if err != nil {
 				t.Fatalf("%s user %d: %v", name, u, err)
 			}
@@ -151,7 +151,7 @@ func TestWalkAlgorithmsPreferTail(t *testing.T) {
 	meanTopPop := func(rec Recommender) float64 {
 		total, count := 0.0, 0
 		for _, u := range users {
-			recs, err := rec.Recommend(u, 10)
+			recs, err := RecommendItems(rec, u, 10)
 			if err != nil {
 				t.Fatalf("%s: %v", rec.Name(), err)
 			}
@@ -332,17 +332,13 @@ func TestAlgorithmRegistryParity(t *testing.T) {
 		if rec.Name() != name {
 			t.Fatalf("algorithm %q resolves to recommender named %q", name, rec.Name())
 		}
-		// Every algorithm in the suite speaks the context-aware surface.
-		if _, ok := rec.(RecommenderV2); !ok {
-			t.Fatalf("algorithm %q does not implement RecommenderV2", name)
-		}
 	}
 	if !reflect.DeepEqual(sys.Algorithms(), names) {
 		t.Fatal("System.Algorithms diverged from AlgorithmNames")
 	}
 	for _, bogus := range []string{"", "ht", "AC", "AT ", "PureSVD2"} {
-		if _, err := sys.Algorithm(bogus); err == nil {
-			t.Fatalf("unlisted name %q resolved", bogus)
+		if _, err := sys.Algorithm(bogus); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Fatalf("unlisted name %q: err = %v, want ErrUnknownAlgorithm", bogus, err)
 		}
 	}
 }
@@ -358,12 +354,12 @@ func TestSystemRecommendRequest(t *testing.T) {
 	if resp.Algo != "AT" || resp.Fallback || len(resp.Items) == 0 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	legacy, err := sys.AT().Recommend(0, 5)
+	direct, err := RecommendItems(sys.AT(), 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, resp.Items) {
-		t.Fatalf("Request path diverged from legacy Recommend:\n%+v\n%+v", legacy, resp.Items)
+	if !reflect.DeepEqual(direct, resp.Items) {
+		t.Fatalf("System.Recommend diverged from the recommender it resolves:\n%+v\n%+v", direct, resp.Items)
 	}
 
 	// Options: excluding the whole result forces an empty list.
