@@ -72,7 +72,7 @@ type engineScratch struct {
 	ext     *graph.SubgraphExtractor
 	chain   markov.Chain
 	mkv     markov.ChainScratch
-	absorb  []int       // local ids of absorbing states (exact path)
+	absorb  []int       // the HT seed; local ids of absorbing states (exact path)
 	compact []ItemScore // per-query compact result
 
 	// exclStamp[item] == exclEpoch marks an item excluded from TopK
@@ -93,8 +93,12 @@ type engineScratch struct {
 
 // scoreCompact runs Algorithm 1 for user u inside scr and returns the
 // compact (item, score) slice, which aliases scr and is valid until the
-// scratch's next query. Seeds occupy local ids 0..s-1 of the subgraph, so
-// the absorbing set needs no per-node lookups.
+// scratch's next query. The subgraph is numbered by original id
+// (graph.SubgraphExtractor.ExtractByID), not seeds first: the absorbing set
+// is a mask, so the whole component the scratch's extractor keeps from an
+// earlier query serves every user inside it, and the fused kernel's
+// absorbing-column order keeps the item scores Float64bits-equal to a walk
+// over Extract's seeds-first layout.
 //
 // ctx, when non-nil, is checked at the subgraph-extraction boundaries
 // and between the τ sweeps, so a cancelled or deadlined query aborts
@@ -178,22 +182,20 @@ func (e *Engine) itemEnterCost(spec *walkSpec, v int) float64 {
 	return spec.enterFloor
 }
 
-// scoreSeeded is scoreCompact after the seed read: extraction, chain
-// build, sweeps and the compact result, with fp stamped at gen, the
-// watermark readSeeds returned alongside seeds.
+// scoreSeeded is scoreCompact after the seed read: extraction (or the
+// scratch extractor's kept component), chain build, sweeps and the compact
+// result, with fp stamped at gen, the watermark readSeeds returned
+// alongside seeds.
 //
 //ltr:allocfree
 func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, seeds []int, gen uint64, spec walkSpec, fp *graph.Fingerprint) ([]ItemScore, error) {
-	sg, err := scr.ext.Extract(seeds, e.opts.MaxSubgraphItems)
+	sg, err := scr.ext.ExtractByID(seeds, e.opts.MaxSubgraphItems)
 	if err != nil {
 		return nil, fmt.Errorf("core: subgraph: %w", err)
 	}
 	if fp != nil {
-		fp.Reset(gen)
+		sg.Fingerprint(gen, fp)
 		fp.AddNode(e.g.UserNode(u))
-		for l, nl := 0, sg.Len(); l < nl; l++ {
-			fp.AddNode(sg.OriginalNode(l))
-		}
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -204,22 +206,18 @@ func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, see
 		return nil, fmt.Errorf("core: chain: %w", err)
 	}
 	n := sg.Len()
-	// Local ids are the seeds (= the absorbing set; distinct node ids, kept
-	// in order), then the other users, then the other items: only a seed
-	// has to be asked what it is.
-	numAbsorb, firstItem := sg.Blocks()
+	// Local ids are the users, then the items, each by ascending original
+	// id; the seeds (= the absorbing set) are wherever their ids put them.
+	_, firstItem := sg.Blocks()
 	scr.mkv.Resize(n)
+	for _, s := range seeds {
+		l, _ := sg.LocalNode(s)
+		scr.mkv.Mask[l] = true
+	}
 	var enter []float64
 	if spec.costed {
 		enter = scr.mkv.Enter
-		for l := 0; l < numAbsorb; l++ {
-			if orig := sg.OriginalNode(l); e.g.IsUserNode(orig) {
-				enter[l] = e.userEnterCost(&spec, orig)
-			} else {
-				enter[l] = e.itemEnterCost(&spec, orig)
-			}
-		}
-		for l := numAbsorb; l < firstItem; l++ {
+		for l := 0; l < firstItem; l++ {
 			enter[l] = e.userEnterCost(&spec, sg.OriginalNode(l))
 		}
 		for l := firstItem; l < n; l++ {
@@ -229,10 +227,13 @@ func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, see
 	var times []float64
 	if e.opts.Exact {
 		// Diagnostic path: the linear-system solvers allocate internally,
-		// which is acceptable off the truncated production path.
+		// which is acceptable off the truncated production path. (seeds may
+		// alias scr.absorb; it is not read past the mask.)
 		scr.absorb = scr.absorb[:0]
-		for l := 0; l < numAbsorb; l++ {
-			scr.absorb = append(scr.absorb, l)
+		for l, m := range scr.mkv.Mask {
+			if m {
+				scr.absorb = append(scr.absorb, l)
+			}
 		}
 		if !spec.costed {
 			times, err = scr.chain.AbsorbingTimeExact(scr.absorb)
@@ -241,23 +242,15 @@ func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, see
 			times, err = scr.chain.AbsorbingCostExact(scr.absorb, step)
 		}
 	} else {
-		for l := 0; l < numAbsorb; l++ {
-			scr.mkv.Mask[l] = true
-		}
 		times, err = scr.chain.AbsorbingCostFusedCtx(ctx, &scr.mkv, enter, e.opts.Iterations)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: absorbing solve: %w", err)
 	}
 	// Item entries only: under the fused kernel's block schedule the user
-	// entries are one sweep behind (see markov.AbsorbingCostFused).
+	// entries are one sweep behind (see markov.AbsorbingCostFused). An
+	// absorbing item scores -0 (time 0, never +Inf).
 	scr.compact = scr.compact[:0]
-	for l := 0; l < numAbsorb; l++ {
-		// An absorbing item: time 0, never +Inf.
-		if orig := sg.OriginalNode(l); e.g.IsItemNode(orig) {
-			scr.compact = append(scr.compact, ItemScore{Item: e.g.ItemIndex(orig), Score: -times[l]})
-		}
-	}
 	for l := firstItem; l < n; l++ {
 		if t := times[l]; !math.IsInf(t, 1) { // +Inf: unreachable even inside the subgraph
 			scr.compact = append(scr.compact, ItemScore{Item: e.g.ItemIndex(sg.OriginalNode(l)), Score: -t})

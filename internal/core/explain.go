@@ -56,7 +56,7 @@ func ExplainAbsorption(g *graph.Bipartite, u, candidate int, opts WalkOptions) (
 	}
 	ext := borrowExtractor(g)
 	defer explainExtractors.Put(ext)
-	sg, err := ext.Extract(absorb, opts.MaxSubgraphItems)
+	sg, err := ext.ExtractByID(absorb, opts.MaxSubgraphItems)
 	if err != nil {
 		return nil, fmt.Errorf("core: subgraph: %w", err)
 	}

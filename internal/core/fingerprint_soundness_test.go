@@ -43,14 +43,16 @@ func twoClusterGraph(t testing.TB) *graph.Bipartite {
 
 // checkSoundness compares one cached response against a fresh uncached
 // compute over the same graph — the golden the fingerprint cache must
-// never diverge from.
-func checkSoundness(t testing.TB, golden *AbsorbingTime, cached *CachedRecommender, req Request, step int) {
+// never diverge from. The golden engine is new for every check, so it
+// keeps no component from an earlier query: a kept component the cached
+// engine reuses past a write shows as a difference.
+func checkSoundness(t testing.TB, g *graph.Bipartite, opts WalkOptions, cached *CachedRecommender, req Request, step int) {
 	t.Helper()
 	got, err := cached.Recommend(req, nil)
 	if err != nil {
 		t.Fatalf("step %d: cached request %+v: %v", step, req, err)
 	}
-	want, err := golden.Recommend(req, nil)
+	want, err := NewAbsorbingTime(g, opts).Recommend(req, nil)
 	if err != nil {
 		t.Fatalf("step %d: golden request %+v: %v", step, req, err)
 	}
@@ -63,21 +65,28 @@ func checkSoundness(t testing.TB, golden *AbsorbingTime, cached *CachedRecommend
 // TestCachedFingerprintSoundness runs seeded random write/read
 // interleavings on the two-cluster graph and checks every read against a
 // fresh compute. Most writes stay in their user's cluster (retention to
-// prove); a minority cross clusters and merge the components mid-run.
-// The run must both stay sound AND actually exercise the fingerprint
-// path (validated hits > 0) — a vacuous pass is a test bug.
+// prove); a minority cross clusters and merge the components mid-run, and
+// an occasional Compact publishes a new base. The misses are walked by
+// the cached engine's pooled scratch, which keeps its last cluster across
+// queries: a write to the other cluster must leave it in use, a write to
+// its own cluster or a fold must not (graph's TestExtractorKeepsComponent
+// pins which). The run must both stay sound AND actually exercise the
+// fingerprint path (validated hits > 0) — a vacuous pass is a test bug.
 func TestCachedFingerprintSoundness(t *testing.T) {
 	var totalFPHits uint64
+	opts := WalkOptions{Iterations: 10}
 	for seed := int64(1); seed <= 6; seed++ {
 		g := twoClusterGraph(t)
-		at := NewAbsorbingTime(g, WalkOptions{Iterations: 10})
-		golden := NewAbsorbingTime(g, WalkOptions{Iterations: 10})
+		at := NewAbsorbingTime(g, opts)
 		cached, err := NewCachedRecommender(at, g, cache.New[CacheEntry](128))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 120; step++ {
+			if rng.Intn(30) == 0 {
+				g.Compact()
+			}
 			switch rng.Intn(4) {
 			case 0: // in-cluster write
 				u := rng.Intn(6)
@@ -95,7 +104,7 @@ func TestCachedFingerprintSoundness(t *testing.T) {
 				}
 			default: // read, checked against a fresh compute
 				req := Request{User: rng.Intn(6), K: 1 + rng.Intn(4)}
-				checkSoundness(t, golden, cached, req, step)
+				checkSoundness(t, g, opts, cached, req, step)
 			}
 		}
 		totalFPHits += cached.CacheStats().FingerprintHits
@@ -111,9 +120,8 @@ func TestCachedFingerprintSoundness(t *testing.T) {
 // after every write without ever serving a stale byte.
 func TestCachedFingerprintSoundnessDense(t *testing.T) {
 	g := figure2Graph(t)
-	at := NewAbsorbingTime(g, WalkOptions{Iterations: 10})
-	golden := NewAbsorbingTime(g, WalkOptions{Iterations: 10})
-	cached, err := NewCachedRecommender(at, g, cache.New[CacheEntry](128))
+	opts := WalkOptions{Iterations: 10}
+	cached, err := NewCachedRecommender(NewAbsorbingTime(g, opts), g, cache.New[CacheEntry](128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,7 @@ func TestCachedFingerprintSoundnessDense(t *testing.T) {
 			}
 		} else {
 			req := Request{User: rng.Intn(g.NumUsers()), K: 1 + rng.Intn(4)}
-			checkSoundness(t, golden, cached, req, step)
+			checkSoundness(t, g, opts, cached, req, step)
 		}
 	}
 }
@@ -180,9 +188,8 @@ func FuzzFingerprintSoundness(f *testing.F) {
 			return
 		}
 		g := twoClusterGraph(t)
-		at := NewAbsorbingTime(g, WalkOptions{Iterations: 8})
-		golden := NewAbsorbingTime(g, WalkOptions{Iterations: 8})
-		cached, err := NewCachedRecommender(at, g, cache.New[CacheEntry](64))
+		opts := WalkOptions{Iterations: 8}
+		cached, err := NewCachedRecommender(NewAbsorbingTime(g, opts), g, cache.New[CacheEntry](64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +207,7 @@ func FuzzFingerprintSoundness(f *testing.F) {
 					t.Fatal(err)
 				}
 			default: // checked read
-				checkSoundness(t, golden, cached, Request{User: u, K: 1 + (arg/6)%4}, p)
+				checkSoundness(t, g, opts, cached, Request{User: u, K: 1 + (arg/6)%4}, p)
 			}
 		}
 	})

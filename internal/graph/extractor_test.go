@@ -95,11 +95,12 @@ func TestExtractorReuseMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestExtractorSeedsOccupyPrefix locks in the contract the query engine
-// and the benchmark's replay rely on: distinct seeds take local ids 0..s-1
-// in seed order, whatever that order is; every other member follows, users
+// TestExtractorSeedsOccupyPrefix locks in the contract the benchmark's
+// replay relies on: under Extract, distinct seeds take local ids 0..s-1 in
+// seed order, whatever that order is; every other member follows, users
 // then items — which on a graph without admitted nodes, like this one, is
-// plain ascending original id.
+// plain ascending original id. (One extractor serves every case, so the
+// whole-component ones are renumbered from a kept build.)
 func TestExtractorSeedsOccupyPrefix(t *testing.T) {
 	g := randomTestGraph(t, 10, 30, 100, 3)
 	rated, _ := g.Neighbors(g.UserNode(4))

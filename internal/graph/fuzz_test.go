@@ -63,20 +63,23 @@ func buildFuzzGraph(d *byteDriver) (*Bipartite, int, int) {
 // refSubgraph is the naive map-based reference of Algorithm 1 step 2: the
 // same BFS policy as SubgraphExtractor.Extract decides membership in
 // discovery order, then the stated numbering rule is applied with a plain
-// sort — seeds first in seed order, then every other user in ascending
-// original id, then every other item in ascending original id — and the
-// adjacency is a map of maps.
+// sort — seeds first in seed order (Extract only), then every other user
+// in ascending original id, then every other item in ascending original id
+// — and the adjacency is a map of maps.
 type refSubgraph struct {
 	nodes []int
 	local map[int]int
 	adj   map[int]map[int]float64 // local -> local -> weight
 	items int
-	// Block boundaries: locals [0,numSeeds) are the seeds, [numSeeds,
-	// firstItem) the other users, [firstItem,len(nodes)) the other items.
+	// Block boundaries: locals [0,numSeeds) are the seeds (none without
+	// the prefix), [numSeeds, firstItem) the other users,
+	// [firstItem,len(nodes)) the other items.
 	numSeeds, firstItem int
+	// hitBudget: the BFS reached more than maxItems items.
+	hitBudget bool
 }
 
-func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
+func extractRef(g *Bipartite, seeds []int, maxItems int, seedPrefix bool) *refSubgraph {
 	r := &refSubgraph{local: map[int]int{}, adj: map[int]map[int]float64{}}
 	add := func(v int) {
 		r.local[v] = len(r.nodes)
@@ -107,6 +110,10 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 			add(w)
 		}
 	}
+	r.hitBudget = maxItems > 0 && r.items > maxItems
+	if !seedPrefix {
+		numSeeds = 0
+	}
 	rest := r.nodes[numSeeds:]
 	sort.Slice(rest, func(a, b int) bool {
 		if ia, ib := g.IsItemNode(rest[a]), g.IsItemNode(rest[b]); ia != ib {
@@ -136,14 +143,29 @@ func extractRef(g *Bipartite, seeds []int, maxItems int) *refSubgraph {
 	return r
 }
 
-// requireMatchesRef cross-checks one extraction against the naive
-// reference: node set and numbering, item count, the declared blocks, the
-// reverse mapping over the whole universe, every weight, strictly
+// requireMatchesRef cross-checks one Extract against the naive reference:
+// node set and numbering, item count, the declared blocks, the whole flag,
+// the reverse mapping over the whole universe, every weight, strictly
 // increasing columns, no entry joining two non-seed rows of one block,
-// symmetry of the local adjacency and the cached degrees.
+// symmetry of the local adjacency and the cached degrees — each the row
+// sum added in ascending original id.
 func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, maxItems int) {
 	t.Helper()
-	ref := extractRef(g, seeds, maxItems)
+	requireMatchesLayout(t, g, sg, seeds, maxItems, true)
+}
+
+// requireMatchesRefByID is requireMatchesRef for ExtractByID.
+func requireMatchesRefByID(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, maxItems int) {
+	t.Helper()
+	requireMatchesLayout(t, g, sg, seeds, maxItems, false)
+}
+
+func requireMatchesLayout(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, maxItems int, seedPrefix bool) {
+	t.Helper()
+	ref := extractRef(g, seeds, maxItems, seedPrefix)
+	if sg.whole == ref.hitBudget {
+		t.Fatalf("whole = %v, but the reference BFS hit the budget: %v (seeds %v max %d)", sg.whole, ref.hitBudget, seeds, maxItems)
+	}
 	if sg.Len() != len(ref.nodes) {
 		t.Fatalf("%d nodes, ref %d (seeds %v max %d)", sg.Len(), len(ref.nodes), seeds, maxItems)
 	}
@@ -174,7 +196,6 @@ func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, ma
 		if len(cols) != len(ref.adj[l]) {
 			t.Fatalf("row %d has %d entries, ref %d", l, len(cols), len(ref.adj[l]))
 		}
-		sum := 0.0
 		for k, c := range cols {
 			if k > 0 && cols[k-1] >= c {
 				t.Fatalf("row %d columns not strictly increasing: %v", l, cols)
@@ -185,20 +206,78 @@ func requireMatchesRef(t *testing.T, g *Bipartite, sg *Subgraph, seeds []int, ma
 			if rv, ok := ref.adj[l][c]; !ok || rv != vals[k] {
 				t.Fatalf("adj[%d][%d] = %v, ref %v (present %v)", l, c, vals[k], rv, ok)
 			}
-			if back := adj.At(c, l); back != vals[k] {
+			if back := adj.At(c, l); math.Float64bits(back) != math.Float64bits(vals[k]) {
 				t.Fatalf("adj[%d][%d] = %v but adj[%d][%d] = %v", l, c, vals[k], c, l, back)
 			}
-			sum += vals[k]
 		}
-		if sg.Degrees()[l] != sum {
-			t.Fatalf("cached degree[%d] = %v, row sum %v", l, sg.Degrees()[l], sum)
+		if sum := parentOrderSum(sg, l); math.Float64bits(sg.Degrees()[l]) != math.Float64bits(sum) {
+			t.Fatalf("cached degree[%d] = %v, row sum in parent-row order %v", l, sg.Degrees()[l], sum)
 		}
 	}
 }
 
-// FuzzSubgraphExtract cross-checks the pooled epoch-stamped extractor
-// against the naive reference on fuzz-derived graphs, seed sets and item
-// budgets (see requireMatchesRef for what is compared).
+// parentOrderSum adds local row l's weights in ascending original id of
+// their columns — the order the parent row holds them in.
+func parentOrderSum(sg *Subgraph, l int) float64 {
+	cols, vals := sg.Adjacency().Row(l)
+	order := make([]int, len(cols))
+	for k := range order {
+		order[k] = k
+	}
+	sort.Slice(order, func(a, b int) bool { return sg.OriginalNode(cols[order[a]]) < sg.OriginalNode(cols[order[b]]) })
+	sum := 0.0
+	for _, k := range order {
+		sum += vals[k]
+	}
+	return sum
+}
+
+// origSubgraph is an extraction keyed by original node id — what two
+// layouts of one member set must agree on.
+type origSubgraph struct {
+	degree map[int]float64    // member -> cached degree
+	edges  map[[2]int]float64 // (row, column) -> weight
+	whole  bool
+}
+
+func byOriginalID(sg *Subgraph) origSubgraph {
+	o := origSubgraph{degree: map[int]float64{}, edges: map[[2]int]float64{}, whole: sg.whole}
+	for l := 0; l < sg.Len(); l++ {
+		v := sg.OriginalNode(l)
+		o.degree[v] = sg.Degrees()[l]
+		cols, vals := sg.Adjacency().Row(l)
+		for k, c := range cols {
+			o.edges[[2]int{v, sg.OriginalNode(c)}] = vals[k]
+		}
+	}
+	return o
+}
+
+// requireSameByOriginalID asserts two layouts hold the same members, the
+// same edges with the same weights and Float64bits-equal degrees.
+func requireSameByOriginalID(t *testing.T, want, got origSubgraph) {
+	t.Helper()
+	if len(got.degree) != len(want.degree) || len(got.edges) != len(want.edges) || got.whole != want.whole {
+		t.Fatalf("%d members / %d entries / whole %v, want %d / %d / %v", len(got.degree), len(got.edges), got.whole, len(want.degree), len(want.edges), want.whole)
+	}
+	for v, d := range want.degree {
+		if gd, ok := got.degree[v]; !ok || math.Float64bits(gd) != math.Float64bits(d) {
+			t.Fatalf("node %d: degree %v (member %v), want %v", v, gd, ok, d)
+		}
+	}
+	for e, w := range want.edges {
+		if gw, ok := got.edges[e]; !ok || gw != w {
+			t.Fatalf("edge %v: weight %v (present %v), want %v", e, gw, ok, w)
+		}
+	}
+}
+
+// FuzzSubgraphExtract cross-checks the pooled epoch-stamped extractor's
+// two builds against the naive reference on fuzz-derived graphs, seed sets
+// and item budgets (see requireMatchesRef for what is compared), and
+// against each other by original id: the same members, the same edges,
+// Float64bits-equal degrees and the same whole flag, which is set exactly
+// when the reference BFS never reached the budget.
 func FuzzSubgraphExtract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -222,6 +301,12 @@ func FuzzSubgraphExtract(f *testing.F) {
 				t.Fatalf("Extract(%v, %d): %v", seeds, maxItems, err)
 			}
 			requireMatchesRef(t, g, sg, seeds, maxItems)
+			prefixed := byOriginalID(sg)
+			if sg, err = ext.ExtractByID(seeds, maxItems); err != nil {
+				t.Fatalf("ExtractByID(%v, %d): %v", seeds, maxItems, err)
+			}
+			requireMatchesRefByID(t, g, sg, seeds, maxItems)
+			requireSameByOriginalID(t, prefixed, byOriginalID(sg))
 		}
 	})
 }

@@ -89,7 +89,7 @@ type Bipartite struct {
 	nodeGens map[int]uint64
 
 	// popularity is the last ItemPopularity result, reused until this
-	// view's write generation, the shared base or the universe moves.
+	// view's write generation or its storage key moves.
 	popularity atomic.Pointer[popularityMemo]
 }
 
@@ -340,24 +340,37 @@ func (g *Bipartite) Stationary() []float64 {
 	return pi
 }
 
+// storageKey identifies the shared storage a view reads its unwritten rows
+// and its node identities from: the base snapshot and the universe. A
+// group fold (which makes siblings' writes visible in this view's base
+// rows) swaps the first, an admission through any view the second; neither
+// is journaled on this view and neither is ever set back. A held key keeps
+// both alive, so two equal keys name the same storage.
+type storageKey struct {
+	base *baseSnapshot
+	uni  *universe
+}
+
+// storageKey returns the view's current storage key. Lock-free.
+func (g *Bipartite) storageKey() storageKey {
+	return storageKey{base: g.shared.base.Load(), uni: g.shared.uni.Load()}
+}
+
 // popularityMemo is one published ItemPopularity result together with the
 // state it was counted from. Immutable once stored.
 type popularityMemo struct {
-	gen  uint64        // the view's write generation
-	base *baseSnapshot // what the view's unwritten rows count from
-	uni  *universe     // how long the vector is
-	pop  []int
+	gen uint64     // the view's write generation
+	key storageKey // what the unwritten rows count from and how long the vector is
+	pop []int
 }
 
 // current reports whether nothing that can change the view's rater counts
 // has happened since m was counted: every edge write and admission on this
-// view moves the write generation, a group fold (which makes siblings'
-// writes visible in this view's base rows) swaps the base pointer, and an
-// admission through any view swaps the universe pointer. None of the three
-// is ever set back — unlike the epoch, which RestoreEpoch may rewind.
+// view moves the write generation, and a group fold or an admission
+// through any view moves the storage key. None of them is ever set back —
+// unlike the epoch, which RestoreEpoch may rewind.
 func (m *popularityMemo) current(g *Bipartite) bool {
-	return m != nil && m.gen == g.journal.head.Load() &&
-		m.base == g.shared.base.Load() && m.uni == g.shared.uni.Load()
+	return m != nil && m.gen == g.journal.head.Load() && m.key == g.storageKey()
 }
 
 // ItemPopularity returns, for every item, the number of users who rated it
@@ -374,14 +387,15 @@ func (g *Bipartite) ItemPopularity() []int {
 	defer g.mu.RUnlock()
 	// The key is read under the same read lock as the rows it describes:
 	// every change to either needs the write lock.
-	m := &popularityMemo{gen: g.journal.head.Load(), base: g.shared.base.Load(), uni: g.shared.uni.Load()}
-	m.pop = make([]int, m.uni.numItems)
+	m := &popularityMemo{gen: g.journal.head.Load(), key: g.storageKey()}
+	base, uni := m.key.base, m.key.uni
+	m.pop = make([]int, uni.numItems)
 	for i := range m.pop {
-		v := m.uni.itemNode(i)
+		v := uni.itemNode(i)
 		if r, ok := g.overlay[v]; ok {
 			m.pop[i] = len(r.cols)
-		} else if v < len(m.base.degrees) {
-			m.pop[i] = m.base.adj.RowNNZ(v)
+		} else if v < len(base.degrees) {
+			m.pop[i] = base.adj.RowNNZ(v)
 		}
 	}
 	g.popularity.Store(m)

@@ -19,15 +19,21 @@ type ChainScratch struct {
 	Mask     []bool    // absorbing-state membership
 	Cur, Nxt []float64 // DP ping/pong buffers
 	Enter    []float64 // per-state entry costs (Eq. 9), caller-filled
-	// Arrive is the cost model's per-sweep enter[j] + Cur[j], filled by the
-	// kernel so each edge gathers one value instead of two.
+	// Arrive is the cost model's per-sweep enter[j] + Cur[j] (0 for an
+	// absorbing j), filled by the kernel so each edge gathers one value
+	// instead of two.
 	Arrive []float64
+	// absorbed is the cost model's per-row sum of a_ij·enter[j] over the
+	// absorbing columns j, filled by the kernel once per call.
+	absorbed []float64
+	// absorbing lists the absorbing states, ascending; kernel-owned.
+	absorbing []int
 }
 
 // Resize re-slices every buffer to length n, growing the backing arrays
-// when needed, and zeroes Mask, Cur and Nxt. Enter and Arrive are left
-// uninitialized — the caller overwrites every element of the first, the
-// kernel of the second.
+// when needed, and zeroes Mask, Cur and Nxt. Enter, Arrive and absorbed
+// are left uninitialized — the caller overwrites every element of the
+// first, the kernel of the other two.
 func (s *ChainScratch) Resize(n int) {
 	grow := func(b []float64) []float64 {
 		if cap(b) < n {
@@ -39,6 +45,7 @@ func (s *ChainScratch) Resize(n int) {
 	s.Nxt = grow(s.Nxt)
 	s.Enter = grow(s.Enter)
 	s.Arrive = grow(s.Arrive)
+	s.absorbed = grow(s.absorbed)
 	if cap(s.Mask) < n {
 		s.Mask = make([]bool, n, 2*n)
 	} else {
@@ -68,6 +75,20 @@ func (s *ChainScratch) Resize(n int) {
 // the CSR only once per sweep. Zero-degree transient states accumulate
 // their own step cost per sweep (1 with nil enter, 0 otherwise), matching
 // the allocating solvers.
+//
+// Absorbing columns. AC_t(S|j) is 0 on S, so a row's terms over absorbing
+// columns, a_ij·enter[j], are the same every sweep: the cost path adds
+// them once per call, in ascending j, reading each absorbing row j instead
+// of the rows they are added to — the adjacency is trusted symmetric, bit
+// for bit (graph keeps a_ij and a_ji Float64bits-equal) — and each sweep
+// starts a row from that sum and reads 0 for its absorbing columns. Every
+// row is therefore summed absorbing columns first, ascending, then the
+// others in column order, whatever the numbering: exactly the order of the
+// full in-row sum when the absorbing states are the lowest ids, as in
+// graph.SubgraphExtractor.Extract's seed prefix, so a chain numbered that
+// way and the same chain numbered by graph.SubgraphExtractor.ExtractByID
+// give Float64bits-equal results. Under unit costs an absorbing column
+// adds 0 in place, which moves no bit.
 //
 // Block schedule. When the adjacency declares blocks (a, b) — rows [a,b)
 // and [b,n) each free of internal edges, see sparse.CSR.DeclareBlocks —
@@ -120,15 +141,25 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 	if !any {
 		return nil, ErrNoAbsorbing
 	}
-	cur, nxt, mask, arrive := scr.Cur, scr.Nxt, scr.Mask, scr.Arrive
+	cur, nxt, mask, arrive, absorbed := scr.Cur, scr.Nxt, scr.Mask, scr.Arrive, scr.absorbed
 	a, b, blocks := c.adj.Blocks()
 	for i := 0; blocks && i < a; i++ {
 		blocks = mask[i]
 	}
-	if blocks && enter != nil {
-		// Rows below a stay 0, so their arrival cost is set once.
-		for j := 0; j < a; j++ {
-			arrive[j] = enter[j] + cur[j]
+	if enter != nil {
+		for i := range absorbed {
+			absorbed[i] = 0
+		}
+		scr.absorbing = scr.absorbing[:0]
+		for j, m := range mask {
+			if !m {
+				continue
+			}
+			scr.absorbing = append(scr.absorbing, j)
+			cols, vals := c.adj.Row(j)
+			for k, i := range cols {
+				absorbed[i] += vals[k] * enter[j]
+			}
 		}
 	}
 	for t := 0; t < tau; t++ {
@@ -154,9 +185,13 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 		}
 		if enter != nil {
 			// The same enter[j] + cur[j] every edge into j would add, once
-			// per state instead of once per edge.
+			// per state instead of once per edge; absorbing columns are in
+			// absorbed already.
 			for j := readLo; j < readHi; j++ {
 				arrive[j] = enter[j] + cur[j]
+			}
+			for _, j := range scr.absorbing {
+				arrive[j] = 0
 			}
 		}
 		for i := lo; i < hi; i++ {
@@ -186,7 +221,7 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 				}
 				dst[i] = acc
 			} else {
-				acc := 0.0
+				acc := absorbed[i]
 				for k, j := range cols {
 					acc += vals[k] * arrive[j]
 				}

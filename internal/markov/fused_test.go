@@ -128,11 +128,15 @@ func TestFusedScratchReuse(t *testing.T) {
 }
 
 // TestFusedCostGathersOncePerEdge pins the cost kernel's arithmetic to
-// the recurrence as written, acc += a_ij·(enter_j + AC_t(j)) then one
-// division by d_i, bit for bit: the per-sweep Arrive vector hoists the
-// inner addition out of the edge loop without changing a single operation
-// or its order. One scratch serves chains of different sizes, so a stale
-// Arrive would show.
+// the recurrence as written, bit for bit: each row sums a_ij·enter_j over
+// its absorbing columns j first, ascending, then a_ij·(enter_j + AC_t(j))
+// over the others in column order, then divides once by d_i. The per-sweep
+// Arrive vector hoists the inner addition out of the edge loop, and the
+// per-call absorbed sums hoist the absorbing terms out of the sweeps,
+// without changing a single operation or its order. The absorbing states
+// sit inside the numbering (rows reach columns on both sides of them), and
+// one scratch serves chains of different sizes, so a stale Arrive or
+// absorbed would show.
 func TestFusedCostGathersOncePerEdge(t *testing.T) {
 	var scr ChainScratch
 	for q, n := range []int{30, 12, 50} {
@@ -142,26 +146,34 @@ func TestFusedCostGathersOncePerEdge(t *testing.T) {
 		for i := range enter {
 			enter[i] = 0.05 + rng.Float64()*2
 		}
+		absorbing := func(j int) bool { return j == n/3 || j == n/2 }
 		const tau = 9
 		cur, nxt := make([]float64, n), make([]float64, n)
 		for s := 0; s < tau; s++ {
 			for i := 0; i < n; i++ {
 				d := ch.Degree(i)
-				if i == 1 || i == 2 || d == 0 {
+				if absorbing(i) || d == 0 {
 					nxt[i] = cur[i] // absorbing states stay 0, isolated ones frozen
 					continue
 				}
 				cols, vals := ch.adj.Row(i)
 				acc := 0.0
 				for k, j := range cols {
-					acc += vals[k] * (enter[j] + cur[j])
+					if absorbing(j) {
+						acc += vals[k] * enter[j]
+					}
+				}
+				for k, j := range cols {
+					if !absorbing(j) {
+						acc += vals[k] * (enter[j] + cur[j])
+					}
 				}
 				nxt[i] = acc / d
 			}
 			cur, nxt = nxt, cur
 		}
 		scr.Resize(n)
-		scr.Mask[1], scr.Mask[2] = true, true
+		scr.Mask[n/3], scr.Mask[n/2] = true, true
 		got, err := ch.AbsorbingCostFused(&scr, enter, tau)
 		if err != nil {
 			t.Fatal(err)
