@@ -95,14 +95,16 @@ serving-pairs:
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
 # for the extractor, the live graph (closed- and open-universe), the WAL
-# record decoder against torn and corrupted log tails, the fingerprint
-# cache's serve-stale-never soundness property and the /v1/recommend
-# append encoder's byte equality with encoding/json (CI runs the seed
-# corpus via `make test` plus a 10s smoke; this explores further).
+# record decoder against torn and corrupted log tails, the fleet
+# checkpoint decoder every restart reads, the fingerprint cache's
+# serve-stale-never soundness property and the /v1/recommend append
+# encoder's byte equality with encoding/json (CI runs the seed corpus via
+# `make test` plus a 10s smoke; this explores further).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSubgraphExtract -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzBuilderAddRating -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzUpsertRatingAutoGrow -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzLoadAnyFleetCheckpoint -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprintSoundness -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRecommendEncoding -fuzztime 30s ./internal/server/

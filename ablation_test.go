@@ -1,8 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // truncation depth τ, the entropy-cost signal itself, the user→item cost
-// constant C, subgraph-vs-whole-graph ranking agreement, the four factor
-// models on the long-tail recall protocol, and the spread (variance) of
-// the absorbing-time ranking signal. Run with
+// constant C, subgraph-vs-whole-graph ranking agreement, and the spread
+// (variance) of the absorbing-time ranking signal. Run with
 // `go test -bench=Ablation -benchmem`.
 package longtail_test
 
@@ -15,7 +14,6 @@ import (
 	"longtailrec"
 	"longtailrec/internal/core"
 	"longtailrec/internal/entropy"
-	"longtailrec/internal/eval"
 	"longtailrec/internal/markov"
 	"longtailrec/internal/topk"
 )
@@ -137,40 +135,6 @@ func BenchmarkAblationUserCost(b *testing.B) {
 			}
 			if i == 0 && slots > 0 {
 				fmt.Printf("C=%.2f: mean recommended popularity %.1f\n", c, meanPop/float64(slots))
-			}
-		}
-	}
-}
-
-// BenchmarkAblationFactorModels runs the long-tail Recall@N protocol over
-// the four factorization baselines (PureSVD, BiasedMF, SVD++, AsySVD) —
-// probing the Cremonesi et al. claim §5.1.1 relies on when it picks
-// PureSVD as the representative matrix-factorization competitor. (On the
-// small synthetic corpus the SGD models can out-recall PureSVD; the paper's
-// point — that none of them reach the tail the way the walk methods do —
-// is what Figure 5 tests.)
-func BenchmarkAblationFactorModels(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	var recs []longtail.Recommender
-	for _, name := range []string{"PureSVD", "BiasedMF", "SVDPP", "AsySVD"} {
-		r, err := env.Sys.Algorithm(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		recs = append(recs, r)
-	}
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := eval.Recall(recs, env.Split.Train, env.Split.Test,
-			eval.RecallOptions{NumNegatives: scale.Negatives, MaxN: scale.MaxN, Seed: 9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, res := range results {
-				fmt.Printf("%-9s recall@10=%.3f recall@50=%.3f\n",
-					res.Name, res.Recall[9], res.Recall[scale.MaxN-1])
 			}
 		}
 	}

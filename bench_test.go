@@ -240,12 +240,7 @@ func BenchmarkQueryAC2(b *testing.B)         { benchAlgorithmQuery(b, "AC2") }
 func BenchmarkQueryDPPR(b *testing.B)        { benchAlgorithmQuery(b, "DPPR") }
 func BenchmarkQueryPureSVD(b *testing.B)     { benchAlgorithmQuery(b, "PureSVD") }
 func BenchmarkQueryLDA(b *testing.B)         { benchAlgorithmQuery(b, "LDA") }
-func BenchmarkQueryUserKNN(b *testing.B)     { benchAlgorithmQuery(b, "UserKNN") }
-func BenchmarkQueryItemKNN(b *testing.B)     { benchAlgorithmQuery(b, "ItemKNN") }
 func BenchmarkQueryMostPopular(b *testing.B) { benchAlgorithmQuery(b, "MostPopular") }
-func BenchmarkQueryBiasedMF(b *testing.B)    { benchAlgorithmQuery(b, "BiasedMF") }
-func BenchmarkQuerySVDPP(b *testing.B)       { benchAlgorithmQuery(b, "SVDPP") }
-func BenchmarkQueryAsySVD(b *testing.B)      { benchAlgorithmQuery(b, "AsySVD") }
 
 // Hot-path microbenchmarks for the walk query engine (run with -benchmem;
 // allocs/op is the regression signal PERFORMANCE.md tracks).
@@ -283,7 +278,11 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 // sweeps) through the engine's compact scoring path.
 func BenchmarkWalkScores(b *testing.B) {
 	env := benchEnv(b, "movielens")
-	at, ok := env.Sys.AT().(interface {
+	rec, err := env.Sys.Algorithm("AT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	at, ok := rec.(interface {
 		ScoreItemsCompact(u int) ([]core.ItemScore, error)
 	})
 	if !ok {

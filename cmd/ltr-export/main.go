@@ -1,13 +1,14 @@
 // Command ltr-export converts ratings into the binary .ltrz container and
-// optionally trains and persists model artifacts next to it, so that
-// ltr-server (and any embedder of internal/persist) can skip the offline
-// phase at startup:
+// optionally trains and persists model artifacts next to it:
 //
 //	ltr-export -in ratings.tsv -format tsv -out corpus.ltrz
-//	ltr-export -in ratings.tsv -out corpus.ltrz -models lda,biasedmf,puresvd
+//	ltr-export -in ratings.tsv -out corpus.ltrz -models lda,puresvd
 //	ltr-export -synthetic movielens -out demo.ltrz
 //
-// Model artifacts are written as <out base>.<model>.ltrz.
+// ltr-server loads the dataset container (-format ltrz), which skips
+// parsing the ratings text; it trains its models itself and reads none
+// of the model artifacts. Those are written as <out base>.<model>.ltrz for
+// embedders of internal/persist (persist.LoadLDA, persist.LoadPureSVD).
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"longtailrec"
 	"longtailrec/internal/dataset"
 	"longtailrec/internal/lda"
-	"longtailrec/internal/mf"
 	"longtailrec/internal/persist"
 	"longtailrec/internal/svd"
 )
@@ -32,7 +32,7 @@ func main() {
 		format    = flag.String("format", "tsv", "input format: tsv, csv or movielens")
 		out       = flag.String("out", "", "output .ltrz path (required)")
 		synthetic = flag.String("synthetic", "", "export a synthetic corpus instead: movielens or douban")
-		models    = flag.String("models", "", "comma-separated models to train and persist: lda, biasedmf, puresvd")
+		models    = flag.String("models", "", "comma-separated models to train and persist: lda, puresvd")
 		topics    = flag.Int("topics", 20, "LDA topics")
 		rank      = flag.Int("rank", 50, "PureSVD rank")
 		seed      = flag.Int64("seed", 42, "training / synthesis seed")
@@ -76,14 +76,6 @@ func run(in, format, out, synthetic, models string, topics, rank int, seed int64
 				return fmt.Errorf("train lda: %w", err)
 			}
 			saveErr = persist.SaveFile(path, func(w io.Writer) error { return persist.SaveLDA(w, m) })
-		case "biasedmf":
-			opts := mf.DefaultOptions()
-			opts.Seed = seed
-			m, err := mf.TrainBiasedMF(data, opts)
-			if err != nil {
-				return fmt.Errorf("train biasedmf: %w", err)
-			}
-			saveErr = persist.SaveFile(path, func(w io.Writer) error { return persist.SaveBiasedMF(w, m) })
 		case "puresvd":
 			effRank := rank
 			if maxRank := min(data.NumUsers(), data.NumItems()); effRank > maxRank {
@@ -95,7 +87,7 @@ func run(in, format, out, synthetic, models string, topics, rank int, seed int64
 			}
 			saveErr = persist.SaveFile(path, func(w io.Writer) error { return persist.SavePureSVD(w, m) })
 		default:
-			return fmt.Errorf("unknown model %q (want lda, biasedmf or puresvd)", model)
+			return fmt.Errorf("unknown model %q (want lda or puresvd)", model)
 		}
 		if saveErr != nil {
 			return saveErr

@@ -43,8 +43,6 @@ func batchLists(sys *System, algo string, users []int, k, parallelism int) ([][]
 // thread-safety of the pooled walk query engine, the adapters' models and
 // the System's lazy recommender cache.
 func TestConcurrentRecommendSharedSystem(t *testing.T) {
-	// A 70-node graph: CommuteTime solves one linear system per node and
-	// query (seconds on smallSystem's 320 nodes).
 	w, err := synth.Generate(synth.Config{
 		NumUsers: 30, NumItems: 40, NumGenres: 3,
 		MeanRatingsPerUser: 8, MinRatingsPerUser: 4, Seed: 11,
@@ -103,8 +101,7 @@ func TestConcurrentRecommendSharedSystem(t *testing.T) {
 
 // TestConcurrentBatchDeterministic checks that a batch returns, item for
 // item, what one single request per user returns — for every walk
-// algorithm and regardless of parallelism. (The kNN baselines sum over Go
-// maps, so two runs of one query already differ in the last float bit.)
+// algorithm and regardless of parallelism.
 func TestConcurrentBatchDeterministic(t *testing.T) {
 	sys, _ := smallSystem(t, 12)
 	users, err := sys.Data().SampleUsers(rand.New(rand.NewSource(4)), 15, 3)
@@ -317,7 +314,7 @@ func TestConcurrentOpenUniverseServing(t *testing.T) {
 		t.Errorf("universe %d/%d, want %d/%d", nu, ni, baseUsers+newcomers, baseItems+newcomers)
 	}
 	// The newest user is immediately servable by the live walk engine.
-	recs, err := RecommendItems(sys.AT(), nu-1, 5)
+	recs, err := RecommendItems(mustAlgorithm(t, sys, "AT"), nu-1, 5)
 	if err != nil {
 		t.Fatalf("recommend for grown user: %v", err)
 	}

@@ -39,7 +39,11 @@ func main() {
 	const u5 = 4
 	fmt.Println("Recommendations for U5 (likes action: rated M2, M3):")
 
-	recs, err := longtail.RecommendItems(sys.HT(), u5, 4)
+	ht, err := sys.Algorithm("HT")
+	if err != nil {
+		log.Fatal(err)
+	}
+	recs, err := longtail.RecommendItems(ht, u5, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +53,11 @@ func main() {
 	}
 
 	// For contrast: what a pure popularity ranking would suggest.
-	popRecs, err := longtail.RecommendItems(sys.MostPopular(), u5, 1)
+	mostPopular, err := sys.Algorithm("MostPopular")
+	if err != nil {
+		log.Fatal(err)
+	}
+	popRecs, err := longtail.RecommendItems(mostPopular, u5, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

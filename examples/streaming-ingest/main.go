@@ -89,7 +89,11 @@ func run() error {
 		return err
 	}
 	const user = 7
-	recs, err := longtail.RecommendItems(sys.AT(), user, 5)
+	at, err := sys.Algorithm("AT")
+	if err != nil {
+		return err
+	}
+	recs, err := longtail.RecommendItems(at, user, 5)
 	if err != nil {
 		return err
 	}
@@ -115,7 +119,6 @@ func run() error {
 	// --- The live-update flow ---------------------------------------------
 	// 1. Repeat queries against an unchanged graph hit the epoch-keyed
 	//    result cache: the walk recomputes nothing.
-	at := sys.AT()
 	for q := 0; q < 3; q++ { // one miss, then hits
 		if _, err := longtail.RecommendItems(at, user, 5); err != nil {
 			return err
@@ -172,7 +175,7 @@ func run() error {
 	//    grows instead of rejecting the cold-start write.
 	newUser := reloaded.NumUsers() // first id past the snapshot
 	newItem := reloaded.NumItems()
-	taste, _ := longtail.RecommendItems(sys.AT(), user, 3) // borrow an existing taste cluster
+	taste, _ := longtail.RecommendItems(at, user, 3) // borrow an existing taste cluster
 	if _, _, err := sys.ApplyRating(newUser, newItem, 5); err != nil {
 		return err
 	}

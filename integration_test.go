@@ -93,15 +93,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Sales diversity: the LDA baseline must concentrate exposure harder
 	// than the absorbing-walk family.
-	ldaRec, err := sys.LDA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac2, err := sys.AC2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sales, err := eval.MeasureSalesDiversity([]Recommender{ac2, ldaRec}, split.Train, panel, 10)
+	sales, err := eval.MeasureSalesDiversity([]Recommender{mustAlgorithm(t, sys, "AC2"), mustAlgorithm(t, sys, "LDA")}, split.Train, panel, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
-// Package cf implements the classic neighborhood collaborative-filtering
-// baselines the paper discusses in Sections 1–2: user-based kNN with
-// Pearson or cosine similarity, item-based kNN, and the MostPopular
-// non-personalized ranking. These recommenders exhibit exactly the
-// popularity bias the paper's graph algorithms are designed to beat, which
-// makes them useful comparators in the evaluation harness.
+// Package cf holds the two neighborhood indexes the library still serves:
+// the item-based cosine kNN index behind the "similar items" view, and the
+// MostPopular non-personalized ranking — the popularity-biased baseline
+// the paper's graph algorithms are designed to beat.
 package cf
 
 import (
@@ -14,110 +12,8 @@ import (
 	"longtailrec/internal/dataset"
 )
 
-// Similarity selects the user/item similarity measure.
-type Similarity int
-
-const (
-	// Cosine similarity over the co-rated profile vectors.
-	Cosine Similarity = iota
-	// Pearson correlation over co-rated items (mean-centered per user).
-	Pearson
-)
-
-func (s Similarity) String() string {
-	switch s {
-	case Cosine:
-		return "cosine"
-	case Pearson:
-		return "pearson"
-	default:
-		return fmt.Sprintf("Similarity(%d)", int(s))
-	}
-}
-
-// profile is a sparse rating vector keyed by item (or user).
+// profile is a sparse rating vector keyed by user.
 type profile map[int]float64
-
-// UserKNN is a user-based k-nearest-neighbor recommender.
-type UserKNN struct {
-	data     *dataset.Dataset
-	k        int
-	sim      Similarity
-	profiles []profile // per user: item -> score
-	means    []float64 // per user mean rating (for Pearson)
-}
-
-// NewUserKNN builds the index. k is the neighborhood size.
-func NewUserKNN(d *dataset.Dataset, k int, sim Similarity) (*UserKNN, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("cf: k %d, need >= 1", k)
-	}
-	u := &UserKNN{data: d, k: k, sim: sim,
-		profiles: make([]profile, d.NumUsers()),
-		means:    make([]float64, d.NumUsers())}
-	for user := 0; user < d.NumUsers(); user++ {
-		rs := d.UserRatings(user)
-		p := make(profile, len(rs))
-		total := 0.0
-		for _, r := range rs {
-			p[r.Item] = r.Score
-			total += r.Score
-		}
-		u.profiles[user] = p
-		if len(rs) > 0 {
-			u.means[user] = total / float64(len(rs))
-		}
-	}
-	return u, nil
-}
-
-// similarity computes the configured similarity between users a and b.
-func (u *UserKNN) similarity(a, b int) float64 {
-	pa, pb := u.profiles[a], u.profiles[b]
-	if len(pa) > len(pb) {
-		pa, pb = pb, pa
-		a, b = b, a
-	}
-	switch u.sim {
-	case Cosine:
-		dot := 0.0
-		for item, wa := range pa {
-			if wb, ok := pb[item]; ok {
-				dot += wa * wb
-			}
-		}
-		if dot == 0 {
-			return 0
-		}
-		na, nb := 0.0, 0.0
-		for _, w := range pa {
-			na += w * w
-		}
-		for _, w := range pb {
-			nb += w * w
-		}
-		return dot / math.Sqrt(na*nb)
-	case Pearson:
-		ma, mb := u.means[a], u.means[b]
-		var num, da, db float64
-		for item, wa := range pa {
-			wb, ok := pb[item]
-			if !ok {
-				continue
-			}
-			xa, xb := wa-ma, wb-mb
-			num += xa * xb
-			da += xa * xa
-			db += xb * xb
-		}
-		if da == 0 || db == 0 {
-			return 0
-		}
-		return num / math.Sqrt(da*db)
-	default:
-		panic(fmt.Sprintf("cf: unknown similarity %d", int(u.sim)))
-	}
-}
 
 // neighbor couples a candidate with its similarity.
 type neighbor struct {
@@ -125,57 +21,8 @@ type neighbor struct {
 	sim float64
 }
 
-// Neighbors returns the k most similar users to u (positive similarity
-// only), sorted by descending similarity.
-func (u *UserKNN) Neighbors(user int) []neighbor {
-	// Candidate users: anyone sharing at least one item.
-	cands := make(map[int]struct{})
-	for item := range u.profiles[user] {
-		for _, r := range u.data.ItemRatings(item) {
-			if r.User != user {
-				cands[r.User] = struct{}{}
-			}
-		}
-	}
-	nbrs := make([]neighbor, 0, len(cands))
-	for c := range cands {
-		if s := u.similarity(user, c); s > 0 {
-			nbrs = append(nbrs, neighbor{id: c, sim: s})
-		}
-	}
-	sort.Slice(nbrs, func(a, b int) bool {
-		if nbrs[a].sim != nbrs[b].sim {
-			return nbrs[a].sim > nbrs[b].sim
-		}
-		return nbrs[a].id < nbrs[b].id
-	})
-	if len(nbrs) > u.k {
-		nbrs = nbrs[:u.k]
-	}
-	return nbrs
-}
-
-// ScoreAll fills out[i] with the similarity-weighted neighborhood score of
-// item i for the user: Σ_{v∈N(u)} sim(u,v)·w(v,i). Items rated by the user
-// are still scored; callers exclude them when ranking.
-func (u *UserKNN) ScoreAll(user int, out []float64) []float64 {
-	ni := u.data.NumItems()
-	if len(out) != ni {
-		out = make([]float64, ni)
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	for _, nb := range u.Neighbors(user) {
-		for item, w := range u.profiles[nb.id] {
-			out[item] += nb.sim * w
-		}
-	}
-	return out
-}
-
-// ItemKNN is an item-based kNN recommender: score(u,i) is the
-// similarity-weighted sum over the user's rated items.
+// ItemKNN is an item-based kNN index: cosine similarity over the
+// item-user rating vectors, keeping each item's k most similar items.
 type ItemKNN struct {
 	data     *dataset.Dataset
 	k        int
@@ -222,25 +69,6 @@ func (m *ItemKNN) similarity(a, b int) float64 {
 		nb += w * w
 	}
 	return dot / math.Sqrt(na*nb)
-}
-
-// ScoreAll fills out[i] = Σ_{j∈S_u} sim(i,j)·w(u,j), restricting each rated
-// item's influence to its k most similar items.
-func (m *ItemKNN) ScoreAll(user int, out []float64) []float64 {
-	ni := m.data.NumItems()
-	if len(out) != ni {
-		out = make([]float64, ni)
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	for _, r := range m.data.UserRatings(user) {
-		sims := m.topSimilar(r.Item)
-		for _, nb := range sims {
-			out[nb.id] += nb.sim * r.Score
-		}
-	}
-	return out
 }
 
 // SimilarItem pairs an item with its cosine similarity to a query item.

@@ -2,7 +2,6 @@ package cf
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"longtailrec/internal/dataset"
@@ -10,8 +9,8 @@ import (
 
 func smallDataset(t testing.TB) *dataset.Dataset {
 	t.Helper()
-	// Users 0,1 agree on items 0-2; user 2 is anti-correlated; user 3
-	// rates a disjoint set.
+	// Users 0,1 agree on items 0-2; user 2 disagrees; user 3 rates a
+	// disjoint set.
 	d, err := dataset.New(4, 6, []dataset.Rating{
 		{User: 0, Item: 0, Score: 5}, {User: 0, Item: 1, Score: 4}, {User: 0, Item: 2, Score: 1},
 		{User: 1, Item: 0, Score: 5}, {User: 1, Item: 1, Score: 5}, {User: 1, Item: 2, Score: 1}, {User: 1, Item: 3, Score: 5},
@@ -24,100 +23,24 @@ func smallDataset(t testing.TB) *dataset.Dataset {
 	return d
 }
 
-func TestUserKNNValidation(t *testing.T) {
-	d := smallDataset(t)
-	if _, err := NewUserKNN(d, 0, Cosine); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
-func TestSimilarityStrings(t *testing.T) {
-	if Cosine.String() != "cosine" || Pearson.String() != "pearson" {
-		t.Fatal("similarity names wrong")
-	}
-	if Similarity(9).String() == "" {
-		t.Fatal("unknown similarity has empty name")
-	}
-}
-
-func TestUserKNNNeighborsOrdering(t *testing.T) {
-	d := smallDataset(t)
-	knn, err := NewUserKNN(d, 3, Pearson)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbrs := knn.Neighbors(0)
-	// User 1 agrees with user 0; user 2 is anti-correlated (negative
-	// Pearson, filtered); user 3 shares nothing.
-	if len(nbrs) != 1 || nbrs[0].id != 1 {
-		t.Fatalf("neighbors of 0 = %+v, want just user 1", nbrs)
-	}
-	if nbrs[0].sim <= 0 {
-		t.Fatalf("similarity %v", nbrs[0].sim)
-	}
-}
-
-func TestUserKNNCosineNeighbors(t *testing.T) {
-	d := smallDataset(t)
-	knn, err := NewUserKNN(d, 10, Cosine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbrs := knn.Neighbors(0)
-	// Cosine over raw scores is positive for both co-raters.
-	if len(nbrs) != 2 {
-		t.Fatalf("neighbors = %+v", nbrs)
-	}
-	if nbrs[0].id != 1 {
-		t.Fatalf("most similar should be user 1, got %d", nbrs[0].id)
-	}
-	for k := 1; k < len(nbrs); k++ {
-		if nbrs[k].sim > nbrs[k-1].sim {
-			t.Fatal("neighbors not sorted")
-		}
-	}
-}
-
-func TestUserKNNRecommendsNeighborItem(t *testing.T) {
-	d := smallDataset(t)
-	knn, err := NewUserKNN(d, 2, Pearson)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := knn.ScoreAll(0, nil)
-	// User 1 (the only positive neighbor) rated item 3 with 5: item 3 must
-	// outscore items 4 and 5, which no neighbor rated.
-	if !(scores[3] > scores[4] && scores[3] > scores[5]) {
-		t.Fatalf("scores = %v", scores)
-	}
-}
-
-func TestUserKNNRespectsK(t *testing.T) {
-	d := smallDataset(t)
-	knn, err := NewUserKNN(d, 1, Cosine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nbrs := knn.Neighbors(0); len(nbrs) != 1 {
-		t.Fatalf("k=1 returned %d neighbors", len(nbrs))
-	}
-}
-
-func TestIdenticalUsersPerfectSimilarity(t *testing.T) {
-	d, err := dataset.New(2, 3, []dataset.Rating{
-		{User: 0, Item: 0, Score: 2}, {User: 0, Item: 1, Score: 4},
-		{User: 1, Item: 0, Score: 2}, {User: 1, Item: 1, Score: 4},
+func TestIdenticalItemsPerfectSimilarity(t *testing.T) {
+	d, err := dataset.New(3, 2, []dataset.Rating{
+		{User: 0, Item: 0, Score: 2}, {User: 1, Item: 0, Score: 4},
+		{User: 0, Item: 1, Score: 2}, {User: 1, Item: 1, Score: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	knn, err := NewUserKNN(d, 5, Cosine)
+	knn, err := NewItemKNN(d, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrs := knn.Neighbors(0)
-	if len(nbrs) != 1 || math.Abs(nbrs[0].sim-1) > 1e-12 {
-		t.Fatalf("identical users similarity %+v", nbrs)
+	sims, err := knn.SimilarItems(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sims) != 1 || sims[0].Item != 1 || math.Abs(sims[0].Similarity-1) > 1e-12 {
+		t.Fatalf("identical items similarity %+v", sims)
 	}
 }
 
@@ -127,7 +50,18 @@ func TestItemKNNScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := knn.ScoreAll(0, nil)
+	// Item-based kNN score for user 0: each rated item adds its score
+	// times the similarity to every neighbor it keeps.
+	scores := make([]float64, d.NumItems())
+	for _, r := range d.UserRatings(0) {
+		sims, err := knn.SimilarItems(r.Item, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sims {
+			scores[s.Item] += r.Score * s.Similarity
+		}
+	}
 	// Item 3 is rated by user 1 who also rated 0,1,2 like user 0; item 5
 	// is only rated by the disjoint user 3 and must score 0.
 	if scores[3] <= 0 {
@@ -162,81 +96,11 @@ func TestMostPopular(t *testing.T) {
 }
 
 func TestScoreAllBufferReuse(t *testing.T) {
-	d := smallDataset(t)
-	knn, err := NewUserKNN(d, 2, Cosine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := knn.ScoreAll(0, nil)
-	buf2 := knn.ScoreAll(1, buf)
+	mp := NewMostPopular(smallDataset(t))
+	buf := mp.ScoreAll(0, nil)
+	buf2 := mp.ScoreAll(1, buf)
 	if &buf2[0] != &buf[0] {
 		t.Fatal("buffer not reused")
-	}
-}
-
-func TestPopularityBiasOnSkewedData(t *testing.T) {
-	// On a popularity-skewed corpus, user-kNN must put head items at the
-	// top — the very failure mode the paper attacks. This guards the
-	// baseline's fidelity.
-	rng := rand.New(rand.NewSource(1))
-	var ratings []dataset.Rating
-	const nu, ni = 50, 30
-	for u := 0; u < nu; u++ {
-		seen := map[int]bool{}
-		for n := 0; n < 8; n++ {
-			// Zipf-ish: item index squared-biased toward 0.
-			i := int(math.Floor(float64(ni) * math.Pow(rng.Float64(), 2)))
-			if i >= ni {
-				i = ni - 1
-			}
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-			ratings = append(ratings, dataset.Rating{User: u, Item: i, Score: float64(3 + rng.Intn(3))})
-		}
-	}
-	d, err := dataset.New(nu, ni, ratings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knn, err := NewUserKNN(d, 10, Cosine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop := d.ItemPopularity()
-	// Average popularity of each user's top unrated item must exceed the
-	// catalog mean popularity.
-	meanPop := 0.0
-	for _, p := range pop {
-		meanPop += float64(p)
-	}
-	meanPop /= float64(ni)
-	topPop, count := 0.0, 0
-	scores := make([]float64, ni)
-	for u := 0; u < nu; u++ {
-		scores = knn.ScoreAll(u, scores)
-		rated := d.UserItemSet(u)
-		best, bestScore := -1, math.Inf(-1)
-		for i, s := range scores {
-			if _, ok := rated[i]; ok {
-				continue
-			}
-			if s > bestScore {
-				best, bestScore = i, s
-			}
-		}
-		if best >= 0 && bestScore > 0 {
-			topPop += float64(pop[best])
-			count++
-		}
-	}
-	if count == 0 {
-		t.Skip("no recommendations produced")
-	}
-	if topPop/float64(count) <= meanPop {
-		t.Fatalf("user-kNN top recs popularity %.2f not above catalog mean %.2f — baseline lost its popularity bias",
-			topPop/float64(count), meanPop)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // ScoreFunc computes higher-is-better item scores for a user.
 type ScoreFunc func(u int) ([]float64, error)
 
-// FuncRecommender adapts any score function (LDA, PureSVD, DPPR, kNN,
-// popularity, association rules, ...) to the Recommender interface, using
-// the graph to exclude already-rated items from Recommend.
+// FuncRecommender adapts any score function (LDA, PureSVD, DPPR,
+// popularity) to the Recommender interface, using the graph to exclude
+// already-rated items from Recommend.
 //
 // The wrapped model scores the universe it was trained on, frozen at
 // construction time. The graph, by contrast, is live and may grow: users

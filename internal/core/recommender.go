@@ -2,7 +2,7 @@
 // graph-based long-tail recommenders — Hitting Time (§3.3), Absorbing Time
 // (§4.1, Algorithm 1) and the two entropy-biased Absorbing Cost variants
 // (§4.2) — behind a single Recommender interface, plus adapters that wrap
-// the score-based baselines (LDA, PureSVD, DPPR, kNN, popularity) so the
+// the score-based baselines (LDA, PureSVD, DPPR, popularity) so the
 // evaluation harness can treat every algorithm uniformly.
 //
 // All recommenders expose higher-is-better item scores; the random-walk

@@ -92,6 +92,19 @@ func (e *Env) Suite() ([]longtail.Recommender, error) {
 	return e.Sys.PaperSuite()
 }
 
+// algorithms resolves registry names on sys, in order.
+func algorithms(sys *longtail.System, names ...string) ([]longtail.Recommender, error) {
+	recs := make([]longtail.Recommender, len(names))
+	for i, name := range names {
+		rec, err := sys.Algorithm(name)
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = rec
+	}
+	return recs, nil
+}
+
 // renderTable formats rows of label→values with a header.
 func renderTable(title string, header []string, rows [][]string) string {
 	var b strings.Builder
@@ -149,7 +162,11 @@ func Figure2() (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := longtail.RecommendItems(sys.HT(), 4, 4)
+	ht, err := sys.Algorithm("HT")
+	if err != nil {
+		return nil, err
+	}
+	recs, err := longtail.RecommendItems(ht, 4, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -367,11 +384,11 @@ func Table4(env *Env, mus []int) (*MuSweep, error) {
 		if err != nil {
 			return nil, err
 		}
-		ac2, err := sys.AC2()
+		ac2, err := algorithms(sys, "AC2")
 		if err != nil {
 			return nil, err
 		}
-		ms, err := eval.Lists([]longtail.Recommender{ac2}, env.Split.Train, env.Panel, eval.ListOptions{
+		ms, err := eval.Lists(ac2, env.Split.Train, env.Panel, eval.ListOptions{
 			ListSize: env.Scale.ListSize,
 			Ontology: env.World.Ontology,
 		})
@@ -412,19 +429,10 @@ type StudyPanel struct {
 // Table6 runs the simulated user study over the four algorithms of the
 // paper's survey: AC2, DPPR, PureSVD, LDA.
 func Table6(env *Env) (*StudyPanel, error) {
-	ac2, err := env.Sys.AC2()
+	recs, err := algorithms(env.Sys, "AC2", "DPPR", "PureSVD", "LDA")
 	if err != nil {
 		return nil, err
 	}
-	psvd, err := env.Sys.PureSVD()
-	if err != nil {
-		return nil, err
-	}
-	ldaRec, err := env.Sys.LDA()
-	if err != nil {
-		return nil, err
-	}
-	recs := []longtail.Recommender{ac2, env.Sys.DPPR(), psvd, ldaRec}
 	evaluators := env.Panel
 	if len(evaluators) > env.Scale.Evaluators {
 		evaluators = evaluators[:env.Scale.Evaluators]
@@ -467,11 +475,11 @@ func SalesDiversityExperiment(env *Env) (*SalesDiversityPanel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ac3, err := env.Sys.AC3()
+	extra, err := algorithms(env.Sys, "AC3", "MostPopular")
 	if err != nil {
 		return nil, err
 	}
-	recs := append(append([]longtail.Recommender{}, suite...), ac3, env.Sys.MostPopular())
+	recs := append(append([]longtail.Recommender{}, suite...), extra...)
 	res, err := eval.MeasureSalesDiversity(recs, env.Split.Train, env.Panel, env.Scale.ListSize)
 	if err != nil {
 		return nil, err
@@ -548,7 +556,11 @@ func BeyondAccuracyExperiment(env *Env) (*BeyondAccuracyPanel, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := append(append([]longtail.Recommender{}, suite...), env.Sys.MostPopular())
+	floor, err := algorithms(env.Sys, "MostPopular")
+	if err != nil {
+		return nil, err
+	}
+	recs := append(append([]longtail.Recommender{}, suite...), floor...)
 	res, err := eval.MeasureBeyondAccuracy(recs, env.Split.Train, env.Panel, eval.BeyondAccuracyOptions{
 		ListSize: env.Scale.ListSize,
 		Ontology: env.World.Ontology,

@@ -103,18 +103,6 @@ func Personalized(g *graph.Bipartite, restart []int, opts Options) ([]float64, e
 	return cur, nil
 }
 
-// ItemScores extracts the per-item slice of a node-indexed PPR vector.
-// Items admitted after the vector was computed score 0.
-func ItemScores(g *graph.Bipartite, ppr []float64) []float64 {
-	out := make([]float64, g.NumItems())
-	for i := range out {
-		if v := g.ItemNode(i); v < len(ppr) {
-			out[i] = ppr[v]
-		}
-	}
-	return out
-}
-
 // Discounted computes DPPR item scores (Eq. 15): the personalized PageRank
 // of each item divided by its popularity (rating frequency). Items never
 // rated keep score 0 — the walk cannot reach them anyway.

@@ -94,15 +94,15 @@ func TestPPRFavorsPopularDPPRFavorsNiche(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := ItemScores(g, ppr)
 	dppr, err := Discounted(g, restart, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = u
 	// M1 (item 0, popularity 3) vs M4 (item 3, popularity 1).
-	if items[0] <= items[3] {
-		t.Fatalf("premise: PPR should favor popular M1 (%v) over niche M4 (%v)", items[0], items[3])
+	m1, m4 := ppr[g.ItemNode(0)], ppr[g.ItemNode(3)]
+	if m1 <= m4 {
+		t.Fatalf("premise: PPR should favor popular M1 (%v) over niche M4 (%v)", m1, m4)
 	}
 	if dppr[3] <= dppr[0] {
 		t.Fatalf("DPPR should favor niche M4 (%v) over popular M1 (%v)", dppr[3], dppr[0])

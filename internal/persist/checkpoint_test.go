@@ -12,7 +12,7 @@ import (
 	"longtailrec/internal/graph"
 )
 
-func checkpointFixture(t *testing.T) *FleetCheckpoint {
+func checkpointFixture(t testing.TB) *FleetCheckpoint {
 	t.Helper()
 	g, err := graph.FromRatings(3, 4, []graph.Rating{
 		{User: 0, Item: 0, Weight: 3},

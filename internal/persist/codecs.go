@@ -1,4 +1,4 @@
-// Per-type codecs: Dataset, LDA model, BiasedMF, PureSVD.
+// Per-type codecs: Dataset, Graph, LDA model, PureSVD.
 
 package persist
 
@@ -10,7 +10,6 @@ import (
 	"longtailrec/internal/graph"
 	"longtailrec/internal/lda"
 	"longtailrec/internal/linalg"
-	"longtailrec/internal/mf"
 	"longtailrec/internal/svd"
 )
 
@@ -162,50 +161,6 @@ func LoadLDA(r io.Reader) (*lda.Model, error) {
 	}
 	if m.NumItems() != ni {
 		return nil, fmt.Errorf("persist: decoded LDA model has %d items, header says %d", m.NumItems(), ni)
-	}
-	return m, nil
-}
-
-// SaveBiasedMF writes a trained BiasedMF container.
-func SaveBiasedMF(w io.Writer, m *mf.BiasedMF) error {
-	if m == nil {
-		return fmt.Errorf("persist: nil BiasedMF model")
-	}
-	p := m.Params()
-	var e enc
-	e.i(p.NumUsers)
-	e.i(p.NumItems)
-	e.i(p.Factors)
-	e.f64(p.Mu)
-	e.f64s(p.BU)
-	e.f64s(p.BI)
-	e.f64s(p.P)
-	e.f64s(p.Q)
-	return writeContainer(w, KindBiasedMF, e.buf)
-}
-
-// LoadBiasedMF reads a trained BiasedMF container.
-func LoadBiasedMF(r io.Reader) (*mf.BiasedMF, error) {
-	payload, err := readContainer(r, KindBiasedMF)
-	if err != nil {
-		return nil, err
-	}
-	d := dec{buf: payload}
-	var p mf.BiasedMFParams
-	p.NumUsers = d.i()
-	p.NumItems = d.i()
-	p.Factors = d.i()
-	p.Mu = d.f64()
-	p.BU = d.f64s()
-	p.BI = d.f64s()
-	p.P = d.f64s()
-	p.Q = d.f64s()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	m, err := mf.FromBiasedMFParams(p)
-	if err != nil {
-		return nil, fmt.Errorf("persist: decoded BiasedMF invalid: %w", err)
 	}
 	return m, nil
 }

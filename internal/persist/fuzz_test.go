@@ -5,18 +5,7 @@ import (
 	"testing"
 
 	"longtailrec/internal/dataset"
-	"longtailrec/internal/mf"
 )
-
-// trainTinyMF fits a minimal model for fuzz seeds.
-func trainTinyMF(f *testing.F, d *dataset.Dataset) *mf.BiasedMF {
-	f.Helper()
-	m, err := mf.TrainBiasedMF(d, mf.Options{Factors: 2, Epochs: 2, Seed: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return m
-}
 
 // FuzzLoadDataset asserts the decoder never panics and never returns an
 // internally inconsistent dataset, whatever bytes it is fed. Run the seeds
@@ -64,37 +53,54 @@ func FuzzLoadDataset(f *testing.F) {
 	})
 }
 
-// FuzzLoadBiasedMF does the same for the model decoder, whose payload has
-// nested length-prefixed sections.
-func FuzzLoadBiasedMF(f *testing.F) {
-	d, err := dataset.New(4, 4, []dataset.Rating{
-		{User: 0, Item: 0, Score: 5},
-		{User: 1, Item: 1, Score: 3},
-		{User: 2, Item: 2, Score: 4},
-		{User: 3, Item: 3, Score: 2},
-	})
-	if err != nil {
+// FuzzLoadAnyFleetCheckpoint feeds the decoder every restart reads
+// (LoadAnyFleetCheckpoint) arbitrary payloads. The target frames each one
+// in a valid container — the legacy KindCheckpoint or the shared-base
+// KindSharedCheckpoint, picked by the kind byte's parity — so the
+// checksum passes and both payload decoders see every input. Rejection
+// is fine; a panic is not, and an accepted image must have the shape
+// recovery relies on: at least one shard, and a base universe split
+// inside the snapshot universe. Fuzz with
+// `go test -fuzz FuzzLoadAnyFleetCheckpoint ./internal/persist`.
+func FuzzLoadAnyFleetCheckpoint(f *testing.F) {
+	var shared, legacy bytes.Buffer
+	if err := SaveSharedFleetCheckpoint(&shared, sharedCheckpointFixture(f)); err != nil {
 		f.Fatal(err)
 	}
-	// A real trained model as the primary seed.
-	m := trainTinyMF(f, d)
-	var buf bytes.Buffer
-	if err := SaveBiasedMF(&buf, m); err != nil {
+	if err := SaveFleetCheckpoint(&legacy, checkpointFixture(f)); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])
-	mangled := append([]byte(nil), valid...)
-	mangled[20] ^= 0xFF
-	f.Add(mangled)
+	sharedPayload, legacyPayload := containerPayload(shared.Bytes()), containerPayload(legacy.Bytes())
+	f.Add(byte(KindSharedCheckpoint), sharedPayload)
+	f.Add(byte(KindCheckpoint), legacyPayload)
+	// Each payload framed as the other kind.
+	f.Add(byte(KindCheckpoint), sharedPayload)
+	f.Add(byte(KindSharedCheckpoint), legacyPayload)
+	f.Add(byte(KindSharedCheckpoint), sharedPayload[:len(sharedPayload)/2])
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		got, err := LoadBiasedMF(bytes.NewReader(raw))
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
+		k := KindCheckpoint // 6
+		if kind%2 == 1 {
+			k = KindSharedCheckpoint // 7
+		}
+		var buf bytes.Buffer
+		if err := writeContainer(&buf, k, payload); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadAnyFleetCheckpoint(&buf)
 		if err != nil {
 			return
 		}
-		// Accepted models must score without panicking.
-		_ = got.Score(0, 0)
+		if len(cp.Shards) < 1 {
+			t.Fatalf("accepted %v image with no shards", k)
+		}
+		if cp.BaseUsers < 0 || cp.BaseUsers > cp.Base.NumUsers || cp.BaseItems < 0 || cp.BaseItems > cp.Base.NumItems {
+			t.Fatalf("accepted %v image with base split (%d,%d) outside universe (%d,%d)",
+				k, cp.BaseUsers, cp.BaseItems, cp.Base.NumUsers, cp.Base.NumItems)
+		}
 	})
 }
+
+// containerPayload strips a container's 16-byte header and 4-byte
+// checksum, leaving the payload.
+func containerPayload(raw []byte) []byte { return raw[16 : len(raw)-4] }

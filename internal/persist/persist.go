@@ -1,7 +1,7 @@
-// Package persist serializes datasets and trained models to a compact,
-// versioned binary container so the expensive offline phase (LDA Gibbs
-// sampling, SVD, SGD factorization) runs once and the online phase —
-// cmd/ltr-server, batch scoring — loads in milliseconds.
+// Package persist serializes datasets, graphs, fleet checkpoints and
+// trained models (LDA, PureSVD) to a compact, versioned binary
+// container. ltr-server reads dataset containers (-format ltrz) and,
+// with -wal-dir, the fleet checkpoint on every restart.
 //
 // Container layout (all integers little-endian):
 //
@@ -34,8 +34,10 @@ type Kind uint16
 // Payload kinds. The numeric values are part of the on-disk format:
 // never reorder or reuse them.
 const (
-	KindDataset    Kind = 1
-	KindLDA        Kind = 2
+	KindDataset Kind = 1
+	KindLDA     Kind = 2
+	// KindBiasedMF is retired: its codec is gone and nothing writes or
+	// reads it. The value stays reserved so no other payload reuses it.
 	KindBiasedMF   Kind = 3
 	KindPureSVD    Kind = 4
 	KindGraph      Kind = 5

@@ -11,7 +11,6 @@ import (
 
 	"longtailrec/internal/dataset"
 	"longtailrec/internal/lda"
-	"longtailrec/internal/mf"
 	"longtailrec/internal/svd"
 )
 
@@ -134,9 +133,6 @@ func TestSaveNilInputs(t *testing.T) {
 	if err := SaveLDA(&buf, nil); err == nil {
 		t.Fatal("nil LDA accepted")
 	}
-	if err := SaveBiasedMF(&buf, nil); err == nil {
-		t.Fatal("nil BiasedMF accepted")
-	}
 	if err := SavePureSVD(&buf, nil); err == nil {
 		t.Fatal("nil PureSVD accepted")
 	}
@@ -171,31 +167,6 @@ func TestLDARoundTrip(t *testing.T) {
 		for i := 0; i < m.NumItems(); i++ {
 			if w, g := m.Score(u, i), got.Score(u, i); w != g {
 				t.Fatalf("score(%d,%d) changed: %v vs %v", u, i, g, w)
-			}
-		}
-	}
-}
-
-func TestBiasedMFRoundTrip(t *testing.T) {
-	d := testDataset(t)
-	m, err := mf.TrainBiasedMF(d, mf.Options{Factors: 4, Epochs: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveBiasedMF(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBiasedMF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < d.NumUsers(); u++ {
-		sa := m.ScoreAll(u, nil)
-		sb := got.ScoreAll(u, nil)
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("score(%d,%d) changed: %v vs %v", u, i, sb[i], sa[i])
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"longtailrec/internal/graph"
 )
 
-func sharedCheckpointFixture(t *testing.T) *SharedFleetCheckpoint {
+func sharedCheckpointFixture(t testing.TB) *SharedFleetCheckpoint {
 	t.Helper()
 	g, err := graph.FromRatings(3, 4, []graph.Rating{
 		{User: 0, Item: 0, Weight: 3},

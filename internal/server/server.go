@@ -69,6 +69,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -137,7 +138,8 @@ type Options struct {
 	// Addr is the listen address; "" means ":8080".
 	Addr string
 	// DefaultAlgorithm serves /v1/recommend when ?algo= is absent;
-	// "" means "AC2" (the paper's best variant).
+	// "" means "AC2" (the paper's best variant). It must be one of the
+	// Source's Algorithms.
 	DefaultAlgorithm string
 	// MaxK caps the ?k= parameter; <= 0 means 100.
 	MaxK int
@@ -196,12 +198,19 @@ type Server struct {
 }
 
 // New builds a Server. The Source must already be trained/indexed; New
-// precomputes the long-tail split so /v1/items answers in O(1).
+// precomputes the long-tail split so /v1/items answers in O(1). A
+// DefaultAlgorithm the Source does not list is refused: the server would
+// advertise it and fail every request that names no algorithm. The check
+// is by name only — nothing is resolved or trained.
 func New(src Source, opts Options) (*Server, error) {
 	if src == nil {
 		return nil, fmt.Errorf("server: nil source")
 	}
 	opts = opts.withDefaults()
+	if served := src.Algorithms(); !slices.Contains(served, opts.DefaultAlgorithm) {
+		return nil, fmt.Errorf("server: default algorithm %q is not served (want one of %s)",
+			opts.DefaultAlgorithm, strings.Join(served, ", "))
+	}
 	s := &Server{
 		src:     src,
 		opts:    opts,

@@ -90,6 +90,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnservedDefault: a default the source does not serve
+// would be advertised by /v1/algorithms and fail every request without
+// ?algo=, so New refuses it and names what is served.
+func TestNewRejectsUnservedDefault(t *testing.T) {
+	sys := testSystem(t)
+	served := strings.Join(sys.Algorithms(), ", ")
+	for _, name := range []string{"Nope", "Katz", "at"} {
+		_, err := New(sys, Options{DefaultAlgorithm: name, Logger: log.New(io.Discard, "", 0)})
+		if err == nil {
+			t.Fatalf("default algorithm %q accepted", name)
+		}
+		if !strings.Contains(err.Error(), served) {
+			t.Fatalf("default %q: error %q does not name the served list %q", name, err, served)
+		}
+	}
+}
+
 func TestHealth(t *testing.T) {
 	_, ts := testServer(t)
 	var h HealthResponse
@@ -171,6 +188,7 @@ func TestRecommendErrors(t *testing.T) {
 		{"?user=0&k=101", http.StatusBadRequest},     // k over MaxK
 		{"?user=0&k=zz", http.StatusBadRequest},      // bad k
 		{"?user=0&algo=Nope", http.StatusBadRequest}, // unknown algorithm
+		{"?user=0&algo=Katz", http.StatusBadRequest}, // no longer in the registry
 		{"?user=99", http.StatusNotFound},            // out of range
 		{"?user=-3", http.StatusNotFound},            // negative user
 	}

@@ -15,9 +15,10 @@
 //
 // Everything is implemented from scratch on the standard library: sparse
 // matrices, Markov-chain solvers, LDA (collapsed Gibbs), truncated SVD,
-// personalized PageRank, and the paper's evaluation protocols. See
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured results.
+// personalized PageRank, and the paper's evaluation protocols. The suite
+// is the nine algorithms of AlgorithmNames — the paper's seven, its AC3
+// extension and the MostPopular floor — all resolved by name through
+// System.Algorithm.
 package longtail
 
 import (
@@ -30,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"longtailrec/internal/assoc"
 	"longtailrec/internal/cache"
 	"longtailrec/internal/cf"
 	"longtailrec/internal/core"
@@ -38,8 +38,6 @@ import (
 	"longtailrec/internal/entropy"
 	"longtailrec/internal/graph"
 	"longtailrec/internal/lda"
-	"longtailrec/internal/markov"
-	"longtailrec/internal/mf"
 	"longtailrec/internal/pagerank"
 	"longtailrec/internal/persist"
 	"longtailrec/internal/shard"
@@ -109,18 +107,19 @@ type Config struct {
 	LDA lda.Config
 	// SVDRank is the PureSVD factor count; <= 0 means 50.
 	SVDRank int
-	// MF configures the SGD factorization baselines (BiasedMF, SVD++,
-	// AsySVD); zero-valued fields take mf defaults.
-	MF mf.Options
 	// PageRank configures the DPPR baseline (λ = 0.5 in the paper).
 	PageRank pagerank.Options
-	// KNNNeighbors sizes the kNN baselines; <= 0 means 50.
+	// KNNNeighbors is how many neighbors the SimilarItems index keeps per
+	// item; <= 0 means 50.
 	KNNNeighbors int
 	// Seed drives every randomized component.
 	Seed int64
-	// CacheSize enables the epoch-invalidated recommendation result cache:
-	// up to this many (user, algorithm, k) results are held across all
-	// algorithms, keyed by graph epoch so live writes invalidate them.
+	// CacheSize enables the recommendation result cache: up to this many
+	// (user, algorithm, k, options) results are held across all
+	// algorithms. Entries are not keyed by epoch: each records the
+	// subgraph fingerprint it was computed from, and a lookup after live
+	// writes revalidates it against the shard's write journal — served if
+	// no write could have touched its subgraph, recomputed otherwise.
 	// <= 0 disables caching — the right setting for offline evaluation;
 	// serving deployments should size it to their hot user set (the
 	// ltr-server binary defaults to 4096).
@@ -182,7 +181,6 @@ func DefaultConfig() Config {
 		EntropyFloor: 0.05,
 		LDA:          lda.Config{NumTopics: 20, Iterations: 60},
 		SVDRank:      50,
-		MF:           mf.DefaultOptions(),
 		PageRank:     pagerank.Options{Damping: 0.5},
 		KNNNeighbors: 50,
 	}
@@ -241,8 +239,8 @@ func (c Config) withDefaults() Config {
 // and epoch; reads and writes for a user route to shard.Assign(user, N),
 // so a live write invalidates only its own shard's cached results. With
 // ShardCount 1 (the default) the fleet is exactly the old single-replica
-// stack. Shared dataset-derived models (LDA, SVD, entropies, kNN) are
-// trained once and reused by every shard's recommender.
+// stack. Shared dataset-derived models (LDA, SVD, entropies, popularity)
+// are trained once and reused by every shard's recommender.
 type System struct {
 	data *dataset.Dataset
 	cfg  Config
@@ -517,8 +515,9 @@ func (s *System) ShardCount() int { return s.fleet.NumShards() }
 func (s *System) ShardFor(user int) int { return s.fleet.ShardFor(user) }
 
 // Epoch returns the fleet-wide serving epoch: the number of live rating
-// writes accepted since construction, summed across shards. Cached
-// recommendation results are keyed on their own shard's epoch.
+// writes accepted since construction, summed across shards. It versions
+// responses (Response.Epoch is the serving shard's); cached results are
+// revalidated by subgraph fingerprint, not matched on the epoch.
 func (s *System) Epoch() uint64 { return s.fleet.Epoch() }
 
 // ApplyRating ingests one live rating write (insert or re-rate) into the
@@ -529,12 +528,11 @@ func (s *System) Epoch() uint64 { return s.fleet.Epoch() }
 // system has never seen is admitted (appended to the shard's graph,
 // epoch bumped per admission) instead of rejected — only negative ids
 // and ids more than MaxDenseAdmissions past the universe edge still
-// fail. The write is immediately visible to the walk recommenders
-// (HT/AT/AC*) serving that user's shard. Dataset-derived baselines
-// (PureSVD, LDA, kNN, …) and the graph-snapshot comparators (Katz,
-// CommuteTime, RWR — whose chains are frozen at lazy construction) keep
-// scoring against their snapshot until rebuilt; the dataset views (Data)
-// are likewise snapshot-scoped.
+// fail. The write is immediately visible to the graph recommenders
+// (HT, AT, AC1–AC3, DPPR) serving that user's shard. The dataset-trained
+// models — PureSVD, LDA and MostPopular — keep scoring against the
+// training snapshot until the System is rebuilt, and their responses do
+// not say so; the dataset views (Data) are likewise snapshot-scoped.
 func (s *System) ApplyRating(user, item int, score float64) (added bool, epoch uint64, err error) {
 	added, epoch, _, err = s.fleet.ApplyRating(user, item, score, s.cfg.AutoGrow)
 	if err != nil {
@@ -646,11 +644,13 @@ func (s *System) ServingStats() core.ServingStats {
 	return st
 }
 
-// EvictStaleCache eagerly drops cached results from earlier epochs (they
-// are already unreachable — this reclaims their memory), sweeping each
-// shard's cache against that shard's own epoch, and returns how many
-// entries were removed. Each call does a bounded amount of work per
-// cache shard so it cannot stall serving lookups; on very large caches
+// EvictStaleCache eagerly revalidates cached results and drops the ones
+// a live write has made stale (a lookup would recompute them anyway —
+// this reclaims their memory). Each shard's cache is swept against that
+// shard's own write journal; an entry whose fingerprint proves no write
+// touched its subgraph survives. Returns how many entries were removed.
+// Each call is one bounded Revalidate sweep per cache shard, from the
+// cold end, so it cannot stall serving lookups; on very large caches
 // call it periodically to converge (ltr-server's -evict-interval janitor
 // does exactly that). No-op without caches.
 func (s *System) EvictStaleCache() int { return s.fleet.EvictStale() }
@@ -683,12 +683,13 @@ type replicaFactory func(g *graph.Bipartite) (Recommender, error)
 // build memoizes recommender construction under a name. prep runs once
 // (under the System lock — it may train shared models) and returns the
 // per-shard factory; the factory then runs once per serving replica over
-// that replica's graph. When result caching is enabled every per-shard
-// recommender is wrapped in that shard's epoch-invalidated caching
-// layer, so repeat queries against an unchanged shard are O(1); with
-// more than one shard the per-shard recommenders are fronted by a
-// shard.Router that routes by user id.
-func (s *System) build(name string, prep func() (replicaFactory, error)) (Recommender, error) {
+// that replica's graph. A failed construction is memoized too. When
+// result caching is enabled every per-shard recommender is wrapped in
+// that shard's fingerprint-revalidated caching layer, so repeat queries
+// the shard's writes cannot have touched are O(1); with more than one
+// shard the per-shard recommenders are fronted by a shard.Router that
+// routes by user id.
+func (s *System) build(name string, prep func(*System) (replicaFactory, error)) (Recommender, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.cache[name]; ok {
@@ -706,8 +707,8 @@ func (s *System) build(name string, prep func() (replicaFactory, error)) (Recomm
 	return r, nil
 }
 
-func (s *System) buildLocked(name string, prep func() (replicaFactory, error)) (Recommender, error) {
-	mk, err := prep()
+func (s *System) buildLocked(name string, prep func(*System) (replicaFactory, error)) (Recommender, error) {
+	mk, err := prep(s)
 	if err != nil {
 		return nil, err
 	}
@@ -738,196 +739,12 @@ func (s *System) buildLocked(name string, prep func() (replicaFactory, error)) (
 	return router, nil
 }
 
-// mustBuild is build for per-shard constructors that cannot fail.
-func (s *System) mustBuild(name string, mk func(g *graph.Bipartite) Recommender) Recommender {
-	r, err := s.build(name, func() (replicaFactory, error) {
-		return func(g *graph.Bipartite) (Recommender, error) { return mk(g), nil }, nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("longtail: %s: %v", name, err)) // unreachable
-	}
-	return r
-}
-
-// HT returns the Hitting Time recommender (§3.3).
-func (s *System) HT() Recommender {
-	return s.mustBuild("HT", func(g *graph.Bipartite) Recommender {
-		return core.NewHittingTime(g, s.cfg.Walk)
-	})
-}
-
-// AT returns the Absorbing Time recommender (§4.1, Algorithm 1).
-func (s *System) AT() Recommender {
-	return s.mustBuild("AT", func(g *graph.Bipartite) Recommender {
-		return core.NewAbsorbingTime(g, s.cfg.Walk)
-	})
-}
-
-// AC1 returns the item-entropy Absorbing Cost recommender (§4.2.2).
-func (s *System) AC1() (Recommender, error) {
-	return s.build("AC1", func() (replicaFactory, error) {
-		ent := entropy.AllItemBased(s.data) // shared: dataset-derived
-		return func(g *graph.Bipartite) (Recommender, error) {
-			return core.NewAbsorbingCost(g, "AC1", ent, s.costOptions())
-		}, nil
-	})
-}
-
-// AC2 returns the topic-entropy Absorbing Cost recommender (§4.2.3). It
-// trains the shared LDA model on first use.
-func (s *System) AC2() (Recommender, error) {
-	return s.build("AC2", func() (replicaFactory, error) {
-		m, err := s.ldaModelLocked()
-		if err != nil {
-			return nil, fmt.Errorf("longtail: AC2 LDA training: %w", err)
-		}
-		ent := entropy.AllTopicBased(m) // shared: one LDA model for the fleet
-		return func(g *graph.Bipartite) (Recommender, error) {
-			return core.NewAbsorbingCost(g, "AC2", ent, s.costOptions())
-		}, nil
-	})
-}
-
-// AC3 returns the symmetric entropy-cost recommender — this library's
-// extension of §4.2.1: user→item transitions cost the item's rater
-// entropy instead of the constant C, so blockbuster hubs become expensive
-// in both directions. Not part of the paper's evaluated suite.
-func (s *System) AC3() (Recommender, error) {
-	return s.build("AC3", func() (replicaFactory, error) {
-		ue := entropy.AllItemBased(s.data)
-		ie := entropy.AllItemEntropy(s.data)
-		return func(g *graph.Bipartite) (Recommender, error) {
-			return core.NewSymmetricAbsorbingCost(g, "AC3", ue, ie, s.costOptions())
-		}, nil
-	})
-}
-
 func (s *System) costOptions() core.CostOptions {
 	return core.CostOptions{
 		WalkOptions:  s.cfg.Walk,
 		UserCost:     s.cfg.UserCost,
 		EntropyFloor: s.cfg.EntropyFloor,
 	}
-}
-
-// DPPR returns the Discounted Personalized PageRank baseline (Eq. 15).
-func (s *System) DPPR() Recommender {
-	return s.mustBuild("DPPR", func(g *graph.Bipartite) Recommender {
-		r, err := core.NewFuncRecommender("DPPR", g, func(u int) ([]float64, error) {
-			return pagerank.ForUser(g, u, s.cfg.PageRank)
-		})
-		if err != nil {
-			panic(err) // static arguments; unreachable
-		}
-		return r
-	})
-}
-
-// PPR returns the undiscounted Personalized PageRank comparator the paper
-// discusses in §5.1.1 — included to demonstrate the popularity bias that
-// motivates DPPR's discount.
-func (s *System) PPR() Recommender {
-	return s.mustBuild("PPR", func(g *graph.Bipartite) Recommender {
-		r, err := core.NewFuncRecommender("PPR", g, func(u int) ([]float64, error) {
-			items, _ := g.UserItems(u)
-			restart := make([]int, 0, len(items)+1)
-			for _, i := range items {
-				restart = append(restart, g.ItemNode(i))
-			}
-			if len(restart) == 0 {
-				restart = append(restart, g.UserNode(u))
-			}
-			ppr, err := pagerank.Personalized(g, restart, s.cfg.PageRank)
-			if err != nil {
-				return nil, err
-			}
-			return pagerank.ItemScores(g, ppr), nil
-		})
-		if err != nil {
-			panic(err) // static arguments; unreachable
-		}
-		return r
-	})
-}
-
-// Katz returns the truncated Katz-index comparator of §3.2, another
-// proximity with no popularity discount.
-func (s *System) Katz() (Recommender, error) {
-	return s.build("Katz", func() (replicaFactory, error) {
-		return func(g *graph.Bipartite) (Recommender, error) {
-			// Compact first so each shard's chain snapshot includes its
-			// pending live writes; like the factor-model baselines it is
-			// frozen afterwards.
-			g.Compact()
-			chain, err := markov.NewChain(g.Adjacency())
-			if err != nil {
-				return nil, err
-			}
-			return core.NewFuncRecommender("Katz", g, func(u int) ([]float64, error) {
-				scores, err := chain.KatzScores(g.UserNode(u), 0.005, 8)
-				if err != nil {
-					return nil, err
-				}
-				out := make([]float64, g.NumItems())
-				for i := range out {
-					out[i] = scores[g.ItemNode(i)]
-				}
-				return out, nil
-			})
-		}, nil
-	})
-}
-
-// CommuteTime returns the commute-time comparator of §3.2 (Fouss et al.):
-// rank items by smallest H(q|j) + H(j|q). The paper argues it is dominated
-// by the stationary distribution and so recommends popular items — include
-// it to reproduce that argument.
-func (s *System) CommuteTime() (Recommender, error) {
-	return s.build("CommuteTime", func() (replicaFactory, error) {
-		return func(g *graph.Bipartite) (Recommender, error) {
-			g.Compact() // include pending live writes in the frozen snapshot
-			chain, err := markov.NewChain(g.Adjacency())
-			if err != nil {
-				return nil, err
-			}
-			return core.NewFuncRecommender("CommuteTime", g, func(u int) ([]float64, error) {
-				ct, err := chain.CommuteTimes(g.UserNode(u))
-				if err != nil {
-					return nil, err
-				}
-				out := make([]float64, g.NumItems())
-				for i := range out {
-					out[i] = -ct[g.ItemNode(i)] // smaller commute time = better
-				}
-				return out, nil
-			})
-		}, nil
-	})
-}
-
-// RWR returns the random-walk-with-restart comparator of §3.2 (Tong et
-// al.), another proximity with no popularity discount.
-func (s *System) RWR() (Recommender, error) {
-	return s.build("RWR", func() (replicaFactory, error) {
-		return func(g *graph.Bipartite) (Recommender, error) {
-			g.Compact() // include pending live writes in the frozen snapshot
-			chain, err := markov.NewChain(g.Adjacency())
-			if err != nil {
-				return nil, err
-			}
-			return core.NewFuncRecommender("RWR", g, func(u int) ([]float64, error) {
-				scores, err := chain.RWRScores(g.UserNode(u), 0.85, 50, 1e-9)
-				if err != nil {
-					return nil, err
-				}
-				out := make([]float64, g.NumItems())
-				for i := range out {
-					out[i] = scores[g.ItemNode(i)]
-				}
-				return out, nil
-			})
-		}, nil
-	})
 }
 
 // funcBaseline builds the per-shard factory every score-function
@@ -939,13 +756,67 @@ func funcBaseline(name string, fn core.ScoreFunc) replicaFactory {
 	}
 }
 
-// PureSVD returns the PureSVD baseline (Cremonesi et al. 2010).
-func (s *System) PureSVD() (Recommender, error) {
-	return s.build("PureSVD", func() (replicaFactory, error) {
-		rank := s.cfg.SVDRank
-		if maxRank := min(s.data.NumUsers(), s.data.NumItems()); rank > maxRank {
-			rank = maxRank
+// algorithmRegistry is the suite: one row per algorithm, in
+// AlgorithmNames order. Algorithm resolves a name by its row and hands
+// prep to build, which runs it once per System and memoizes the result;
+// AlgorithmNames lists the rows. A name is served iff it has a row here,
+// and an algorithm earns a row by being measured (an ltr-bench
+// experiment or the serving benchmark runs it).
+var algorithmRegistry = []struct {
+	name string
+	prep func(*System) (replicaFactory, error)
+}{
+	// Hitting Time (§3.3).
+	{"HT", func(s *System) (replicaFactory, error) {
+		return func(g *graph.Bipartite) (Recommender, error) {
+			return core.NewHittingTime(g, s.cfg.Walk), nil
+		}, nil
+	}},
+	// Absorbing Time (§4.1, Algorithm 1).
+	{"AT", func(s *System) (replicaFactory, error) {
+		return func(g *graph.Bipartite) (Recommender, error) {
+			return core.NewAbsorbingTime(g, s.cfg.Walk), nil
+		}, nil
+	}},
+	// Item-entropy Absorbing Cost (§4.2.2).
+	{"AC1", func(s *System) (replicaFactory, error) {
+		ent := entropy.AllItemBased(s.data) // shared: dataset-derived
+		return func(g *graph.Bipartite) (Recommender, error) {
+			return core.NewAbsorbingCost(g, "AC1", ent, s.costOptions())
+		}, nil
+	}},
+	// Topic-entropy Absorbing Cost (§4.2.3); trains the shared LDA model.
+	{"AC2", func(s *System) (replicaFactory, error) {
+		m, err := s.ldaModelLocked()
+		if err != nil {
+			return nil, fmt.Errorf("longtail: AC2 LDA training: %w", err)
 		}
+		ent := entropy.AllTopicBased(m) // shared: one LDA model for the fleet
+		return func(g *graph.Bipartite) (Recommender, error) {
+			return core.NewAbsorbingCost(g, "AC2", ent, s.costOptions())
+		}, nil
+	}},
+	// This library's symmetric extension of §4.2.1, not in the paper's
+	// suite: user→item steps cost the item's rater entropy instead of the
+	// constant C, so blockbuster hubs are expensive in both directions.
+	{"AC3", func(s *System) (replicaFactory, error) {
+		ue := entropy.AllItemBased(s.data)
+		ie := entropy.AllItemEntropy(s.data)
+		return func(g *graph.Bipartite) (Recommender, error) {
+			return core.NewSymmetricAbsorbingCost(g, "AC3", ue, ie, s.costOptions())
+		}, nil
+	}},
+	// Discounted Personalized PageRank (Eq. 15), over the live graph.
+	{"DPPR", func(s *System) (replicaFactory, error) {
+		return func(g *graph.Bipartite) (Recommender, error) {
+			return core.NewFuncRecommender("DPPR", g, func(u int) ([]float64, error) {
+				return pagerank.ForUser(g, u, s.cfg.PageRank)
+			})
+		}, nil
+	}},
+	// PureSVD (Cremonesi et al. 2010).
+	{"PureSVD", func(s *System) (replicaFactory, error) {
+		rank := min(s.cfg.SVDRank, s.data.NumUsers(), s.data.NumItems())
 		model, err := svd.NewPureSVD(s.data, svd.Options{Rank: rank, Seed: s.cfg.Seed + 2})
 		if err != nil {
 			return nil, fmt.Errorf("longtail: PureSVD: %w", err)
@@ -953,68 +824,9 @@ func (s *System) PureSVD() (Recommender, error) {
 		return funcBaseline("PureSVD", func(u int) ([]float64, error) {
 			return model.ScoreAll(u, nil), nil
 		}), nil
-	})
-}
-
-// BiasedMF returns the SGD-trained regularized biased matrix factorization
-// (the Netflix-Prize workhorse the paper's §2 refers to as "regularized
-// Singular Value Decomposition").
-func (s *System) BiasedMF() (Recommender, error) {
-	return s.build("BiasedMF", func() (replicaFactory, error) {
-		opts := s.mfOptions(3)
-		model, err := mf.TrainBiasedMF(s.data, opts)
-		if err != nil {
-			return nil, fmt.Errorf("longtail: BiasedMF: %w", err)
-		}
-		return funcBaseline("BiasedMF", func(u int) ([]float64, error) {
-			return model.ScoreAll(u, nil), nil
-		}), nil
-	})
-}
-
-// SVDPP returns the SVD++ baseline (Koren, KDD 2008) cited by §5.1.1 as
-// one of the strong factor models PureSVD beats on top-N tasks.
-func (s *System) SVDPP() (Recommender, error) {
-	return s.build("SVDPP", func() (replicaFactory, error) {
-		opts := s.mfOptions(4)
-		model, err := mf.TrainSVDPP(s.data, opts)
-		if err != nil {
-			return nil, fmt.Errorf("longtail: SVDPP: %w", err)
-		}
-		return funcBaseline("SVDPP", func(u int) ([]float64, error) {
-			return model.ScoreAll(u, nil), nil
-		}), nil
-	})
-}
-
-// AsySVD returns the Asymmetric-SVD baseline (Koren, KDD 2008), the
-// item-centric factor model cited alongside SVD++ in §5.1.1.
-func (s *System) AsySVD() (Recommender, error) {
-	return s.build("AsySVD", func() (replicaFactory, error) {
-		opts := s.mfOptions(5)
-		model, err := mf.TrainAsySVD(s.data, opts)
-		if err != nil {
-			return nil, fmt.Errorf("longtail: AsySVD: %w", err)
-		}
-		return funcBaseline("AsySVD", func(u int) ([]float64, error) {
-			return model.ScoreAll(u, nil), nil
-		}), nil
-	})
-}
-
-// mfOptions derives per-model MF options, offsetting the seed so each
-// model trains on an independent random stream.
-func (s *System) mfOptions(seedOffset int64) mf.Options {
-	opts := s.cfg.MF
-	if opts.Seed == 0 {
-		opts.Seed = s.cfg.Seed + seedOffset
-	}
-	return opts
-}
-
-// LDA returns the LDA recommender baseline (score = Σ_z θ_uz·φ_zi).
-func (s *System) LDA() (Recommender, error) {
-	return s.build("LDA", func() (replicaFactory, error) {
+	}},
+	// LDA recommender (score = Σ_z θ_uz·φ_zi), over the model AC2 shares.
+	{"LDA", func(s *System) (replicaFactory, error) {
 		m, err := s.ldaModelLocked()
 		if err != nil {
 			return nil, fmt.Errorf("longtail: LDA training: %w", err)
@@ -1022,123 +834,41 @@ func (s *System) LDA() (Recommender, error) {
 		return funcBaseline("LDA", func(u int) ([]float64, error) {
 			return m.ScoreAll(u, nil), nil
 		}), nil
-	})
-}
-
-// UserKNN returns the user-based kNN baseline (Pearson).
-func (s *System) UserKNN() (Recommender, error) {
-	return s.build("UserKNN", func() (replicaFactory, error) {
-		knn, err := cf.NewUserKNN(s.data, s.cfg.KNNNeighbors, cf.Pearson)
-		if err != nil {
-			return nil, err
-		}
-		return funcBaseline("UserKNN", func(u int) ([]float64, error) {
-			return knn.ScoreAll(u, nil), nil
-		}), nil
-	})
-}
-
-// ItemKNN returns the item-based kNN baseline (cosine).
-func (s *System) ItemKNN() (Recommender, error) {
-	return s.build("ItemKNN", func() (replicaFactory, error) {
-		knn, err := cf.NewItemKNN(s.data, s.cfg.KNNNeighbors)
-		if err != nil {
-			return nil, err
-		}
-		return funcBaseline("ItemKNN", func(u int) ([]float64, error) {
-			return knn.ScoreAll(u, nil), nil
-		}), nil
-	})
-}
-
-// AssocRules returns the pairwise association-rule comparator the paper's
-// introduction singles out: rules need high support on both sides, so
-// recommendations cover only the head of the catalog.
-func (s *System) AssocRules() (Recommender, error) {
-	return s.build("AssocRules", func() (replicaFactory, error) {
-		miner, err := assoc.Mine(s.data, assoc.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("longtail: AssocRules: %w", err)
-		}
-		return funcBaseline("AssocRules", func(u int) ([]float64, error) {
-			return miner.ScoreAll(u, nil), nil
-		}), nil
-	})
-}
-
-// MostPopular returns the non-personalized popularity baseline.
-func (s *System) MostPopular() Recommender {
-	return s.mustBuild("MostPopular", func(g *graph.Bipartite) Recommender {
+	}},
+	// The non-personalized popularity floor.
+	{"MostPopular", func(s *System) (replicaFactory, error) {
 		mp := cf.NewMostPopular(s.data)
-		r, err := core.NewFuncRecommender("MostPopular", g, func(u int) ([]float64, error) {
+		return funcBaseline("MostPopular", func(u int) ([]float64, error) {
 			return mp.ScoreAll(u, nil), nil
-		})
-		if err != nil {
-			panic(err) // unreachable
-		}
-		return r
-	})
+		}), nil
+	}},
 }
+
+// paperSuite is the paper's evaluated panel in its plotting order.
+var paperSuite = []string{"AC2", "AC1", "AT", "HT", "DPPR", "PureSVD", "LDA"}
 
 // PaperSuite returns the seven algorithms of the paper's evaluation in its
 // plotting order: AC2, AC1, AT, HT, DPPR, PureSVD, LDA.
 func (s *System) PaperSuite() ([]Recommender, error) {
-	ac2, err := s.AC2()
-	if err != nil {
-		return nil, err
+	recs := make([]Recommender, len(paperSuite))
+	for i, name := range paperSuite {
+		rec, err := s.Algorithm(name)
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = rec
 	}
-	ac1, err := s.AC1()
-	if err != nil {
-		return nil, err
-	}
-	psvd, err := s.PureSVD()
-	if err != nil {
-		return nil, err
-	}
-	ldaRec, err := s.LDA()
-	if err != nil {
-		return nil, err
-	}
-	return []Recommender{ac2, ac1, s.AT(), s.HT(), s.DPPR(), psvd, ldaRec}, nil
+	return recs, nil
 }
 
-// algorithmRegistry is the single ordered source of truth for the
-// algorithm suite: Algorithm resolution and AlgorithmNames are both
-// derived from it, so a new algorithm is added in exactly one place and
-// the two can never drift (a parity test in longtail_test.go holds the
-// invariant).
-var algorithmRegistry = []struct {
-	name  string
-	build func(*System) (Recommender, error)
-}{
-	{"HT", func(s *System) (Recommender, error) { return s.HT(), nil }},
-	{"AT", func(s *System) (Recommender, error) { return s.AT(), nil }},
-	{"AC1", (*System).AC1},
-	{"AC2", (*System).AC2},
-	{"AC3", (*System).AC3},
-	{"DPPR", func(s *System) (Recommender, error) { return s.DPPR(), nil }},
-	{"PPR", func(s *System) (Recommender, error) { return s.PPR(), nil }},
-	{"Katz", (*System).Katz},
-	{"CommuteTime", (*System).CommuteTime},
-	{"RWR", (*System).RWR},
-	{"PureSVD", (*System).PureSVD},
-	{"BiasedMF", (*System).BiasedMF},
-	{"SVDPP", (*System).SVDPP},
-	{"AsySVD", (*System).AsySVD},
-	{"LDA", (*System).LDA},
-	{"UserKNN", (*System).UserKNN},
-	{"ItemKNN", (*System).ItemKNN},
-	{"AssocRules", (*System).AssocRules},
-	{"MostPopular", func(s *System) (Recommender, error) { return s.MostPopular(), nil }},
-}
-
-// Algorithm resolves a recommender by its paper name (HT, AT, AC1, AC2,
-// DPPR, PureSVD, LDA, UserKNN, ItemKNN, MostPopular, ...): every name
-// in AlgorithmNames resolves here and nothing else does.
+// Algorithm resolves a recommender by its paper name — one of
+// AlgorithmNames, and nothing else resolves. It is the only way to get
+// one: the first call for a name constructs it (training any model it
+// needs), later calls return the same memoized recommender.
 func (s *System) Algorithm(name string) (Recommender, error) {
 	for _, entry := range algorithmRegistry {
 		if entry.name == name {
-			return entry.build(s)
+			return s.build(name, entry.prep)
 		}
 	}
 	return nil, fmt.Errorf("longtail: %w %q (want one of %v)", core.ErrUnknownAlgorithm, name, AlgorithmNames())
@@ -1160,8 +890,8 @@ func (s *System) Algorithms() []string { return AlgorithmNames() }
 // options, instead of failing.
 func (s *System) Recommend(ctx context.Context, algo string, req Request) (Response, error) {
 	// Reject malformed options before resolving the algorithm: lazy
-	// constructors (LDA training for AC2, SGD for the MF baselines) must
-	// not be triggered by a request that cannot be served anyway.
+	// constructors (LDA training for AC2 and LDA, the SVD for PureSVD)
+	// must not be triggered by a request that cannot be served anyway.
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
