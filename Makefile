@@ -15,8 +15,8 @@ test: build
 	$(GO) test ./...
 
 # Static invariant gate: stock go vet, then the repo's own ltr-vet
-# analyzer suite (lock ordering, pool hygiene, atomic-field discipline,
-# context flow, allocation-free hot paths — see INVARIANTS.md).
+# analyzer suite (pool hygiene, atomic-field discipline, context flow,
+# allocation-free hot paths — see INVARIANTS.md).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ltr-vet ./...
@@ -36,12 +36,11 @@ loc:
 # walk query engine, the one batch fan-out (core.ServeBatch) under every
 # algorithm of the suite (TestConcurrentRecommendSharedSystem — it calls
 # the score-function adapters from several goroutines), the live
-# delta-overlay graph (concurrent readers + one writer), the sharded
-# result cache, the
-# user-partitioned serving fleet (cross-shard write isolation —
-# TestConcurrentShardedWriteIsolation in the root package), the WAL
-# group-commit ingester plus kill-and-restart recovery (TestFleet* in the
-# root and shard packages), the memoised popularity vector under a writer
+# delta-overlay graph (concurrent readers, writers and folds —
+# TestConcurrentBaseSwapRaces, TestConcurrentExtractDuringFold), the
+# sharded result cache, the WAL group-commit ingester plus
+# kill-and-restart recovery (TestDurable* in the root package), the
+# memoised popularity vector under a writer
 # (TestConcurrentItemPopularityMemo) and the lock-free /v1/metrics
 # counters (TestConcurrentMetricsAcrossRoutes).
 # (The full suite under -race also works but takes many minutes; this is
@@ -51,7 +50,7 @@ loc:
 # point here); the third runs the serving benchmark's own tests — a real
 # loopback server driven by concurrent clients — under the detector.
 race:
-	$(GO) test -race -run 'TestConcurrent|TestEngineConcurrentUse|TestRecommendBatch|TestServeBatch|TestCached|TestRouter|TestFleet|TestIngester' . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/cache/ ./internal/shard/ ./internal/wal/
+	$(GO) test -race -run 'TestConcurrent|TestEngineConcurrentUse|TestRecommendBatch|TestServeBatch|TestCached|TestDurable|TestIngester' . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/cache/ ./internal/wal/
 	$(GO) test -race -short ./internal/analysis/...
 	$(GO) test -race ./benchmark
 
@@ -95,8 +94,8 @@ serving-pairs:
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
 # for the extractor, the live graph (closed- and open-universe), the WAL
-# record decoder against torn and corrupted log tails, the fleet
-# checkpoint decoder every restart reads, the fingerprint cache's
+# record decoder against torn and corrupted log tails, the checkpoint
+# decoder every restart reads, the fingerprint cache's
 # serve-stale-never soundness property and the /v1/recommend append
 # encoder's byte equality with encoding/json (CI runs the seed corpus via
 # `make test` plus a 10s smoke; this explores further).
@@ -105,6 +104,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBuilderAddRating -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzUpsertRatingAutoGrow -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz FuzzLoadAnyFleetCheckpoint -fuzztime 30s ./internal/persist/
+	$(GO) test -run '^$$' -fuzz FuzzLoadFleetCheckpoint -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprintSoundness -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRecommendEncoding -fuzztime 30s ./internal/server/

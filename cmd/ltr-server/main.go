@@ -11,14 +11,11 @@
 // /v1/items/{id}/similar?k=.
 //
 // Serving is live: POST /v1/ratings writes land in the graph's delta
-// overlay immediately and invalidate the recommendation result cache via
-// the graph epoch. -cache-size sizes that cache (0 disables it);
-// -compact-threshold controls how many overlay writes accumulate before
-// they are folded back into the CSR. With -shards N > 1 serving is
-// partitioned across N user-sharded replicas, each with its own graph,
-// cache and epoch, so a write invalidates only its own shard's cached
-// results (the default, 1, is the single-replica stack); -evict-interval
-// runs a background janitor that periodically reclaims the memory of
+// overlay immediately; a cached recommendation survives a write only when
+// its subgraph fingerprint proves the write could not have touched it.
+// -cache-size sizes that cache (0 disables it); -compact-threshold
+// controls how many overlay writes accumulate before they are folded back
+// into the CSR; -evict-interval runs a background janitor that periodically reclaims the memory of
 // cache entries stranded by epoch bumps. With -auto-grow (the default)
 // the universe is open: ratings from users and items the corpus has
 // never seen are admitted and grow the serving graph, and brand-new
@@ -65,7 +62,6 @@ type options struct {
 	topics                            int
 	seed                              int64
 	cacheSize, compactThreshold       int
-	shards                            int
 	autoGrow                          bool
 	requestTimeout                    time.Duration
 	evictInterval                     time.Duration
@@ -84,16 +80,15 @@ func main() {
 	flag.StringVar(&o.algo, "algo", "AC2", "default algorithm: "+strings.Join(longtail.AlgorithmNames(), ", "))
 	flag.IntVar(&o.topics, "topics", 20, "LDA topics (AC2/LDA)")
 	flag.Int64Var(&o.seed, "seed", 42, "seed for the synthetic corpus")
-	flag.IntVar(&o.cacheSize, "cache-size", 4096, "recommendation result cache entries across all shards (0 disables caching)")
+	flag.IntVar(&o.cacheSize, "cache-size", 4096, "recommendation result cache entries (0 disables caching)")
 	flag.IntVar(&o.compactThreshold, "compact-threshold", 1024, "live writes buffered in a graph delta overlay before auto-compaction")
-	flag.IntVar(&o.shards, "shards", 1, "user-partitioned serving replicas, each with its own graph, cache and epoch (1 = single-replica serving)")
 	flag.BoolVar(&o.autoGrow, "auto-grow", true, "admit ratings from unseen users/items, growing the serving universe live")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-request deadline for the recommendation endpoints (0 disables); an expired deadline cancels the walk mid-sweep")
 	flag.DurationVar(&o.evictInterval, "evict-interval", time.Minute, "how often the background janitor sweeps stale (epoch-invalidated) cache entries (0 disables the janitor)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "directory for the write-ahead log and checkpoint; enables durable live writes with crash recovery on startup (empty = in-memory serving)")
 	flag.DurationVar(&o.walSyncInterval, "wal-sync-interval", 0, "group-commit window: how long the first writer of a batch waits for company before its fsync (0 = commit immediately, batching only under concurrency)")
 	flag.IntVar(&o.walMaxBatch, "wal-max-batch", 64, "max live writes per group-commit batch (one fsync per batch)")
-	flag.DurationVar(&o.checkpointInterval, "checkpoint-interval", 5*time.Minute, "how often to converge shard replicas, write an atomic checkpoint and truncate the WAL behind it (0 disables; needs -wal-dir)")
+	flag.DurationVar(&o.checkpointInterval, "checkpoint-interval", 5*time.Minute, "how often to compact the graph, write an atomic checkpoint and truncate the WAL behind it (0 disables; needs -wal-dir)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "ltr-server: %v\n", err)
@@ -112,7 +107,6 @@ func run(o options) error {
 	cfg.CacheSize = o.cacheSize
 	cfg.CompactThreshold = o.compactThreshold
 	cfg.AutoGrow = o.autoGrow
-	cfg.ShardCount = o.shards
 	cfg.WALDir = o.walDir
 	cfg.WALMaxBatch = o.walMaxBatch
 	cfg.WALMaxDelay = o.walSyncInterval
@@ -143,8 +137,8 @@ func run(o options) error {
 	if o.walDir != "" {
 		durability = o.walDir
 	}
-	logger.Printf("serving %d users / %d items / %d ratings on %s (default algorithm %s, %d shards, cache %d entries, compact every %d writes, auto-grow %v, wal %s)",
-		st.NumUsers, st.NumItems, st.NumRatings, o.addr, o.algo, sys.ShardCount(), o.cacheSize, o.compactThreshold, o.autoGrow, durability)
+	logger.Printf("serving %d users / %d items / %d ratings on %s (default algorithm %s, cache %d entries, compact every %d writes, auto-grow %v, wal %s)",
+		st.NumUsers, st.NumItems, st.NumRatings, o.addr, o.algo, o.cacheSize, o.compactThreshold, o.autoGrow, durability)
 
 	// Background cache janitor: epoch bumps make stale entries
 	// unreachable but not free — the ticker reclaims their memory so a
@@ -175,12 +169,10 @@ func run(o options) error {
 		}()
 	}
 
-	// Background snapshot refresher: periodically converges the shard
-	// replicas (replaying the WAL tail into the shards that did not
-	// originally receive each write), writes an atomic checkpoint and
-	// truncates the log behind it — bounding both replay time after a
-	// crash and the cross-shard consistency gap. Joined before sys.Close
-	// runs so the final checkpoint never races a periodic one.
+	// Background snapshot refresher: periodically compacts the graph,
+	// writes an atomic checkpoint and truncates the log behind it —
+	// bounding replay time after a crash. Joined before sys.Close runs so
+	// the final checkpoint never races a periodic one.
 	if o.walDir != "" && o.checkpointInterval > 0 {
 		refreshStop := make(chan struct{})
 		var refreshWG sync.WaitGroup

@@ -324,16 +324,14 @@ func TestConcurrentOpenUniverseServing(t *testing.T) {
 }
 
 // TestConcurrentColdStartStorm: four writers drain ONE ascending arrival
-// stream of brand-new users (two ratings each) into a two-shard auto-grow
-// fleet. No write may be rejected, the universe must grow by exactly the
-// number of newcomers, and every newcomer must be served by the walk
-// engine on its own ratings — no fallback. (TestConcurrentOpenUniverseServing
-// above has a single writer.)
+// stream of brand-new users (two ratings each) into an auto-grow system.
+// No write may be rejected, the universe must grow by exactly the number
+// of newcomers, and every newcomer must be served by the walk engine on
+// its own ratings — no fallback. (TestConcurrentOpenUniverseServing above
+// has a single writer.)
 func TestConcurrentColdStartStorm(t *testing.T) {
 	_, w := smallSystem(t, 19)
-	cfg := ServingConfig(512, 0)
-	cfg.ShardCount = 2
-	sys, err := NewSystem(w.Data, cfg)
+	sys, err := NewSystem(w.Data, ServingConfig(512, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

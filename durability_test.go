@@ -1,35 +1,65 @@
 // Durability integration tests: kill-and-restart recovery (no
 // acknowledged write may be lost; the recovered system must be
-// byte-identical to one that never died), cross-shard convergence via
-// the snapshot-refresh cycle, and graceful-shutdown checkpointing.
+// byte-identical to one that never died), the group-commit write path,
+// graceful-shutdown checkpointing, and restart from checkpoints written by
+// earlier builds.
 //
-// The TestFleet* names put these under the race-gated suite in CI
+// The TestDurable* names put these under the race-gated suite in CI
 // (see Makefile's race target).
 
 package longtail
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
-	"longtailrec/internal/graph"
 	"longtailrec/internal/lda"
 	"longtailrec/internal/persist"
+	"longtailrec/internal/synth"
+	"longtailrec/internal/wal"
 )
 
-// durableSystem builds a WAL-backed sharded System over the shared shard
-// test corpus.
-func durableSystem(t testing.TB, w *World, shards int, walDir string) *System {
+// servingTestWorld is the shared corpus of the serving tests: big enough
+// for meaningful walks, small enough to rebuild many times.
+func servingTestWorld(t testing.TB) *World {
 	t.Helper()
+	w, err := synth.Generate(synth.Config{
+		NumUsers:           60,
+		NumItems:           80,
+		NumGenres:          4,
+		MeanRatingsPerUser: 12,
+		MinRatingsPerUser:  4,
+		Seed:               99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// servingTestConfig is the System configuration over servingTestWorld.
+func servingTestConfig() Config {
 	cfg := DefaultConfig()
 	cfg.LDA = lda.Config{NumTopics: 2, Iterations: 5}
 	cfg.Seed = 7
-	cfg.ShardCount = shards
+	return cfg
+}
+
+// durableSystem builds a WAL-backed, auto-growing System over w.
+func durableSystem(t testing.TB, w *World, walDir string) *System {
+	t.Helper()
+	cfg := servingTestConfig()
 	cfg.AutoGrow = true
 	cfg.WALDir = walDir
 	sys, err := NewSystem(w.Data, cfg)
@@ -58,22 +88,20 @@ func writeStream(t testing.TB, sys *System, phase int) {
 	}
 }
 
-// TestFleetRestartRecovery is the central durability claim: a server
+// TestDurableRestartRecovery is the central durability claim: a server
 // killed without warning (no graceful shutdown, no final checkpoint)
 // and restarted over the same WAL directory recovers EVERY acknowledged
-// write — its fleet epoch and its recommendation responses are
-// byte-identical to a system that ran the same operations uninterrupted.
-func TestFleetRestartRecovery(t *testing.T) {
-	w := shardTestWorld(t)
+// write — its epoch and its recommendation responses are byte-identical
+// to a system that ran the same operations uninterrupted.
+func TestDurableRestartRecovery(t *testing.T) {
+	w := servingTestWorld(t)
 	// control never dies; victim is killed after phase 2.
-	control := durableSystem(t, w, 2, t.TempDir())
+	control := durableSystem(t, w, t.TempDir())
 	defer control.Close()
 	victimDir := t.TempDir()
-	victim := durableSystem(t, w, 2, victimDir)
+	victim := durableSystem(t, w, victimDir)
 
-	// Phase 1: writes, then a checkpoint on BOTH systems (the refresh
-	// also converges shards, so it must happen on both to keep them
-	// comparable).
+	// Phase 1: writes, then a checkpoint on both systems.
 	writeStream(t, control, 1)
 	writeStream(t, victim, 1)
 	if err := control.SnapshotRefresh(); err != nil {
@@ -94,11 +122,11 @@ func TestFleetRestartRecovery(t *testing.T) {
 	// them — this is the crash the WAL exists for.
 	victim = nil
 
-	recovered := durableSystem(t, w, 2, victimDir)
+	recovered := durableSystem(t, w, victimDir)
 	defer recovered.Close()
 
 	if got, want := recovered.Epoch(), control.Epoch(); got != want {
-		t.Fatalf("recovered fleet epoch = %d, want %d (acknowledged writes lost or double-applied)", got, want)
+		t.Fatalf("recovered epoch = %d, want %d (acknowledged writes lost or double-applied)", got, want)
 	}
 	gu, gi := recovered.Universe()
 	wu, wi := control.Universe()
@@ -128,32 +156,29 @@ func TestFleetRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestFleetItemPopularityMemoTracksWrites is the System-level half of
+// TestDurableItemPopularityMemoTracksWrites is the System-level half of
 // internal/graph's TestItemPopularityMemoTracksWrites: after group-committed
-// writes, a snapshot refresh (the fleet's group fold) and a kill-and-recover
-// into a fresh NewSystem, every shard's memoised popularity equals a
-// recount from that shard's live rows, and the recovered system's equals
-// the one that never died.
-func TestFleetItemPopularityMemoTracksWrites(t *testing.T) {
-	w := shardTestWorld(t)
+// writes, a snapshot refresh (a fold) and a kill-and-recover into a fresh
+// NewSystem, the memoised popularity equals a recount from the live rows,
+// and the recovered system's equals the one that never died.
+func TestDurableItemPopularityMemoTracksWrites(t *testing.T) {
+	w := servingTestWorld(t)
 	check := func(step string, sys *System) {
 		t.Helper()
-		for sh := 0; sh < sys.ShardCount(); sh++ {
-			g := sys.ShardGraph(sh)
-			want := make([]int, g.NumItems())
-			for i := range want {
-				nodes, _ := g.Neighbors(g.ItemNode(i))
-				want[i] = len(nodes)
-			}
-			if got := g.ItemPopularity(); !slices.Equal(got, want) {
-				t.Fatalf("%s, shard %d: ItemPopularity() = %v, recount %v", step, sh, got, want)
-			}
+		g := sys.Graph()
+		want := make([]int, g.NumItems())
+		for i := range want {
+			nodes, _ := g.Neighbors(g.ItemNode(i))
+			want[i] = len(nodes)
+		}
+		if got := sys.LiveItemPopularityFor(0); !slices.Equal(got, want) {
+			t.Fatalf("%s: LiveItemPopularityFor = %v, recount %v", step, got, want)
 		}
 	}
-	control := durableSystem(t, w, 2, t.TempDir())
+	control := durableSystem(t, w, t.TempDir())
 	defer control.Close()
 	victimDir := t.TempDir()
-	victim := durableSystem(t, w, 2, victimDir)
+	victim := durableSystem(t, w, victimDir)
 	for _, sys := range []*System{control, victim} {
 		check("construction", sys)
 		writeStream(t, sys, 1)
@@ -167,174 +192,384 @@ func TestFleetItemPopularityMemoTracksWrites(t *testing.T) {
 	}
 	victim = nil // killed: no flush, no final checkpoint
 
-	recovered := durableSystem(t, w, 2, victimDir)
+	recovered := durableSystem(t, w, victimDir)
 	defer recovered.Close()
 	check("recovery", recovered)
-	for u := 0; u < 8; u++ { // enough users to land on both shards
-		if got, want := recovered.LiveItemPopularityFor(u), control.LiveItemPopularityFor(u); !slices.Equal(got, want) {
-			t.Fatalf("user %d: recovered popularity %v, uninterrupted %v", u, got, want)
-		}
+	if got, want := recovered.LiveItemPopularityFor(0), control.LiveItemPopularityFor(0); !slices.Equal(got, want) {
+		t.Fatalf("recovered popularity %v, uninterrupted %v", got, want)
 	}
 	writeStream(t, recovered, 3)
 	check("writes after recovery", recovered)
 }
 
-// TestFleetDurableConvergenceAndShutdown covers the snapshot-refresh
-// consistency contract at the System level: a write is visible to its
-// own shard immediately and to the other shards after a refresh; a
-// graceful Close writes a final checkpoint that alone (the log having
-// been truncated behind it) restores the full state.
-func TestFleetDurableConvergenceAndShutdown(t *testing.T) {
-	w := shardTestWorld(t)
+// TestDurableShutdown: a graceful Close flushes the pending batch and
+// writes a final checkpoint that alone (the log having been truncated
+// behind it) restores the full state; a write after Close is refused,
+// not lost silently.
+func TestDurableShutdown(t *testing.T) {
+	w := servingTestWorld(t)
 	dir := t.TempDir()
-	sys := durableSystem(t, w, 2, dir)
+	sys := durableSystem(t, w, dir)
+	g := sys.Graph()
 
 	user, item := 0, 3
-	home := sys.ShardFor(user)
-	other := 1 - home
-	gHome, gOther := sys.ShardGraph(home), sys.ShardGraph(other)
-	// Pick a score that differs from whatever the base corpus holds so
-	// visibility is observable.
-	before := gHome.Weight(gHome.UserNode(user), gHome.ItemNode(item))
-	score := 2.0
-	if before == score {
-		score = 4
-	}
-	if _, _, err := sys.ApplyRating(user, item, score); err != nil {
+	if _, _, err := sys.ApplyRating(user, item, 4.25); err != nil {
 		t.Fatal(err)
-	}
-	if got := gHome.Weight(gHome.UserNode(user), gHome.ItemNode(item)); got != score {
-		t.Fatalf("home shard weight = %v, want %v", got, score)
-	}
-	if got := gOther.Weight(gOther.UserNode(user), gOther.ItemNode(item)); got != before {
-		t.Fatalf("foreign shard weight = %v before any refresh, want the base %v", got, before)
 	}
 	if err := sys.SnapshotRefresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := gOther.Weight(gOther.UserNode(user), gOther.ItemNode(item)); got != score {
-		t.Fatalf("foreign shard weight after refresh = %v, want %v (convergence failed)", got, score)
-	}
-
-	// Write after the refresh, then shut down gracefully: Close must
-	// flush and checkpoint so the restart needs no WAL tail at all.
-	score2 := 3.0
-	if gHome.Weight(gHome.UserNode(user), gHome.ItemNode(item+1)) == score2 {
-		score2 = 1
-	}
-	if _, _, err := sys.ApplyRating(user, item+1, score2); err != nil {
+	// Write after the refresh, then shut down gracefully: Close must flush
+	// and checkpoint so the restart needs no WAL tail at all.
+	if _, _, err := sys.ApplyRating(user, item+1, 2.75); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The final checkpoint inside Close converges the foreign replica
-	// (one more epoch bump), so the reference epoch is read after it.
 	wantEpoch := sys.Epoch()
-	st := sys.ServingStats()
-	if st.Durability.PendingBatch != 0 {
-		t.Fatalf("pending batch = %d after Close, want 0", st.Durability.PendingBatch)
+	st := sys.ServingStats().Durability
+	if st.PendingBatch != 0 {
+		t.Fatalf("pending batch = %d after Close, want 0", st.PendingBatch)
+	}
+	if st.LastCheckpointEpoch != wantEpoch {
+		t.Fatalf("last checkpoint epoch = %d after Close, want %d", st.LastCheckpointEpoch, wantEpoch)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 
-	restarted := durableSystem(t, w, 2, dir)
+	restarted := durableSystem(t, w, dir)
 	defer restarted.Close()
 	if got := restarted.Epoch(); got != wantEpoch {
 		t.Fatalf("restarted epoch = %d, want %d", got, wantEpoch)
 	}
-	g := restarted.ShardGraph(home)
-	if got := g.Weight(g.UserNode(user), g.ItemNode(item+1)); got != score2 {
-		t.Fatalf("post-refresh write lost across graceful restart: weight = %v, want %v", got, score2)
+	rg := restarted.Graph()
+	for _, e := range []struct {
+		item int
+		want float64
+	}{{item, 4.25}, {item + 1, 2.75}} {
+		if got := rg.Weight(rg.UserNode(user), rg.ItemNode(e.item)); got != e.want {
+			t.Fatalf("weight (%d,%d) = %v across graceful restart, want %v", user, e.item, got, e.want)
+		}
 	}
-	// Writes rejected after Close are rejected durably closed, not lost
-	// silently.
-	if _, _, err := sys.ApplyRating(user, item, 2); err == nil {
-		t.Fatal("write accepted after Close")
+	if _, _, err := sys.ApplyRating(user, item, 2); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("write after Close: err = %v, want wal.ErrClosed", err)
+	}
+	if got := g.Weight(g.UserNode(user), g.ItemNode(item)); got != 4.25 {
+		t.Fatalf("refused write changed the graph: weight %v", got)
 	}
 }
 
-// TestFleetRestartFromLegacyCheckpoint pins upgrade compatibility: a
-// server whose WAL directory holds a pre-shared-base checkpoint (legacy
-// Kind 6: one full snapshot per shard) must restart from it — converted
-// into one shared base plus per-shard epochs — and write its NEXT
-// checkpoint in the shared format.
-func TestFleetRestartFromLegacyCheckpoint(t *testing.T) {
-	w := shardTestWorld(t)
-	dir := t.TempDir()
-
-	// Fabricate the legacy image the old code would have left behind: two
-	// converged (content-identical) shard snapshots with distinct epochs.
-	g := w.Data.Graph()
-	if _, err := g.UpsertRating(0, 3, 4.25); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.UpsertRating(1, 5, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	legacy := &persist.FleetCheckpoint{
-		Seq: 2,
-		Shards: []persist.ShardCheckpoint{
-			{BaseUsers: g.BaseNumUsers(), BaseItems: g.BaseNumItems(), Snapshot: g.Snapshot()},
-			{BaseUsers: g.BaseNumUsers(), BaseItems: g.BaseNumItems(), Snapshot: g.Snapshot()},
-		},
-	}
-	legacy.Shards[1].Snapshot.Epoch = 3
-	ckptPath := filepath.Join(dir, "checkpoint.ltr")
-	if err := persist.SaveFile(ckptPath, func(wr io.Writer) error {
-		return persist.SaveFleetCheckpoint(wr, legacy)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	sys := durableSystem(t, w, 2, dir)
-	defer sys.Close()
-	if got, want := sys.Epoch(), legacy.Shards[0].Snapshot.Epoch+3; got != want {
-		t.Fatalf("restored fleet epoch = %d, want %d (sum of legacy per-shard epochs)", got, want)
-	}
-	g0, g1 := sys.ShardGraph(0), sys.ShardGraph(1)
-	if !g0.SharesBaseWith(g1) {
-		t.Fatal("legacy restore built independent replicas, want shared-base views")
-	}
-	for i, sg := range []*graph.Bipartite{g0, g1} {
-		if got := sg.Weight(sg.UserNode(0), sg.ItemNode(3)); got != 4.25 {
-			t.Fatalf("shard %d restored weight = %v, want 4.25", i, got)
-		}
-	}
-
-	// The next refresh must upgrade the on-disk format.
-	if err := sys.SnapshotRefresh(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(ckptPath)
+// copyParentCheckpoint puts testdata/parent_checkpoint.ltr into a fresh
+// WAL directory. The file was written by the previous build's System,
+// serving one replica, over servingTestWorld: writeStream phase 1, SnapshotRefresh,
+// writeStream phase 2, Close. testdata/parent_checkpoint_rankings.jsonl
+// holds, one JSON Response per line, what that build served after
+// restarting from it: HT then AT, users 0, 3, ..., 60 with K 5 and
+// fallback allowed.
+func copyParentCheckpoint(t *testing.T) (dir string, raw []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent_checkpoint.ltr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if _, err := persist.LoadSharedFleetCheckpoint(f); err != nil {
-		t.Fatalf("post-upgrade checkpoint is not shared-format: %v", err)
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, raw
+}
+
+// TestDurableRestartFromParentCheckpoint pins upgrade compatibility both
+// ways: the previous build's Kind 6 checkpoint restores to byte-identical
+// rankings, and this build's writer produces that file byte for byte from
+// the same history.
+func TestDurableRestartFromParentCheckpoint(t *testing.T) {
+	w := servingTestWorld(t)
+	dir, parentRaw := copyParentCheckpoint(t)
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_checkpoint_rankings.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := durableSystem(t, w, dir)
+	defer sys.Close()
+	var got bytes.Buffer
+	ctx := context.Background()
+	for _, algo := range []string{"HT", "AT"} {
+		for u := 0; u < w.Data.NumUsers()+3; u += 3 {
+			resp, err := sys.Recommend(ctx, algo, Request{User: u, K: 5, AllowFallback: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(resp)
+			got.Write(b)
+			got.WriteByte('\n')
+		}
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d responses, the previous build served %d", len(gotLines), len(wantLines))
+	}
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("response %d diverged from the previous build:\n got  %s\n want %s", i, gotLines[i], wantLines[i])
+		}
+	}
+
+	fresh := t.TempDir()
+	writer := durableSystem(t, w, fresh)
+	writeStream(t, writer, 1)
+	if err := writer.SnapshotRefresh(); err != nil {
+		t.Fatal(err)
+	}
+	writeStream(t, writer, 2)
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(fresh, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, parentRaw) {
+		t.Fatalf("checkpoint of the same history differs from the previous build's (%d vs %d bytes)", len(raw), len(parentRaw))
 	}
 }
 
-// TestFleetRestartShardCountMismatch pins the guard rail: restarting a
-// checkpointed fleet with a different shard count must fail loudly, not
-// silently misroute users.
-func TestFleetRestartShardCountMismatch(t *testing.T) {
-	w := shardTestWorld(t)
-	dir := t.TempDir()
-	sys := durableSystem(t, w, 2, dir)
-	if _, _, err := sys.ApplyRating(0, 3, 5); err != nil {
+// TestDurableRestartRefusesMultiReplicaCheckpoint: a checkpoint of a
+// build that served several replicas — the shared-base kind, or Kind 6
+// with more than one graph image — cannot restore into one graph without
+// losing the writes each replica held alone, so NewSystem refuses it and
+// says how to recover.
+func TestDurableRestartRefusesMultiReplicaCheckpoint(t *testing.T) {
+	w := servingTestWorld(t)
+	_, raw := copyParentCheckpoint(t)
+	// Container: magic, version, kind (bytes 6-8), payload length (8-16),
+	// payload, CRC-32 of the payload. The payload starts with the WAL
+	// sequence and the image count.
+	payload := raw[16 : len(raw)-4]
+	frame := func(kind uint16, payload []byte) []byte {
+		out := append([]byte(nil), raw[:16]...)
+		binary.LittleEndian.PutUint16(out[6:8], kind)
+		binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
+		out = append(out, payload...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	twoImages := append([]byte(nil), payload[:8]...)
+	twoImages = binary.LittleEndian.AppendUint64(twoImages, 2)
+	twoImages = append(append(twoImages, payload[16:]...), payload[16:]...)
+
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"shared-base checkpoint", frame(uint16(persist.KindSharedCheckpoint), payload)},
+		{"checkpoint with two graph images", frame(uint16(persist.KindCheckpoint), twoImages)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, checkpointFileName), tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := servingTestConfig()
+			cfg.WALDir = dir
+			_, err := NewSystem(w.Data, cfg)
+			if err == nil {
+				t.Fatal("restored")
+			}
+			if !strings.Contains(err.Error(), "rebuild from the dataset") {
+				t.Fatalf("error %q does not say to rebuild from the dataset", err)
+			}
+		})
+	}
+}
+
+// TestDurableApplyRating: accepted writes are logged and applied; invalid
+// writes are rejected BEFORE logging, so the log holds exactly the
+// accepted records.
+func TestDurableApplyRating(t *testing.T) {
+	w := servingTestWorld(t)
+	sys := durableSystem(t, w, t.TempDir())
+	defer sys.Close()
+	n := w.Data.NumUsers()
+
+	added, epoch, err := sys.ApplyRating(n, 3, 4.5) // admits user n
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !added {
+		t.Error("new edge not reported as added")
+	}
+	if epoch != 2 {
+		t.Errorf("epoch = %d after one admission and one edge, want 2", epoch)
+	}
+	if _, _, err := sys.ApplyRating(n, 5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.ApplyRating(-1, 0, 1); err == nil {
+		t.Error("negative user accepted")
+	}
+	if _, _, err := sys.ApplyRating(0, 0, -1); err == nil {
+		t.Error("negative-weight write accepted")
+	}
+	st := sys.ServingStats().Durability
+	if !st.Enabled {
+		t.Fatal("durability not reported enabled")
+	}
+	if st.DurableSeq != 2 {
+		t.Errorf("log holds %d records, want 2 (rejected writes must not be logged)", st.DurableSeq)
+	}
+	if got := sys.Epoch(); got != 3 {
+		t.Errorf("epoch = %d, want 3", got)
+	}
+}
+
+// TestDurableConcurrentWriters: concurrent writers group-commit, every
+// acknowledged write is logged, and nothing stays queued once they
+// return.
+func TestDurableConcurrentWriters(t *testing.T) {
+	w := servingTestWorld(t)
+	cfg := servingTestConfig()
+	cfg.WALDir = t.TempDir()
+	cfg.WALMaxBatch = 16
+	sys, err := NewSystem(w.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const writers = 24
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for k := 0; k < writers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			_, _, errs[k] = sys.ApplyRating(k%4, (k+1)%4, float64(k+1))
+		}(k)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", k, err)
+		}
+	}
+	st := sys.ServingStats().Durability
+	if st.DurableSeq != writers {
+		t.Errorf("durable seq = %d, want %d (every acked write logged)", st.DurableSeq, writers)
+	}
+	if st.PendingBatch != 0 {
+		t.Errorf("pending batch = %d after quiesce, want 0", st.PendingBatch)
+	}
+}
+
+// TestDurableSnapshotRefreshAfterFlush: once the ingester is stopped,
+// writes fail closed but a refresh still checkpoints — the final
+// checkpoint of a graceful shutdown — and truncates the log behind it.
+func TestDurableSnapshotRefreshAfterFlush(t *testing.T) {
+	w := servingTestWorld(t)
+	dir := t.TempDir()
+	sys := durableSystem(t, w, dir)
+	defer sys.Close()
+	if _, _, err := sys.ApplyRating(0, 3, 9); err != nil {
+		t.Fatal(err)
+	}
+	sys.ing.Close()
+	if _, _, err := sys.ApplyRating(1, 0, 8); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("write after flush: err = %v, want ErrClosed", err)
+	}
+	if err := sys.SnapshotRefresh(); err != nil {
+		t.Fatal(err)
+	}
+	var cp *persist.FleetCheckpoint
+	if err := persist.LoadFile(filepath.Join(dir, checkpointFileName), func(r io.Reader) error {
+		var err error
+		cp, err = persist.LoadFleetCheckpoint(r)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if cp.Seq != 1 || cp.Snapshot.Epoch != sys.Epoch() {
+		t.Errorf("checkpoint (seq %d, epoch %d), want (1, %d)", cp.Seq, cp.Snapshot.Epoch, sys.Epoch())
+	}
+	if len(readLog(t, dir)) != 0 {
+		t.Error("log not truncated behind the checkpoint")
+	}
+}
+
+// TestDurableSnapshotRefreshRequiresWAL: without a WAL directory there is
+// nothing to checkpoint, durability reports disabled and Close is a no-op.
+func TestDurableSnapshotRefreshRequiresWAL(t *testing.T) {
+	w := servingTestWorld(t)
+	sys, err := NewSystem(w.Data, servingTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SnapshotRefresh(); err == nil || !strings.Contains(err.Error(), "no WAL directory") {
+		t.Fatalf("refresh without a WAL: err = %v", err)
+	}
+	if st := sys.ServingStats().Durability; st.Enabled {
+		t.Error("durability reported enabled without a WAL")
+	}
+	if err := sys.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+// readLog returns every record of the WAL in dir.
+func readLog(t *testing.T, dir string) []wal.Record {
+	t.Helper()
+	l, err := wal.Open(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var recs []wal.Record
+	if err := l.Replay(0, func(_ uint64, rec wal.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestDurableRecoveryViaApplyRecord: replaying a log through applyRecord
+// into a fresh System reproduces the logged writes exactly — epoch,
+// weights and the grown universe.
+func TestDurableRecoveryViaApplyRecord(t *testing.T) {
+	w := servingTestWorld(t)
+	dir := t.TempDir()
+	sys := durableSystem(t, w, dir)
+	n, m := w.Data.NumUsers(), w.Data.NumItems()
+	if _, _, err := sys.ApplyRating(0, 3, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.ApplyRating(n+1, m, 2); err != nil { // admits two users and an item
+		t.Fatal(err)
+	}
+	sys.ing.Close() // quiesce the log before reading it
+	recs := readLog(t, dir)
+
+	fresh, err := NewSystem(w.Data, servingTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := fresh.applyRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fresh.Epoch(), sys.Epoch(); got != want {
+		t.Errorf("replayed epoch = %d, want %d", got, want)
+	}
+	g := fresh.Graph()
+	if got := g.Weight(g.UserNode(0), g.ItemNode(3)); got != 9 {
+		t.Errorf("replayed weight(0,3) = %v, want 9", got)
+	}
+	if nu, ni := fresh.Universe(); nu != n+2 || ni != m+1 {
+		t.Errorf("replayed universe = (%d,%d), want (%d,%d)", nu, ni, n+2, m+1)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig()
-	cfg.LDA = lda.Config{NumTopics: 2, Iterations: 5}
-	cfg.Seed = 7
-	cfg.ShardCount = 3
-	cfg.AutoGrow = true
-	cfg.WALDir = dir
-	if _, err := NewSystem(w.Data, cfg); err == nil {
-		t.Fatal("shard-count mismatch against the checkpoint accepted")
 	}
 }

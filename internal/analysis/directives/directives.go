@@ -4,21 +4,8 @@
 //
 // The stack's concurrency and hot-path invariants are enforced by custom
 // analyzers (see internal/analysis); directive comments are how the source
-// marks the audited exceptions and annotated entry points:
+// marks the audited exceptions and the annotated hot paths:
 //
-//	//ltr:viewmu                  on a mutex struct field: a per-view lock
-//	                              participating in the global construction-
-//	                              order lock protocol (graph.Bipartite.mu).
-//	//ltr:guardmu                 on a mutex struct field: a serialization
-//	                              lock only audited entry points may take
-//	                              (sharedState.growMu).
-//	//ltr:lockentry               on a function: an audited entry point of
-//	                              the lock protocol (may loop over view
-//	                              locks, lock several views, take guard
-//	                              mutexes, call group folds).
-//	//ltr:groupfold               on a function: a fleet-wide fold that
-//	                              requires EVERY view lock to be held; only
-//	                              lockentry/groupfold functions may call it.
 //	//ltr:allocfree               on a function: the body must stay free of
 //	                              heap-escaping constructs (the static
 //	                              complement of the 25 allocs/op bench gate).
@@ -31,7 +18,6 @@ package directives
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 
@@ -44,18 +30,7 @@ const Prefix = "//ltr:"
 // Directive verbs.
 const (
 	VerbIgnore    = "ignore"
-	VerbViewMu    = "viewmu"
-	VerbGuardMu   = "guardmu"
-	VerbLockEntry = "lockentry"
-	VerbGroupFold = "groupfold"
 	VerbAllocFree = "allocfree"
-)
-
-// funcVerbs may only annotate function declarations; fieldVerbs only
-// mutex-typed struct fields.
-var (
-	funcVerbs  = map[string]bool{VerbLockEntry: true, VerbGroupFold: true, VerbAllocFree: true}
-	fieldVerbs = map[string]bool{VerbViewMu: true, VerbGuardMu: true}
 )
 
 // AnalyzerNames is the canonical name set of the ltr-vet suite — the names
@@ -65,7 +40,6 @@ var AnalyzerNames = []string{
 	"allocfree",
 	"atomicfield",
 	"ctxflow",
-	"lockorder",
 	"ltrdirective",
 	"poolreturn",
 }
@@ -131,50 +105,6 @@ func groupHasVerb(g *ast.CommentGroup, verb string) bool {
 		}
 	}
 	return false
-}
-
-// MarkedFieldObjects returns the types.Object of every struct field in the
-// package whose doc or line comment carries the directive verb.
-func MarkedFieldObjects(pass *analysis.Pass, verb string) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !groupHasVerb(field.Doc, verb) && !groupHasVerb(field.Comment, verb) {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						out[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// MarkedFuncObjects returns the types.Object of every function declared in
-// the package whose doc comment carries the directive verb.
-func MarkedFuncObjects(pass *analysis.Pass, verb string) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !FuncMarked(fn, verb) {
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[fn.Name]; obj != nil {
-				out[obj] = true
-			}
-		}
-	}
-	return out
 }
 
 // Suppressor filters one analyzer's diagnostics through the package's
@@ -246,7 +176,7 @@ var Analyzer = &analysis.Analyzer{
 func runDirective(pass *analysis.Pass) (interface{}, error) {
 	rep := NewSuppressor(pass, "ltrdirective")
 	for _, f := range pass.Files {
-		attached := attachedDirectiveComments(f)
+		funcDocs := funcDocDirectives(f)
 		for _, g := range f.Comments {
 			for _, c := range g.List {
 				verb, rest, ok := Parse(c)
@@ -256,16 +186,12 @@ func runDirective(pass *analysis.Pass) (interface{}, error) {
 				switch {
 				case verb == VerbIgnore:
 					checkIgnore(rep, c, rest)
-				case funcVerbs[verb]:
-					if attached[c] != attachFunc {
+				case verb == VerbAllocFree:
+					if !funcDocs[c] {
 						rep.Reportf(c.Pos(), "ltr:%s directive must be in the doc comment of a function declaration", verb)
 					}
-				case fieldVerbs[verb]:
-					if attached[c] != attachField {
-						rep.Reportf(c.Pos(), "ltr:%s directive must be attached to a sync.Mutex or sync.RWMutex struct field", verb)
-					}
 				default:
-					rep.Reportf(c.Pos(), "unknown ltr directive %q (known: ignore, viewmu, guardmu, lockentry, groupfold, allocfree)", verb)
+					rep.Reportf(c.Pos(), "unknown ltr directive %q (known: ignore, allocfree)", verb)
 				}
 			}
 		}
@@ -289,59 +215,22 @@ func checkIgnore(rep *Suppressor, c *ast.Comment, rest string) {
 	}
 }
 
-type attachKind int
-
-const (
-	attachNone attachKind = iota
-	attachFunc
-	attachField
-)
-
-// attachedDirectiveComments maps each directive comment of the file to the
-// declaration kind it annotates: a function doc comment, or a mutex-typed
-// struct field's doc/line comment.
-func attachedDirectiveComments(f *ast.File) map[*ast.Comment]attachKind {
-	out := make(map[*ast.Comment]attachKind)
-	mark := func(g *ast.CommentGroup, kind attachKind) {
-		if g == nil {
-			return
+// funcDocDirectives collects the directive comments of the file that sit
+// in a function declaration's doc comment.
+func funcDocDirectives(f *ast.File) map[*ast.Comment]bool {
+	out := make(map[*ast.Comment]bool)
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Doc == nil {
+			continue
 		}
-		for _, c := range g.List {
+		for _, c := range fn.Doc.List {
 			if _, _, ok := Parse(c); ok {
-				out[c] = kind
+				out[c] = true
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			mark(n.Doc, attachFunc)
-		case *ast.StructType:
-			for _, field := range n.Fields.List {
-				if isMutexType(field.Type) {
-					mark(field.Doc, attachField)
-					mark(field.Comment, attachField)
-				}
-			}
-		}
-		return true
-	})
 	return out
-}
-
-// isMutexType matches the sync.Mutex / sync.RWMutex type expressions a
-// viewmu/guardmu directive may annotate (syntactic: the directive analyzer
-// runs before the marked package's locking semantics are in question).
-func isMutexType(e ast.Expr) bool {
-	se, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := se.X.(*ast.Ident)
-	if !ok || id.Name != "sync" {
-		return false
-	}
-	return se.Sel.Name == "Mutex" || se.Sel.Name == "RWMutex"
 }
 
 // SortedNames returns the known analyzer names, sorted — a convenience for

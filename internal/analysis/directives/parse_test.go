@@ -13,12 +13,12 @@ func TestParse(t *testing.T) {
 		rest string
 		ok   bool
 	}{
-		{"//ltr:lockentry", "lockentry", "", true},
+		{"//ltr:allocfree", "allocfree", "", true},
 		{"//ltr:ignore ctxflow audit trail", "ignore", "ctxflow audit trail", true},
 		{"//ltr:ignore\tpoolreturn reason", "ignore", "poolreturn reason", true},
-		{"// ltr:lockentry", "", "", false},
+		{"// ltr:allocfree", "", "", false},
 		{"// plain comment", "", "", false},
-		{"/*ltr:lockentry*/", "", "", false},
+		{"/*ltr:allocfree*/", "", "", false},
 	}
 	for _, c := range cases {
 		verb, rest, ok := Parse(&ast.Comment{Text: c.text})

@@ -2,25 +2,6 @@
 // unknown verbs, and the //ltr:ignore grammar.
 package a
 
-import "sync"
-
-type S struct {
-	mu sync.RWMutex //ltr:viewmu
-	g  sync.Mutex   //ltr:guardmu
-	/* want `ltr:viewmu directive must be attached to a sync.Mutex or sync.RWMutex struct field` */ //ltr:viewmu
-	n                                                                                               int
-}
-
-//ltr:lockentry
-func Entry(s *S) {
-	s.mu.Lock()
-	s.mu.Unlock()
-	_ = s.n
-}
-
-//ltr:groupfold
-func Fold() {}
-
 //ltr:allocfree
 func Hot(x int) int { return x }
 
@@ -40,9 +21,12 @@ func Bad3()                                            {}
 func Bad4()                                                               {}
 
 func Bad5() {
-	/* want `ltr:lockentry directive must be in the doc comment of a function declaration` */ //ltr:lockentry
+	/* want `ltr:allocfree directive must be in the doc comment of a function declaration` */ //ltr:allocfree
 	_ = X
 }
+
+/* want `unknown ltr directive "viewmu"` */ //ltr:viewmu
+func Bad6()                                 {}
 
 // A valid ignore of ltrdirective itself suppresses the unknown-verb
 // diagnostic on the next line.

@@ -11,7 +11,6 @@ import (
 	"longtailrec/internal/analysis/atomicfield"
 	"longtailrec/internal/analysis/ctxflow"
 	"longtailrec/internal/analysis/directives"
-	"longtailrec/internal/analysis/lockorder"
 	"longtailrec/internal/analysis/poolreturn"
 )
 
@@ -22,7 +21,6 @@ func All() []*goanalysis.Analyzer {
 		allocfree.Analyzer,
 		atomicfield.Analyzer,
 		ctxflow.Analyzer,
-		lockorder.Analyzer,
 		directives.Analyzer,
 		poolreturn.Analyzer,
 	}

@@ -45,9 +45,9 @@ type CacheEntry struct {
 // against g: epoch unchanged → fresh; otherwise the entry's fingerprint,
 // when it has a valid one, is checked against g's write journal, and
 // anything unprovable is stale. Used by CachedRecommender on every lookup
-// and by the fleet's revalidation sweep (shard.Fleet.EvictStale) —
+// and by the revalidation sweep (longtail's System.EvictStaleCache) —
 // validation is graph-level, not algorithm-level, so one validator serves
-// every algorithm sharing a graph view.
+// every algorithm sharing a graph.
 func EntryValidator(g *graph.Bipartite) func(*CacheEntry) cache.Verdict {
 	return func(e *CacheEntry) cache.Verdict {
 		if e.BuildEpoch == g.Epoch() {
@@ -69,25 +69,18 @@ func EntryValidator(g *graph.Bipartite) func(*CacheEntry) cache.Verdict {
 
 // ServingStats is the live-serving state the HTTP layer reports on
 // /v1/stats: where the write stream stands and how effective the result
-// caching is, fleet-wide plus a per-shard breakdown.
+// caching is.
 type ServingStats struct {
-	// Epoch is the fleet-wide epoch: total accepted live writes since
-	// construction, summed across shards (with one shard, the graph
-	// epoch exactly as before).
+	// Epoch is the graph epoch: total accepted live writes since
+	// construction.
 	Epoch uint64
-	// PendingWrites is how many writes sit in the shards' delta
-	// overlays, not yet compacted into their CSRs.
+	// PendingWrites is how many writes sit in the graph's delta overlay,
+	// not yet compacted into its CSR.
 	PendingWrites int
-	// CacheEnabled reports whether result caches are configured.
+	// CacheEnabled reports whether the result cache is configured.
 	CacheEnabled bool
-	// Cache holds the result-cache counters summed across shards (zero
-	// when disabled).
+	// Cache holds the result-cache counters (zero when disabled).
 	Cache cache.Stats
-	// Shards is the per-shard breakdown, indexed by shard — always
-	// populated (length 1 for the single-replica stack). Each shard's
-	// epoch and cache counters move independently: a write invalidates
-	// only its own shard's cached results.
-	Shards []ShardStats
 	// Durability reports where the write-ahead log stands (zero value
 	// when the stack runs without one).
 	Durability DurabilityStats
@@ -106,28 +99,9 @@ type DurabilityStats struct {
 	// PendingBatch is how many submitted writes await their group-commit
 	// batch — acknowledged to no one yet.
 	PendingBatch int
-	// LastCheckpointEpoch is the fleet-wide epoch at the moment the most
-	// recent checkpoint was written (zero before the first one).
+	// LastCheckpointEpoch is the epoch at the moment the most recent
+	// checkpoint was written (zero before the first one).
 	LastCheckpointEpoch uint64
-}
-
-// ShardStats is one serving replica's slice of ServingStats: its own
-// epoch, pending writes, live universe and cache counters.
-type ShardStats struct {
-	// Shard is the replica's index (the value shard.Assign routes to).
-	Shard int
-	// Epoch is this shard's graph epoch (accepted writes routed here).
-	Epoch uint64
-	// PendingWrites is this shard's uncompacted delta-overlay writes.
-	PendingWrites int
-	// NumUsers/NumItems are this shard's live universe sizes; shards
-	// diverge as auto-grow admissions land on the written shard only.
-	NumUsers, NumItems int
-	// CacheEnabled reports whether this shard has a result cache.
-	CacheEnabled bool
-	// Cache holds this shard's result-cache counters (zero when
-	// disabled).
-	Cache cache.Stats
 }
 
 // CachedRecommender wraps a Recommender with a revalidating result cache
@@ -148,7 +122,7 @@ type CachedRecommender struct {
 // serve from g (the graph whose epoch and write journal decide entry
 // freshness). The cache may be shared across many wrapped algorithms:
 // keys include the algorithm name, and revalidation is graph-level, so
-// algorithms sharing a graph view share the validator's verdicts.
+// algorithms sharing a graph share the validator's verdicts.
 func NewCachedRecommender(inner Recommender, g *graph.Bipartite, c *cache.Cache[CacheEntry]) (*CachedRecommender, error) {
 	if inner == nil || g == nil || c == nil {
 		return nil, fmt.Errorf("core: NewCachedRecommender needs inner, graph and cache")

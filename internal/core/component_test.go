@@ -228,29 +228,27 @@ func userRange(lo, hi int) []int {
 	return out
 }
 
-// TestComponentReuseFollowsFold: a sibling view's write into the component
-// a view's engine keeps is invisible to that view until the group fold
-// publishes it, and then the view's next walk must see it — the fold moves
-// no journal, only the base pointer the kept component is keyed on. Every
-// pass reads island 0 only, so its component stays kept across the fold.
+// TestComponentReuseFollowsFold: writes into the component an engine
+// keeps must show in its next walk while they sit in the overlay, and
+// again after the fold that publishes them — the fold moves no journal,
+// only the base pointer the kept component is keyed on. Every pass reads
+// island 0 only, so its component stays kept between the steps.
 func TestComponentReuseFollowsFold(t *testing.T) {
 	const users = 12
-	views := graph.ShareViews(islands(t, 2, users, 15, 3), 2)
-	g := views[0]
+	g := islands(t, 2, users, 15, 3)
 	opts := WalkOptions{Iterations: 10}
 	at := NewAbsorbingTime(g, opts)
 	fresh := func() Recommender { return NewAbsorbingTime(g, opts) }
 	island0 := userRange(0, users)
 	requireFreshAnswers(t, "before", at, fresh, island0)
-	// User 5 (island 0) is homed on the sibling; its new ratings reshape
-	// island 0's walks.
+	// User 5 (island 0) rates more of the island, reshaping its walks.
 	for i := 0; i < 15; i += 3 {
-		if _, err := views[1].UpsertRating(5, i, 5); err != nil {
+		if _, err := g.UpsertRating(5, i, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	requireFreshAnswers(t, "sibling writes pending", at, fresh, island0)
-	views[1].Compact()
+	requireFreshAnswers(t, "writes pending", at, fresh, island0)
+	g.Compact()
 	requireFreshAnswers(t, "after the fold", at, fresh, island0)
 }
 

@@ -40,7 +40,7 @@ type Scored struct {
 
 // Recommender is the uniform interface over all algorithms in the paper's
 // evaluation: one query method, whatever sits behind it (the pooled walk
-// engine, a score-function adapter, the caching wrapper, a shard router).
+// engine, a score-function adapter, the caching wrapper).
 type Recommender interface {
 	// Name identifies the algorithm (e.g. "HT", "AC2", "PureSVD").
 	Name() string

@@ -34,7 +34,7 @@ type Scale struct {
 }
 
 // QuickScale is sized for CI benchmarks: every experiment finishes in
-// seconds while preserving the paper's orderings.
+// seconds.
 func QuickScale() Scale {
 	return Scale{TestRatings: 120, Negatives: 300, PanelUsers: 80, Evaluators: 30, MaxN: 50, ListSize: 10}
 }
@@ -272,7 +272,7 @@ func Figure5(env *Env) (*RecallCurves, error) {
 		}
 		rows = append(rows, []string{r.Name, pick(5), pick(10), pick(20), pick(50)})
 	}
-	out.Text = renderTable(fmt.Sprintf("Figure 5 (%s): Recall@N (paper order AC2>AC1>AT>HT>DPPR/PureSVD/LDA)", env.Kind),
+	out.Text = renderTable(fmt.Sprintf("Figure 5 (%s): Recall@N (the paper reports AC2>AC1>AT>HT>DPPR/PureSVD/LDA; these rows are measured here)", env.Kind),
 		header, rows)
 	return out, nil
 }

@@ -68,9 +68,13 @@ func TestFigure2Experiment(t *testing.T) {
 			t.Fatalf("ranking %v, want %v", res.Ranking, wantOrder)
 		}
 	}
-	// Values pinned to our exact solver (constant 1.04 ratio to the paper).
-	if math.Abs(res.HittingTimes["M4"]-18.4) > 0.05 {
-		t.Fatalf("H(U5|M4) = %v", res.HittingTimes["M4"])
+	// Values pinned to the exact solver. The paper prints 17.7, 19.6, 20.2
+	// and 20.3: paper/repo is 0.961-0.962 on all four, a difference not yet
+	// explained.
+	for movie, want := range map[string]float64{"M4": 18.4, "M1": 20.4, "M5": 21.0, "M6": 21.1} {
+		if got := res.HittingTimes[movie]; math.Abs(got-want) > 0.05 {
+			t.Errorf("H(U5|%s) = %v, want %v", movie, got, want)
+		}
 	}
 	if !strings.Contains(res.Text, "M4") {
 		t.Fatal("text rendering missing M4")

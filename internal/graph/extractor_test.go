@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -400,4 +402,75 @@ func TestExtractorRowsSorted(t *testing.T) {
 		t.Fatalf("hub row does not start with its %d seed columns: %v", len(seeds), cols)
 	}
 	requireMatchesRef(t, g, sg, seeds, 0)
+}
+
+// TestConcurrentExtractDuringFold races subgraph extractions (Extract
+// spans seed validation, BFS and the CSR build under ONE read lock)
+// against folds and auto-growing writers: every extracted snapshot must be
+// internally consistent. Run under -race via make race.
+func TestConcurrentExtractDuringFold(t *testing.T) {
+	g, err := FromRatings(4, 6, []Rating{
+		{User: 0, Item: 0, Weight: 1},
+		{User: 1, Item: 1, Weight: 2},
+		{User: 2, Item: 2, Weight: 3},
+		{User: 3, Item: 3, Weight: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, 6)
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < 80; i++ {
+				u := s + 2*(i%2)
+				if _, err := g.UpsertRatingAutoGrow(u, (s*3+i)%6, 1+float64(i%3)); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 15; i++ {
+			g.Compact()
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ex := NewSubgraphExtractor(g)
+			for i := 0; i < 120; i++ {
+				sg, err := ex.Extract([]int{g.UserNode(r)}, 0)
+				if err != nil {
+					errc <- err
+					return
+				}
+				// A symmetric adjacency never pairs a node with a degree
+				// from another epoch: every local row sum matches the
+				// cached degree.
+				for l := 0; l < sg.Len(); l++ {
+					_, ws := sg.Adjacency().Row(l)
+					sum := 0.0
+					for _, w := range ws {
+						sum += w
+					}
+					if d := sg.Degrees()[l]; d != sum {
+						errc <- fmt.Errorf("torn subgraph snapshot: local node %d cached degree %g, row sum %g", l, d, sum)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
 }

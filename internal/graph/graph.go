@@ -36,47 +36,51 @@ type Rating struct {
 	Weight     float64
 }
 
-// Bipartite is a user–item graph over a growable user/item universe —
-// precisely, one VIEW over a shared immutable base (see shared.go). The
-// bulk of the adjacency lives in the shared compacted CSR; live writes
-// accumulate in this view's sparse per-node overlay until Compact (or the
-// auto-compaction threshold) folds them, and nodes admitted live stay
-// overlay-only (an empty row on the admitting view) until the next fold
-// extends the CSR. A standalone graph is a shared state with exactly one
-// view, so the single-graph behavior is unchanged; ShareViews splits one
-// graph into N views for sharded serving. All exported methods are safe
-// for concurrent use.
-type Bipartite struct {
-	// shared holds the storage common to every view: the immutable base
-	// snapshot (CSR + degrees + aggregates) and the node universe, both
-	// behind atomic pointers so identity accessors (NumUsers, UserNode,
-	// IsItemNode, ...) never take the graph lock and are safe to call from
-	// code already holding it in either mode. Set at construction, never
-	// reassigned.
-	shared *sharedState
+// baseSnapshot is the immutable compacted core the graph reads: the
+// symmetric CSR plus the per-node degree vector and the graph-wide
+// aggregates at fold time. Published behind Bipartite.base; never mutated
+// after publication.
+type baseSnapshot struct {
+	adj         *sparse.CSR
+	degrees     []float64 // weighted degree per node; len == CSR row count
+	totalWeight float64   // Σ_ij a(i,j), each edge counted twice
+	numEdges    int       // undirected edge count
+}
 
-	// epoch counts THIS VIEW's accepted live writes (edge writes and node
-	// admissions) since construction; it is atomic so cache lookups can
-	// read it without taking the graph lock. A group fold moves no epoch.
+// Bipartite is a user–item graph over a growable user/item universe. The
+// bulk of the adjacency lives in an immutable compacted CSR (the base);
+// live writes accumulate in a sparse per-node overlay until Compact (or
+// the auto-compaction threshold) folds them into a new base, and nodes
+// admitted live stay overlay-only (an empty row) until the next fold
+// extends the CSR. All exported methods are safe for concurrent use.
+type Bipartite struct {
+	// uni is the node universe and base the compacted core, both
+	// immutable once published and swapped behind atomic pointers, so
+	// identity accessors (NumUsers, UserNode, IsItemNode, ...) never take
+	// the graph lock and are safe to call from code already holding it in
+	// either mode. An admission swaps uni and a fold swaps base, both with
+	// mu held for writing.
+	uni  atomic.Pointer[universe]
+	base atomic.Pointer[baseSnapshot]
+
+	// epoch counts accepted live writes (edge writes and node admissions)
+	// since construction; it is atomic so cache lookups can read it
+	// without taking the graph lock. A fold moves no epoch.
 	epoch atomic.Uint64
 
-	// mu is this view's lock: RLock for reads of overlay/deltas, Lock for
-	// writes. Participates in the fleet-wide lock protocol — the group
-	// fold takes EVERY view's mu in construction order (ltr-vet enforces
-	// the protocol; see internal/analysis/lockorder).
-	mu sync.RWMutex //ltr:viewmu
+	// mu guards the overlay and the drift counters: RLock for reads, Lock
+	// for writes, admissions and folds.
+	mu sync.RWMutex
 
 	// overlay maps a node id to its full live row (base row merged with
-	// every pending write this view accepted touching it). Rows are
-	// copy-on-write: a write always installs a freshly allocated row, so
-	// slices previously handed to readers stay valid forever. A node beyond
-	// the shared CSR's row count without an overlay row reads as an empty
-	// row (it was admitted through a sibling view and has no edges here).
+	// every pending write touching it). Rows are copy-on-write: a write
+	// always installs a freshly allocated row, so slices previously handed
+	// to readers stay valid forever.
 	overlay          map[int]*liveRow
 	overlayWrites    int     // accepted writes since the last fold
-	weightDelta      float64 // this view's totalWeight drift vs the base
-	edgeDelta        int     // this view's numEdges drift vs the base
-	compactThreshold int     // auto-fold when overlayWrites reaches this; <= 0 disables (single view only)
+	weightDelta      float64 // totalWeight drift vs the base
+	edgeDelta        int     // numEdges drift vs the base
+	compactThreshold int     // auto-fold when overlayWrites reaches this; <= 0 disables
 
 	// journal is the bounded ring of recently-touched node ids behind
 	// fine-grained cache invalidation (see journal.go). Appended to under
@@ -84,12 +88,11 @@ type Bipartite struct {
 	// records nothing — folding changes representation, not content.
 	journal writeJournal
 	// nodeGens maps a node id to the write generation of its most recent
-	// accepted write on this view. Guarded by mu; allocated lazily like the
-	// overlay.
+	// accepted write. Guarded by mu; allocated lazily like the overlay.
 	nodeGens map[int]uint64
 
-	// popularity is the last ItemPopularity result, reused until this
-	// view's write generation or its storage key moves.
+	// popularity is the last ItemPopularity result, reused until the
+	// write generation or the storage key moves.
 	popularity atomic.Pointer[popularityMemo]
 }
 
@@ -131,8 +134,7 @@ func (b *Builder) AddRating(u, i int, w float64) error {
 	return nil
 }
 
-// Build freezes the builder into a graph (epoch 0, empty overlay): a
-// single view over its own freshly built base snapshot.
+// Build freezes the builder into a graph (epoch 0, empty overlay).
 func (b *Builder) Build() *Bipartite {
 	adj := b.coo.ToCSR()
 	n := b.numUsers + b.numItems
@@ -146,10 +148,9 @@ func (b *Builder) Build() *Bipartite {
 		base.degrees[v] = d
 		base.totalWeight += d
 	}
-	g := &Bipartite{shared: &sharedState{}}
-	g.shared.uni.Store(newBaseUniverse(b.numUsers, b.numItems))
-	g.shared.base.Store(base)
-	g.shared.views = []*Bipartite{g}
+	g := &Bipartite{}
+	g.uni.Store(newBaseUniverse(b.numUsers, b.numItems))
+	g.base.Store(base)
 	return g
 }
 
@@ -166,32 +167,32 @@ func FromRatings(numUsers, numItems int, ratings []Rating) (*Bipartite, error) {
 
 // NumUsers returns the current number of user nodes (live: node
 // admissions grow it).
-func (g *Bipartite) NumUsers() int { return g.shared.uni.Load().numUsers }
+func (g *Bipartite) NumUsers() int { return g.uni.Load().numUsers }
 
 // NumItems returns the current number of item nodes (live).
-func (g *Bipartite) NumItems() int { return g.shared.uni.Load().numItems }
+func (g *Bipartite) NumItems() int { return g.uni.Load().numItems }
 
 // NumNodes returns the total node count (live).
-func (g *Bipartite) NumNodes() int { return g.shared.uni.Load().numNodes() }
+func (g *Bipartite) NumNodes() int { return g.uni.Load().numNodes() }
 
 // BaseNumUsers returns the user-universe size frozen at Build, before any
 // live admissions — the universe that snapshot-trained models cover.
-func (g *Bipartite) BaseNumUsers() int { return g.shared.uni.Load().baseUsers }
+func (g *Bipartite) BaseNumUsers() int { return g.uni.Load().baseUsers }
 
 // BaseNumItems returns the item-universe size frozen at Build.
-func (g *Bipartite) BaseNumItems() int { return g.shared.uni.Load().baseItems }
+func (g *Bipartite) BaseNumItems() int { return g.uni.Load().baseItems }
 
 // NumEdges returns the number of undirected edges, including pending
 // overlay writes.
 func (g *Bipartite) NumEdges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.shared.base.Load().numEdges + g.edgeDelta
+	return g.base.Load().numEdges + g.edgeDelta
 }
 
 // UserNode maps a user index to its node id.
 func (g *Bipartite) UserNode(u int) int {
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	if u < 0 || u >= uni.numUsers {
 		panic(fmt.Sprintf("graph: user %d out of range", u))
 	}
@@ -200,7 +201,7 @@ func (g *Bipartite) UserNode(u int) int {
 
 // ItemNode maps an item index to its node id.
 func (g *Bipartite) ItemNode(i int) int {
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	if i < 0 || i >= uni.numItems {
 		panic(fmt.Sprintf("graph: item %d out of range", i))
 	}
@@ -208,14 +209,14 @@ func (g *Bipartite) ItemNode(i int) int {
 }
 
 // IsUserNode reports whether node v is a user.
-func (g *Bipartite) IsUserNode(v int) bool { return g.shared.uni.Load().isUser(v) }
+func (g *Bipartite) IsUserNode(v int) bool { return g.uni.Load().isUser(v) }
 
 // IsItemNode reports whether node v is an item.
-func (g *Bipartite) IsItemNode(v int) bool { return g.shared.uni.Load().isItem(v) }
+func (g *Bipartite) IsItemNode(v int) bool { return g.uni.Load().isItem(v) }
 
 // UserIndex maps a user node id back to its user index.
 func (g *Bipartite) UserIndex(v int) int {
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	if !uni.isUser(v) {
 		panic(fmt.Sprintf("graph: node %d is not a user", v))
 	}
@@ -224,7 +225,7 @@ func (g *Bipartite) UserIndex(v int) int {
 
 // ItemIndex maps an item node id back to its item index.
 func (g *Bipartite) ItemIndex(v int) int {
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	if !uni.isItem(v) {
 		panic(fmt.Sprintf("graph: node %d is not an item", v))
 	}
@@ -232,15 +233,15 @@ func (g *Bipartite) ItemIndex(v int) int {
 }
 
 // rowLocked returns the live row of node v: the overlay row when v has
-// pending writes, the base CSR row otherwise; a node beyond the base (a
-// sibling view's admission this view has no writes for) reads as an empty
-// row. Caller holds g.mu (either mode), which pins the base (a group fold
-// needs every view's write lock). The returned slices are immutable.
+// pending writes, the base CSR row otherwise; a node beyond the base
+// without an overlay row reads as an empty row. Caller holds g.mu (either
+// mode), which pins the base (a fold needs the write lock). The returned
+// slices are immutable.
 func (g *Bipartite) rowLocked(v int) (cols []int, weights []float64) {
 	if r, ok := g.overlay[v]; ok {
 		return r.cols, r.weights
 	}
-	if base := g.shared.base.Load(); v < len(base.degrees) {
+	if base := g.base.Load(); v < len(base.degrees) {
 		return base.adj.Row(v)
 	}
 	return nil, nil
@@ -251,7 +252,7 @@ func (g *Bipartite) degreeLocked(v int) float64 {
 	if r, ok := g.overlay[v]; ok {
 		return r.degree
 	}
-	if base := g.shared.base.Load(); v < len(base.degrees) {
+	if base := g.base.Load(); v < len(base.degrees) {
 		return base.degrees[v]
 	}
 	return 0
@@ -271,8 +272,8 @@ func (g *Bipartite) Degree(v int) float64 {
 func (g *Bipartite) Degrees() []float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	base := g.shared.base.Load()
-	n := g.shared.uni.Load().numNodes()
+	base := g.base.Load()
+	n := g.uni.Load().numNodes()
 	if len(g.overlay) == 0 && n == len(base.degrees) {
 		return base.degrees
 	}
@@ -289,7 +290,7 @@ func (g *Bipartite) Degrees() []float64 {
 func (g *Bipartite) TotalWeight() float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.shared.base.Load().totalWeight + g.weightDelta
+	return g.base.Load().totalWeight + g.weightDelta
 }
 
 // Adjacency returns the compacted symmetric adjacency matrix (shared; do
@@ -299,7 +300,7 @@ func (g *Bipartite) TotalWeight() float64 {
 func (g *Bipartite) Adjacency() *sparse.CSR {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.shared.base.Load().adj
+	return g.base.Load().adj
 }
 
 // Neighbors returns the adjacent node ids and edge weights of v, including
@@ -330,7 +331,7 @@ func (g *Bipartite) Stationary() []float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	pi := make([]float64, g.NumNodes())
-	total := g.shared.base.Load().totalWeight + g.weightDelta
+	total := g.base.Load().totalWeight + g.weightDelta
 	if total == 0 {
 		return pi
 	}
@@ -340,35 +341,33 @@ func (g *Bipartite) Stationary() []float64 {
 	return pi
 }
 
-// storageKey identifies the shared storage a view reads its unwritten rows
-// and its node identities from: the base snapshot and the universe. A
-// group fold (which makes siblings' writes visible in this view's base
-// rows) swaps the first, an admission through any view the second; neither
-// is journaled on this view and neither is ever set back. A held key keeps
-// both alive, so two equal keys name the same storage.
+// storageKey identifies the storage the graph reads its unwritten rows and
+// its node identities from: the base snapshot and the universe. A fold
+// swaps the first, an admission the second; a fold is not journaled and
+// neither is ever set back. A held key keeps both alive, so two equal keys
+// name the same storage.
 type storageKey struct {
 	base *baseSnapshot
 	uni  *universe
 }
 
-// storageKey returns the view's current storage key. Lock-free.
+// storageKey returns the graph's current storage key. Lock-free.
 func (g *Bipartite) storageKey() storageKey {
-	return storageKey{base: g.shared.base.Load(), uni: g.shared.uni.Load()}
+	return storageKey{base: g.base.Load(), uni: g.uni.Load()}
 }
 
 // popularityMemo is one published ItemPopularity result together with the
 // state it was counted from. Immutable once stored.
 type popularityMemo struct {
-	gen uint64     // the view's write generation
+	gen uint64     // the write generation
 	key storageKey // what the unwritten rows count from and how long the vector is
 	pop []int
 }
 
-// current reports whether nothing that can change the view's rater counts
-// has happened since m was counted: every edge write and admission on this
-// view moves the write generation, and a group fold or an admission
-// through any view moves the storage key. None of them is ever set back —
-// unlike the epoch, which RestoreEpoch may rewind.
+// current reports whether nothing that can change the rater counts has
+// happened since m was counted: every edge write and admission moves the
+// write generation, and a fold or an admission moves the storage key.
+// Neither is ever set back.
 func (m *popularityMemo) current(g *Bipartite) bool {
 	return m != nil && m.gen == g.journal.head.Load() && m.key == g.storageKey()
 }

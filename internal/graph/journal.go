@@ -2,8 +2,8 @@
 // cache invalidation.
 //
 // Every accepted live write touches exactly two nodes (the user and the
-// item; a node admission touches one). Each view records those node ids in
-// a small bounded ring journal whose monotone head is the view's
+// item; a node admission touches one). The graph records those node ids in
+// a small bounded ring journal whose monotone head is its
 // write-generation counter, and keeps a per-node last-write generation map.
 // A walk result depends only on its extracted subgraph, so a cached result
 // fingerprinted with (journal watermark at extraction, bloom of subgraph
@@ -13,10 +13,10 @@
 // overflow — more than journalCap writes since the entry was built —
 // degrades soundly to "stale".
 //
-// The journal lives with the view's overlay machinery: writers append under
-// the view's write lock (applyRatingLocked / growUnderLocks), while
+// The journal lives with the overlay machinery: writers append under the
+// graph's write lock (applyRatingLocked / growLocked), while
 // CheckFingerprint readers are lock-free (atomic head + atomic slots, with
-// a post-scan overflow recheck guarding torn slot reads). A group fold
+// a post-scan overflow recheck guarding torn slot reads). A fold
 // publishes a new base but changes no graph content, so it records nothing
 // — the same contract as the epoch invariant (INVARIANTS.md).
 
@@ -27,7 +27,7 @@ import "sync/atomic"
 const (
 	// journalCap is the ring capacity: how many writes a cached entry may
 	// lag behind before revalidation degrades to "stale". Power of two
-	// (index masking); 2048 slots = 16 KiB per view.
+	// (index masking); 2048 slots = 16 KiB per graph.
 	journalCap = 2048
 
 	fpWords  = 64           // bloom filter words
@@ -35,21 +35,19 @@ const (
 	fpProbes = 3            // hash probes per node
 )
 
-// writeJournal is one view's bounded ring of recently-touched node ids.
-// head is the view's write generation: the total number of node touches
+// writeJournal is the graph's bounded ring of recently-touched node ids.
+// head is the graph's write generation: the total number of node touches
 // (2 per edge write, 1 per admission) since construction. Slot (s-1) mod
 // journalCap holds the node touched by generation s. Writers append under
-// the view's write lock; readers are lock-free.
+// the graph's write lock; readers are lock-free.
 type writeJournal struct {
 	head  atomic.Uint64
 	slots [journalCap]atomic.Uint64
 }
 
-// touchNodeLocked records node v as written: bumps the view's write
+// touchNodeLocked records node v as written: bumps the graph's write
 // generation, journals v, and updates v's per-node generation counter.
 // Caller holds g.mu for writing (the journal's only writer ordering).
-//
-//ltr:lockentry
 func (g *Bipartite) touchNodeLocked(v int) {
 	seq := g.journal.head.Load() + 1
 	// Slot store strictly before head store: a reader that observed head
@@ -62,13 +60,13 @@ func (g *Bipartite) touchNodeLocked(v int) {
 	g.nodeGens[v] = seq
 }
 
-// WriteGen returns this view's current write generation — the journal
+// WriteGen returns the graph's current write generation — the journal
 // watermark subgraph fingerprints are stamped with. Lock-free.
 func (g *Bipartite) WriteGen() uint64 { return g.journal.head.Load() }
 
 // NodeGen returns the write generation of node v's most recent accepted
-// write on this view (0 if v was never written live here). Admissions
-// count: a freshly admitted node carries the generation of its admission.
+// write (0 if v was never written live). Admissions count: a freshly
+// admitted node carries the generation of its admission.
 func (g *Bipartite) NodeGen(v int) uint64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -91,12 +89,12 @@ const (
 )
 
 // Fingerprint is a cached result's dependency set: the write-generation
-// watermark of the view it was computed against plus a fixed-size bloom
+// watermark of the graph it was computed against plus a fixed-size bloom
 // filter of the extracted subgraph's node ids. The zero value is invalid
 // (entries carrying it revalidate epoch-exactly). It is a value type — no
 // heap allocation to produce, copy or store one.
 type Fingerprint struct {
-	// Gen is the producing view's write generation at extraction time.
+	// Gen is the producing graph's write generation at extraction time.
 	Gen   uint64
 	ok    bool
 	words [fpWords]uint64
@@ -157,7 +155,7 @@ func (fp *Fingerprint) MayContain(v int) bool {
 }
 
 // CheckFingerprint revalidates a cached result's fingerprint against this
-// view's write journal: scan every journaled write newer than fp.Gen; if
+// graph's write journal: scan every journaled write newer than fp.Gen; if
 // none touched a node the bloom may contain, the result is Fresh despite
 // the epoch having moved. Lock-free — safe to call from cache lookups
 // concurrent with writers; a concurrent overwrite of a scanned slot is

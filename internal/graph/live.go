@@ -56,20 +56,12 @@ func (g *Bipartite) PendingWrites() int {
 
 // SetCompactThreshold makes the graph fold the overlay into the CSR
 // automatically once n writes have accumulated. n <= 0 disables
-// auto-compaction (explicit Compact only). Inline auto-folding applies to
-// standalone (single-view) graphs only: a shared-base view cannot fold
-// from inside its own write path (a fold needs every sibling's lock, and
-// folding would silently publish sibling overlays early) — the fleet
-// layer drives shared folds instead (shard.Fleet.SetCompactThreshold).
-//
-//ltr:lockentry
+// auto-compaction (explicit Compact only).
 func (g *Bipartite) SetCompactThreshold(n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.compactThreshold = n
-	if n > 0 && g.overlayWrites >= n && len(g.shared.views) == 1 {
-		g.shared.foldLocked()
-	}
+	g.maybeCompactLocked()
 }
 
 // writeMode selects the duplicate-handling policy of applyRating.
@@ -87,49 +79,35 @@ const (
 // ids and row snapshots are untouched. The epoch bumps: results computed
 // against the smaller universe may be stale (e.g. top-k sets that should
 // now consider the newcomer's future edges).
-//
-//ltr:lockentry
 func (g *Bipartite) AddUser() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.shared.growMu.Lock()
-	idx := g.shared.uni.Load().numUsers
-	delta := g.growUnderLocks(1, 0)
-	g.shared.growMu.Unlock()
-	g.epoch.Add(delta)
+	idx := g.uni.Load().numUsers
+	g.epoch.Add(g.growLocked(1, 0))
 	g.maybeCompactLocked()
 	return idx
 }
 
 // AddItem admits one new item to the universe, returning its index. Same
 // mechanics as AddUser.
-//
-//ltr:lockentry
 func (g *Bipartite) AddItem() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.shared.growMu.Lock()
-	idx := g.shared.uni.Load().numItems
-	delta := g.growUnderLocks(0, 1)
-	g.shared.growMu.Unlock()
-	g.epoch.Add(delta)
+	idx := g.uni.Load().numItems
+	g.epoch.Add(g.growLocked(0, 1))
 	g.maybeCompactLocked()
 	return idx
 }
 
-// growUnderLocks appends newUsers user nodes and newItems item nodes to
-// the SHARED universe, installing an empty overlay row per node on THIS
-// view (the invariant that lets rowLocked serve nodes beyond the base
-// CSR; sibling views serve the same nodes through the beyond-base guard)
-// and counting each admission as one accepted write on this view. It
-// returns the epoch delta (one per admission) WITHOUT bumping the epoch —
-// the caller decides whether each write bumps individually (the
-// single-write path) or the whole batch bumps once (the group-commit
-// path). Caller holds g.mu for writing AND shared.growMu (a view's own
-// write lock cannot serialize the universe read-modify-swap against
-// sibling views).
-func (g *Bipartite) growUnderLocks(newUsers, newItems int) uint64 {
-	next := g.shared.uni.Load().grow(newUsers, newItems)
+// growLocked appends newUsers user nodes and newItems item nodes to the
+// universe, installing an empty overlay row per node (the invariant that
+// lets rowLocked serve nodes beyond the base CSR) and counting each
+// admission as one accepted write. It returns the epoch delta (one per
+// admission) WITHOUT bumping the epoch — the caller decides whether each
+// write bumps individually (the single-write path) or the whole batch
+// bumps once (the group-commit path). Caller holds g.mu for writing.
+func (g *Bipartite) growLocked(newUsers, newItems int) uint64 {
+	next := g.uni.Load().grow(newUsers, newItems)
 	if g.overlay == nil {
 		g.overlay = make(map[int]*liveRow)
 	}
@@ -137,20 +115,16 @@ func (g *Bipartite) growUnderLocks(newUsers, newItems int) uint64 {
 		g.overlay[v] = &liveRow{}
 		g.touchNodeLocked(v)
 	}
-	g.shared.uni.Store(next)
+	g.uni.Store(next)
 	g.overlayWrites += newUsers + newItems
 	return uint64(newUsers + newItems)
 }
 
 // maybeCompactLocked folds the overlay when the auto-compaction threshold
-// is reached. Single-view graphs only (see SetCompactThreshold); a shared
-// view's threshold is ignored here and the fleet folds instead. Caller
-// holds g.mu for writing.
-//
-//ltr:lockentry
+// is reached. Caller holds g.mu for writing.
 func (g *Bipartite) maybeCompactLocked() {
-	if g.compactThreshold > 0 && g.overlayWrites >= g.compactThreshold && len(g.shared.views) == 1 {
-		g.shared.foldLocked()
+	if g.compactThreshold > 0 && g.overlayWrites >= g.compactThreshold {
+		g.foldLocked()
 	}
 }
 
@@ -194,7 +168,7 @@ func (g *Bipartite) UpsertRatingAutoGrow(u, i int, w float64) (added bool, err e
 // write path reject garbage BEFORE logging it, so invalid operations
 // never occupy write-ahead-log space or replay time.
 func (g *Bipartite) CheckWrite(u, i int, w float64, autoGrow bool) error {
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	if autoGrow {
 		if err := checkGrowable("user", u, uni.numUsers); err != nil {
 			return err
@@ -240,29 +214,18 @@ func (g *Bipartite) applyRating(u, i int, w float64, mode writeMode, autoGrow bo
 // concurrent writers invalidates downstream caches with one epoch
 // transition instead of one per write. Caller holds g.mu for writing and
 // owns auto-compaction.
-//
-//ltr:lockentry
 func (g *Bipartite) applyRatingLocked(u, i int, w float64, mode writeMode, autoGrow bool) (added bool, delta uint64, err error) {
 	if autoGrow {
-		g.shared.growMu.Lock()
-		// Re-read under growMu: another write on this view — or an
-		// admission through a sibling view — may have grown the universe
+		// Re-read under the lock: another write may have grown the universe
 		// since validation, and the deficit must be computed against the
 		// universe this grow will actually extend.
-		uni := g.shared.uni.Load()
-		newUsers, newItems := u-uni.numUsers+1, i-uni.numItems+1
-		if newUsers < 0 {
-			newUsers = 0
-		}
-		if newItems < 0 {
-			newItems = 0
-		}
+		uni := g.uni.Load()
+		newUsers, newItems := max(u-uni.numUsers+1, 0), max(i-uni.numItems+1, 0)
 		if newUsers > 0 || newItems > 0 {
-			delta += g.growUnderLocks(newUsers, newItems)
+			delta += g.growLocked(newUsers, newItems)
 		}
-		g.shared.growMu.Unlock()
 	}
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	un, in := uni.userNode(u), uni.itemNode(i)
 
 	cols, weights := g.rowLocked(un)
@@ -369,24 +332,48 @@ func (g *Bipartite) setEdgeLocked(v, w int, weight float64) {
 // Compact folds every pending overlay row into a freshly built CSR —
 // sized to the current universe, so nodes admitted since the last
 // compaction get real (possibly empty) CSR rows — and publishes it as the
-// new base, clearing the overlay. On a shared-base view this is a GROUP
-// FOLD: it takes every sibling's write lock and folds every view's
-// overlay into the one new base (see shared.go). The graph content is
-// unchanged — fleet-wide, folding only moves pending writes from overlays
-// into the base — so no epoch is bumped and cached results keyed on
-// epochs stay valid. Readers holding row slices from before the
-// compaction are unaffected (the old storage is never mutated).
-//
-//ltr:lockentry
+// new base, clearing the overlay. The graph content is unchanged, so no
+// epoch is bumped and cached results keyed on epochs stay valid. Readers
+// holding row slices from before the compaction are unaffected (the old
+// storage is never mutated).
 func (g *Bipartite) Compact() {
-	s := g.shared
-	if len(s.views) == 1 {
-		g.mu.Lock()
-		s.foldLocked()
-		g.mu.Unlock()
+	g.mu.Lock()
+	g.foldLocked()
+	g.mu.Unlock()
+}
+
+// foldLocked merges the overlay into a freshly built CSR, publishes it as
+// the new base and clears the overlay and drift counters. Caller holds
+// g.mu for writing. Content-neutral: no epoch moves and nothing is
+// journaled. With the overlay empty it only resets the pending-write
+// counter — the base (and thus Adjacency identity) is untouched.
+func (g *Bipartite) foldLocked() {
+	if len(g.overlay) == 0 {
+		g.overlayWrites = 0
 		return
 	}
-	s.lockAll()
-	s.foldLocked()
-	s.unlockAll()
+	base := g.base.Load()
+	n := g.uni.Load().numNodes()
+	numEdges := base.numEdges + g.edgeDelta
+	rowPtr := make([]int, n+1)
+	colIdx := make([]int, 0, 2*numEdges)
+	vals := make([]float64, 0, 2*numEdges)
+	degrees := make([]float64, n)
+	for v := 0; v < n; v++ {
+		cols, ws := g.rowLocked(v)
+		colIdx = append(colIdx, cols...)
+		vals = append(vals, ws...)
+		rowPtr[v+1] = len(colIdx)
+		degrees[v] = g.degreeLocked(v)
+	}
+	g.base.Store(&baseSnapshot{
+		adj:         newCompactCSR(n, rowPtr, colIdx, vals),
+		degrees:     degrees,
+		totalWeight: base.totalWeight + g.weightDelta,
+		numEdges:    numEdges,
+	})
+	g.overlay = nil
+	g.overlayWrites = 0
+	g.weightDelta = 0
+	g.edgeDelta = 0
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// recountPopularity counts every item's raters from the view's live rows.
+// recountPopularity counts every item's raters from the graph's live rows.
 func recountPopularity(g *Bipartite) []int {
 	pop := make([]int, g.NumItems())
 	for i := range pop {
@@ -19,23 +19,35 @@ func recountPopularity(g *Bipartite) []int {
 	return pop
 }
 
+// popularityTestGraph is a small fixture: 4 users, 5 items, item 3 unrated.
+func popularityTestGraph(t *testing.T) *Bipartite {
+	t.Helper()
+	g, err := FromRatings(4, 5, []Rating{
+		{User: 0, Item: 0, Weight: 3},
+		{User: 0, Item: 2, Weight: 1},
+		{User: 1, Item: 1, Weight: 5},
+		{User: 2, Item: 2, Weight: 2},
+		{User: 3, Item: 4, Weight: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestItemPopularityMemoTracksWrites reads the vector before every step
 // (so each step starts from a warm memo) and compares it with the recount
-// after: on the writing view, on a sibling sharing its base, and across
-// folds and an epoch rewind.
+// after: across every write path, admissions and folds.
 func TestItemPopularityMemoTracksWrites(t *testing.T) {
-	views := ShareViews(sharedTestGraph(t), 2)
-	g, sib := views[0], views[1]
+	g := popularityTestGraph(t)
 	check := func(step string) {
 		t.Helper()
-		for name, v := range map[string]*Bipartite{"view 0": g, "view 1": sib} {
-			got, want := v.ItemPopularity(), recountPopularity(v)
-			if !slices.Equal(got, want) {
-				t.Fatalf("after %s, %s: ItemPopularity() = %v, recount %v", step, name, got, want)
-			}
-			if again := v.ItemPopularity(); &again[0] != &got[0] {
-				t.Fatalf("after %s, %s: two reads with no write between them returned different vectors", step, name)
-			}
+		got, want := g.ItemPopularity(), recountPopularity(g)
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %s: ItemPopularity() = %v, recount %v", step, got, want)
+		}
+		if again := g.ItemPopularity(); &again[0] != &got[0] {
+			t.Fatalf("after %s: two reads with no write between them returned different vectors", step)
 		}
 	}
 	must := func(err error) {
@@ -60,9 +72,9 @@ func TestItemPopularityMemoTracksWrites(t *testing.T) {
 	_, err = g.UpsertRatingAutoGrow(0, 5, 3) // admits item 5
 	must(err)
 	check("auto-grow admission of an item")
-	_, err = sib.UpsertRatingAutoGrow(5, 6, 2) // admits user 5 and item 6 through the sibling
+	_, err = g.UpsertRatingAutoGrow(5, 6, 2) // admits user 5 and item 6
 	must(err)
-	check("a sibling view's admission of a user and an item")
+	check("auto-grow admission of a user and an item")
 
 	for _, r := range g.UpsertRatingsBatch([]WriteOp{
 		{User: 2, Item: 0, Score: 5},
@@ -75,36 +87,25 @@ func TestItemPopularityMemoTracksWrites(t *testing.T) {
 
 	g.AddUser()
 	check("AddUser")
-	sib.AddItem()
-	check("AddItem on the sibling")
+	g.AddItem()
+	check("AddItem")
 
-	// The fold publishes the sibling's pending rows (user 5 — item 6, and
-	// the write below) in the base view 0 counts from; view 0's own write
-	// generation does not move.
-	_, err = sib.UpsertRating(3, 0, 1)
+	// The fold republishes the pending rows as the base: the counts stay,
+	// the write generation does not move, the storage key does.
+	_, err = g.UpsertRating(3, 0, 1)
 	must(err)
-	check("a sibling's write before the fold")
-	gen, item0 := g.WriteGen(), g.ItemPopularity()[0]
+	check("a write before the fold")
+	gen, before := g.WriteGen(), slices.Clone(g.ItemPopularity())
 	g.Compact()
 	if g.WriteGen() != gen {
-		t.Fatalf("the fold moved view 0's write generation %d -> %d", gen, g.WriteGen())
+		t.Fatalf("the fold moved the write generation %d -> %d", gen, g.WriteGen())
 	}
-	check("group fold after a sibling's writes")
-	if p := g.ItemPopularity(); p[0] != item0+1 || p[6] != 1 {
-		t.Fatalf("after the fold view 0 counts %d raters of item 0 and %d of item 6, want %d and 1", p[0], p[6], item0+1)
+	check("fold")
+	if p := g.ItemPopularity(); !slices.Equal(p, before) {
+		t.Fatalf("the fold changed the counts: %v, was %v", p, before)
 	}
 	g.Compact()
 	check("Compact with nothing pending")
-
-	// An epoch set back and then advanced to the value it had when the
-	// memo was taken (no read in between) must not revive the memo.
-	epoch := g.Epoch()
-	g.RestoreEpoch(epoch - 1)
-	must(g.AddRating(0, 1, 2))
-	if g.Epoch() != epoch {
-		t.Fatalf("epoch %d after rewind and one write, want %d", g.Epoch(), epoch)
-	}
-	check("RestoreEpoch to an earlier value, then a write that brings the epoch back")
 }
 
 // TestConcurrentItemPopularityMemo: readers take the memoised vector

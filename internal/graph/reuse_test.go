@@ -21,7 +21,7 @@ func requireBitSymmetric(t *testing.T, what string, g *Bipartite) {
 		}
 	}
 	adj := g.Adjacency()
-	for v := 0; v < len(g.shared.base.Load().degrees); v++ {
+	for v := 0; v < len(g.base.Load().degrees); v++ {
 		cols, vals := adj.Row(v)
 		for k, w := range cols {
 			if back := adj.At(w, v); math.Float64bits(back) != math.Float64bits(vals[k]) {
@@ -34,7 +34,7 @@ func requireBitSymmetric(t *testing.T, what string, g *Bipartite) {
 // TestUndirectedWeightsBitSymmetric holds every write path to Float64bits
 // symmetry: builder duplicates summed from fractional weights, AddRating /
 // UpdateRating / UpsertRating, UpsertRatingsBatch, an auto-grow admission
-// on a sibling view and the group fold that publishes it.
+// and the fold that publishes it.
 func TestUndirectedWeightsBitSymmetric(t *testing.T) {
 	b := NewBuilder(5, 9) // items 7 and 8 stay unrated
 	fractions := []float64{0.1, 0.7, 1.3, 0.2, 2.9, 0.3}
@@ -75,18 +75,15 @@ func TestUndirectedWeightsBitSymmetric(t *testing.T) {
 	}
 	requireBitSymmetric(t, "batch", g)
 
-	views := ShareViews(g, 2)
-	if _, err := views[1].UpsertRatingAutoGrow(6, 9, 0.3); err != nil {
+	if _, err := g.UpsertRatingAutoGrow(6, 9, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := views[1].UpsertRating(3, 0, 5.0/7); err != nil {
+	if _, err := g.UpsertRating(3, 0, 5.0/7); err != nil {
 		t.Fatal(err)
 	}
-	requireBitSymmetric(t, "sibling auto-grow", views[1])
-	views[0].Compact()
-	for _, v := range views {
-		requireBitSymmetric(t, "group fold", v)
-	}
+	requireBitSymmetric(t, "auto-grow", g)
+	g.Compact()
+	requireBitSymmetric(t, "fold", g)
 }
 
 // islandGraph builds two disconnected rating islands: users 0-3 over items
@@ -107,9 +104,9 @@ func islandGraph(t *testing.T) *Bipartite {
 
 // TestExtractorKeepsComponent walks one extractor through the life of a
 // kept component: reused by another seed set inside it and through a
-// write to the other island; dropped by a write to its own island, a
-// fold, seeds outside it, a budget it does not fit, an admission through
-// a sibling view and a fold that publishes a sibling's write into it.
+// write to the other island and a fold with nothing pending; dropped by a
+// write to its own island, a fold, seeds outside it, a budget it does not
+// fit and an admission.
 // Reuse is read off the stamp epoch, which only a fresh extraction moves;
 // every answer, reused or not, must match the naive reference.
 func TestExtractorKeepsComponent(t *testing.T) {
@@ -156,19 +153,15 @@ func TestExtractorKeepsComponent(t *testing.T) {
 	step("a budget it does not fit", 1, 2, false)
 	step("nothing kept from a truncated build", 1, 2, false)
 
-	views := ShareViews(g, 2)
-	step("after ShareViews folds", 0, 0, false)
-	step("reused on view 0", 1, 0, true)
-	views[1].AddUser()
-	step("after an admission through the sibling", 0, 0, false)
-	// User 2 routes to the sibling; its write is invisible to view 0 until
-	// the fold publishes it.
-	if _, err := views[1].UpsertRating(2, 0, 4.75); err != nil {
-		t.Fatal(err)
-	}
-	step("a sibling's pending write", 1, 0, true)
-	views[1].Compact()
-	step("after the fold publishes it", 1, 0, false)
+	step("rebuilt after the truncated build", 0, 0, false)
+	step("reused after the rebuild", 1, 0, true)
+	g.AddUser()
+	step("after an admission", 0, 0, false)
+	step("reused after the admission", 1, 0, true)
+	g.Compact()
+	step("after the fold publishing the admission", 2, 0, false)
+	g.Compact()
+	step("a fold with nothing pending", 3, 0, true)
 }
 
 // TestExtractorKeepsOneComponentOnly: seeds spanning both islands extract

@@ -36,12 +36,12 @@ type GraphSnapshot struct {
 func (g *Bipartite) Snapshot() GraphSnapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	uni := g.shared.uni.Load()
+	uni := g.uni.Load()
 	snap := GraphSnapshot{
 		NumUsers: uni.numUsers,
 		NumItems: uni.numItems,
 		Epoch:    g.epoch.Load(),
-		Ratings:  make([]Rating, 0, g.shared.base.Load().numEdges+g.edgeDelta),
+		Ratings:  make([]Rating, 0, g.base.Load().numEdges+g.edgeDelta),
 	}
 	for u := 0; u < uni.numUsers; u++ {
 		cols, weights := g.rowLocked(uni.userNode(u))

@@ -213,7 +213,7 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 // reusable reports whether the kept build is exactly what a fresh BFS from
 // seeds under maxItems would extract now: every seed is a member (the BFS
 // would stay inside the component and reach all of it), the budget covers
-// its items, no group fold or admission swapped the storage key, and no
+// its items, no fold or admission swapped the storage key, and no
 // write since keptFP's watermark touched a member. The watermark then
 // advances to the journal head read before the check.
 //
@@ -254,10 +254,9 @@ func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
 	// extraction, which is the documented cost model (reads dominate).
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	// One universe load serves the whole extraction. A sibling view may
-	// admit nodes meanwhile, but this view's rows cannot mention them while
-	// the read lock is held, and a universe never changes what it says
-	// about a node it already has.
+	// One universe load serves the whole extraction: an admission needs
+	// the write lock, and a universe never changes what it says about a
+	// node it already has.
 	key := g.storageKey()
 	uni := key.uni
 	n := uni.numNodes()

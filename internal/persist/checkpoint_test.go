@@ -25,13 +25,7 @@ func checkpointFixture(t testing.TB) *FleetCheckpoint {
 	if _, err := g.UpsertRatingAutoGrow(3, 4, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	return &FleetCheckpoint{
-		Seq: 17,
-		Shards: []ShardCheckpoint{
-			{BaseUsers: 3, BaseItems: 4, Snapshot: g.Snapshot()},
-			{BaseUsers: 3, BaseItems: 4, Snapshot: g.Snapshot()},
-		},
-	}
+	return &FleetCheckpoint{Seq: 17, BaseUsers: 3, BaseItems: 4, Snapshot: g.Snapshot()}
 }
 
 func TestFleetCheckpointRoundTrip(t *testing.T) {
@@ -47,34 +41,27 @@ func TestFleetCheckpointRoundTrip(t *testing.T) {
 	if got.Seq != cp.Seq {
 		t.Errorf("Seq = %d, want %d", got.Seq, cp.Seq)
 	}
-	if len(got.Shards) != len(cp.Shards) {
-		t.Fatalf("%d shards, want %d", len(got.Shards), len(cp.Shards))
+	if got.BaseUsers != cp.BaseUsers || got.BaseItems != cp.BaseItems {
+		t.Errorf("base = (%d,%d), want (%d,%d)", got.BaseUsers, got.BaseItems, cp.BaseUsers, cp.BaseItems)
 	}
-	for k, s := range got.Shards {
-		want := cp.Shards[k]
-		if s.BaseUsers != want.BaseUsers || s.BaseItems != want.BaseItems {
-			t.Errorf("shard %d base = (%d,%d), want (%d,%d)",
-				k, s.BaseUsers, s.BaseItems, want.BaseUsers, want.BaseItems)
-		}
-		// Restoring through the validating rebuild must succeed and keep
-		// the base split.
-		g, err := graph.FromSnapshotWithBase(s.Snapshot, s.BaseUsers, s.BaseItems)
-		if err != nil {
-			t.Fatalf("shard %d restore: %v", k, err)
-		}
-		if g.BaseNumUsers() != want.BaseUsers || g.BaseNumItems() != want.BaseItems {
-			t.Errorf("shard %d restored base = (%d,%d), want (%d,%d)",
-				k, g.BaseNumUsers(), g.BaseNumItems(), want.BaseUsers, want.BaseItems)
-		}
-		if g.Epoch() != want.Snapshot.Epoch {
-			t.Errorf("shard %d restored epoch = %d, want %d", k, g.Epoch(), want.Snapshot.Epoch)
-		}
+	// Restoring through the validating rebuild must succeed and keep the
+	// base split.
+	g, err := graph.FromSnapshotWithBase(got.Snapshot, got.BaseUsers, got.BaseItems)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if g.BaseNumUsers() != cp.BaseUsers || g.BaseNumItems() != cp.BaseItems {
+		t.Errorf("restored base = (%d,%d), want (%d,%d)",
+			g.BaseNumUsers(), g.BaseNumItems(), cp.BaseUsers, cp.BaseItems)
+	}
+	if g.Epoch() != cp.Snapshot.Epoch {
+		t.Errorf("restored epoch = %d, want %d", g.Epoch(), cp.Snapshot.Epoch)
 	}
 }
 
 func TestFleetCheckpointRejectsBadBase(t *testing.T) {
 	cp := checkpointFixture(t)
-	cp.Shards[1].BaseUsers = cp.Shards[1].Snapshot.NumUsers + 1
+	cp.BaseUsers = cp.Snapshot.NumUsers + 1
 	var buf bytes.Buffer
 	if err := SaveFleetCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
@@ -84,13 +71,45 @@ func TestFleetCheckpointRejectsBadBase(t *testing.T) {
 	}
 }
 
+// TestFleetCheckpointRejectsEmpty: a nil checkpoint does not save, and a
+// container holding no image, several images or a retired multi-replica
+// kind does not load.
 func TestFleetCheckpointRejectsEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveFleetCheckpoint(&buf, &FleetCheckpoint{}); err == nil {
-		t.Error("empty checkpoint saved")
-	}
-	if err := SaveFleetCheckpoint(&buf, nil); err == nil {
+	if err := SaveFleetCheckpoint(&bytes.Buffer{}, nil); err == nil {
 		t.Error("nil checkpoint saved")
+	}
+	var one bytes.Buffer
+	if err := SaveFleetCheckpoint(&one, checkpointFixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	payload := containerPayload(one.Bytes())
+	image := payload[16:] // after the sequence number and the image count
+	for _, tc := range []struct {
+		name   string
+		kind   Kind
+		images int
+	}{
+		{"no image", KindCheckpoint, 0},
+		{"two images", KindCheckpoint, 2},
+		{"shared-base kind", KindSharedCheckpoint, 1},
+	} {
+		var e enc
+		e.u64(17)
+		e.i(tc.images)
+		for k := 0; k < tc.images; k++ {
+			e.buf = append(e.buf, image...)
+		}
+		var buf bytes.Buffer
+		if err := writeContainer(&buf, tc.kind, e.buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFleetCheckpoint(&buf)
+		if err == nil {
+			t.Fatalf("%s: loaded", tc.name)
+		}
+		if tc.images != 0 && !strings.Contains(err.Error(), "rebuild from the dataset") {
+			t.Errorf("%s: error %q does not point at the dataset rebuild", tc.name, err)
+		}
 	}
 }
 
@@ -164,8 +183,8 @@ func TestSaveFileCheckpointOnDisk(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != cp.Seq || len(got.Shards) != len(cp.Shards) {
-		t.Errorf("loaded (seq=%d, shards=%d), want (seq=%d, shards=%d)",
-			got.Seq, len(got.Shards), cp.Seq, len(cp.Shards))
+	if got.Seq != cp.Seq || len(got.Snapshot.Ratings) != len(cp.Snapshot.Ratings) {
+		t.Errorf("loaded (seq=%d, %d ratings), want (seq=%d, %d ratings)",
+			got.Seq, len(got.Snapshot.Ratings), cp.Seq, len(cp.Snapshot.Ratings))
 	}
 }

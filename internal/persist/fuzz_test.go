@@ -53,50 +53,45 @@ func FuzzLoadDataset(f *testing.F) {
 	})
 }
 
-// FuzzLoadAnyFleetCheckpoint feeds the decoder every restart reads
-// (LoadAnyFleetCheckpoint) arbitrary payloads. The target frames each one
-// in a valid container — the legacy KindCheckpoint or the shared-base
-// KindSharedCheckpoint, picked by the kind byte's parity — so the
-// checksum passes and both payload decoders see every input. Rejection
-// is fine; a panic is not, and an accepted image must have the shape
-// recovery relies on: at least one shard, and a base universe split
+// FuzzLoadFleetCheckpoint feeds the decoder every restart reads
+// (LoadFleetCheckpoint) arbitrary payloads, each framed in a valid
+// KindCheckpoint container so the checksum passes and the payload decoder
+// sees every input. Rejection is fine; a panic is not, and an accepted
+// image must have the shape recovery relies on: a base universe split
 // inside the snapshot universe. Fuzz with
-// `go test -fuzz FuzzLoadAnyFleetCheckpoint ./internal/persist`.
-func FuzzLoadAnyFleetCheckpoint(f *testing.F) {
-	var shared, legacy bytes.Buffer
-	if err := SaveSharedFleetCheckpoint(&shared, sharedCheckpointFixture(f)); err != nil {
+// `go test -fuzz FuzzLoadFleetCheckpoint ./internal/persist`.
+func FuzzLoadFleetCheckpoint(f *testing.F) {
+	var valid bytes.Buffer
+	if err := SaveFleetCheckpoint(&valid, checkpointFixture(f)); err != nil {
 		f.Fatal(err)
 	}
-	if err := SaveFleetCheckpoint(&legacy, checkpointFixture(f)); err != nil {
-		f.Fatal(err)
-	}
-	sharedPayload, legacyPayload := containerPayload(shared.Bytes()), containerPayload(legacy.Bytes())
-	f.Add(byte(KindSharedCheckpoint), sharedPayload)
-	f.Add(byte(KindCheckpoint), legacyPayload)
-	// Each payload framed as the other kind.
-	f.Add(byte(KindCheckpoint), sharedPayload)
-	f.Add(byte(KindSharedCheckpoint), legacyPayload)
-	f.Add(byte(KindSharedCheckpoint), sharedPayload[:len(sharedPayload)/2])
-
-	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
-		k := KindCheckpoint // 6
-		if kind%2 == 1 {
-			k = KindSharedCheckpoint // 7
+	payload := containerPayload(valid.Bytes())
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Add([]byte{})
+	// The same image under an image count of 0 and of 2.
+	for _, n := range []int{0, 2} {
+		var e enc
+		e.u64(17)
+		e.i(n)
+		for k := 0; k < n; k++ {
+			e.buf = append(e.buf, payload[16:]...)
 		}
+		f.Add(e.buf)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
 		var buf bytes.Buffer
-		if err := writeContainer(&buf, k, payload); err != nil {
+		if err := writeContainer(&buf, KindCheckpoint, payload); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := LoadAnyFleetCheckpoint(&buf)
+		cp, err := LoadFleetCheckpoint(&buf)
 		if err != nil {
 			return
 		}
-		if len(cp.Shards) < 1 {
-			t.Fatalf("accepted %v image with no shards", k)
-		}
-		if cp.BaseUsers < 0 || cp.BaseUsers > cp.Base.NumUsers || cp.BaseItems < 0 || cp.BaseItems > cp.Base.NumItems {
-			t.Fatalf("accepted %v image with base split (%d,%d) outside universe (%d,%d)",
-				k, cp.BaseUsers, cp.BaseItems, cp.Base.NumUsers, cp.Base.NumItems)
+		if cp.BaseUsers < 0 || cp.BaseUsers > cp.Snapshot.NumUsers || cp.BaseItems < 0 || cp.BaseItems > cp.Snapshot.NumItems {
+			t.Fatalf("accepted an image with base split (%d,%d) outside universe (%d,%d)",
+				cp.BaseUsers, cp.BaseItems, cp.Snapshot.NumUsers, cp.Snapshot.NumItems)
 		}
 	})
 }

@@ -1,7 +1,7 @@
-// Package persist serializes datasets, graphs, fleet checkpoints and
+// Package persist serializes datasets, graphs, checkpoints and
 // trained models (LDA, PureSVD) to a compact, versioned binary
 // container. ltr-server reads dataset containers (-format ltrz) and,
-// with -wal-dir, the fleet checkpoint on every restart.
+// with -wal-dir, the checkpoint on every restart.
 //
 // Container layout (all integers little-endian):
 //
@@ -42,10 +42,10 @@ const (
 	KindPureSVD    Kind = 4
 	KindGraph      Kind = 5
 	KindCheckpoint Kind = 6
-	// KindSharedCheckpoint is a fleet checkpoint that stores the shared
-	// base snapshot ONCE plus one small overlay per shard, instead of N
-	// full graph copies (KindCheckpoint). Written by shared-base fleets;
-	// both kinds load through LoadAnyFleetCheckpoint.
+	// KindSharedCheckpoint is retired: builds that served several
+	// replicas over one shared base checkpointed here. Nothing writes it
+	// and LoadFleetCheckpoint refuses it; the value stays reserved so no
+	// other payload reuses it.
 	KindSharedCheckpoint Kind = 7
 )
 
@@ -121,8 +121,7 @@ func readContainer(r io.Reader, want Kind) ([]byte, error) {
 }
 
 // readContainerAny reads and verifies a container, returning its kind and
-// payload — the multi-format entry point (e.g. a fleet checkpoint may be
-// legacy per-shard or shared-base; the caller dispatches on the kind).
+// payload — for callers that dispatch on the kind.
 func readContainerAny(r io.Reader) (Kind, []byte, error) {
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {

@@ -78,7 +78,7 @@ func TestStatsDurabilityFields(t *testing.T) {
 	}
 	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &st)
 	if st.LastCheckpointEpoch != st.Epoch {
-		t.Fatalf("last_checkpoint_epoch = %d just after a refresh, want the fleet epoch %d",
+		t.Fatalf("last_checkpoint_epoch = %d just after a refresh, want the epoch %d",
 			st.LastCheckpointEpoch, st.Epoch)
 	}
 	if st.LastCheckpointEpoch == 0 {

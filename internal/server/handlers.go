@@ -42,22 +42,8 @@ type CacheStatsResponse struct {
 	HitRate            float64 `json:"hit_rate"` // (hits+shared) / lookups
 }
 
-// ShardStatsResponse is one serving shard's slice of /v1/stats: its own
-// epoch, pending writes, live universe and cache counters. Each shard's
-// epoch moves independently — a live write invalidates only its own
-// shard's cached results.
-type ShardStatsResponse struct {
-	Shard         int                 `json:"shard"`
-	Epoch         uint64              `json:"epoch"`
-	PendingWrites int                 `json:"pending_writes"`
-	LiveNumUsers  int                 `json:"live_num_users"`
-	LiveNumItems  int                 `json:"live_num_items"`
-	Cache         *CacheStatsResponse `json:"cache,omitempty"` // nil when caching is disabled
-}
-
 // StatsResponse is the /v1/stats body — the §5.1.2 corpus description plus
-// the live-serving state: fleet-wide epoch, pending writes and cache
-// counters, and the per-shard breakdown.
+// the live-serving state: epoch, pending writes and cache counters.
 type StatsResponse struct {
 	NumUsers         int     `json:"num_users"`
 	NumItems         int     `json:"num_items"`
@@ -66,24 +52,21 @@ type StatsResponse struct {
 	MeanScore        float64 `json:"mean_score"`
 	TailItemFraction float64 `json:"tail_item_fraction"`
 
-	// LiveNumUsers/LiveNumItems are the fleet-wide serving universe
-	// sizes, which grow past the corpus counts above as unseen users and
-	// items arrive through the auto-grow write path.
+	// LiveNumUsers/LiveNumItems are the serving universe sizes, which
+	// grow past the corpus counts above as unseen users and items arrive
+	// through the auto-grow write path.
 	LiveNumUsers  int                 `json:"live_num_users"`
 	LiveNumItems  int                 `json:"live_num_items"`
-	Epoch         uint64              `json:"epoch"` // total accepted writes across shards
+	Epoch         uint64              `json:"epoch"` // total accepted writes
 	PendingWrites int                 `json:"pending_writes"`
-	Cache         *CacheStatsResponse `json:"cache,omitempty"` // summed across shards; nil when disabled
-	// Shards is the per-shard breakdown, indexed by shard id — always
-	// present, length 1 on a single-replica deployment.
-	Shards []ShardStatsResponse `json:"shards"`
+	Cache         *CacheStatsResponse `json:"cache,omitempty"` // nil when disabled
 
 	// Durability: where the write-ahead log stands. WALEnabled is false
 	// (and the other three zero) when the server runs without -wal-dir.
 	// DurableSeq is the next WAL sequence to assign — every accepted
 	// write below it is fsync'd. PendingBatch is how many writes sit in
 	// the in-flight group-commit batch, acknowledged to no one yet.
-	// LastCheckpointEpoch is the fleet epoch the most recent checkpoint
+	// LastCheckpointEpoch is the epoch the most recent checkpoint
 	// captured (zero before the first).
 	WALEnabled          bool   `json:"wal_enabled"`
 	DurableSeq          uint64 `json:"durable_seq"`
@@ -126,7 +109,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		LiveNumItems:     liveItems,
 		Epoch:            serving.Epoch,
 		PendingWrites:    serving.PendingWrites,
-		Shards:           make([]ShardStatsResponse, 0, len(serving.Shards)),
 
 		WALEnabled:          serving.Durability.Enabled,
 		DurableSeq:          serving.Durability.DurableSeq,
@@ -135,19 +117,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if serving.CacheEnabled {
 		resp.Cache = cacheStatsResponse(serving.Cache)
-	}
-	for _, sh := range serving.Shards {
-		shardResp := ShardStatsResponse{
-			Shard:         sh.Shard,
-			Epoch:         sh.Epoch,
-			PendingWrites: sh.PendingWrites,
-			LiveNumUsers:  sh.NumUsers,
-			LiveNumItems:  sh.NumItems,
-		}
-		if sh.CacheEnabled {
-			shardResp.Cache = cacheStatsResponse(sh.Cache)
-		}
-		resp.Shards = append(resp.Shards, shardResp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -318,8 +287,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		Fallback:  resp.Fallback,
 		Epoch:     resp.Epoch,
 		CacheHit:  resp.CacheHit,
-		// Decorate with the serving shard's own popularity view (memoised
-		// between writes), consistent with the graph that ranked the items.
+		// Decorate with the live popularity (memoised between writes).
 		Items: s.renderItems(resp.Items, s.src.LiveItemPopularityFor(user)),
 	})
 }
@@ -413,10 +381,8 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	// The batch spans shards, so decorate from the fleet-wide merged
-	// popularity: its per-shard scans amortize over the whole user list,
-	// unlike the single-request path which uses the serving shard's view.
-	pop := s.src.LiveItemPopularity()
+	// One popularity vector decorates the whole batch.
+	pop := s.src.LiveItemPopularityFor(users[0])
 	results := make([]BatchEntry, len(users))
 	for i, u := range users {
 		results[i] = BatchEntry{User: u, Fallback: resps[i].Fallback, Items: s.renderItems(resps[i].Items, pop)}

@@ -1,5 +1,5 @@
-// Tests for the live serving layer: POST /v1/ratings and the epoch/cache
-// counters on /v1/stats.
+// Tests for the live serving layer: POST /v1/ratings, the dense-admission
+// cap and the epoch/cache counters on /v1/stats.
 
 package server
 
@@ -13,11 +13,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"longtailrec"
 	"longtailrec/internal/core"
+	"longtailrec/internal/graph"
 )
 
 // cachedTestServer builds a server over a System with the result cache on.
@@ -400,4 +402,130 @@ func TestStatsCacheDisabled(t *testing.T) {
 	if st.Cache != nil {
 		t.Fatalf("cache section present with caching disabled: %+v", *st.Cache)
 	}
+}
+
+// TestRatingsCapIn404Message pins the dense-admission cap surfacing in
+// the live-write 404 body: the error text a client sees quotes
+// graph.MaxDenseAdmissions itself, so documentation, error message and
+// enforced limit cannot drift apart.
+func TestRatingsCapIn404Message(t *testing.T) {
+	sys, ts := growTestServer(t)
+	absurd := sys.Data().NumUsers() + graph.MaxDenseAdmissions // first rejected id
+	body := fmt.Sprintf(`{"user":%d,"item":0,"score":3}`, absurd)
+	resp, err := http.Post(ts.URL+"/v1/ratings", "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("absurd id write = %d, want 404 (body %s)", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), strconv.Itoa(graph.MaxDenseAdmissions)) {
+		t.Fatalf("404 body %q does not quote the admission cap %d", raw, graph.MaxDenseAdmissions)
+	}
+}
+
+// clusterServer serves two fully disconnected rating clusters (users 0-2
+// over items 0-3, users 3-5 over items 4-7), so a write inside one cluster
+// provably cannot touch the other cluster's subgraphs — the setup under
+// which fingerprint revalidation keeps entries alive across epoch
+// movement.
+func clusterServer(t testing.TB) *httptest.Server {
+	t.Helper()
+	ratings := []longtail.Rating{
+		{User: 0, Item: 0, Score: 5}, {User: 0, Item: 1, Score: 4}, {User: 0, Item: 2, Score: 5},
+		{User: 1, Item: 0, Score: 4}, {User: 1, Item: 2, Score: 5}, {User: 1, Item: 3, Score: 3},
+		{User: 2, Item: 1, Score: 5}, {User: 2, Item: 3, Score: 4},
+		{User: 3, Item: 4, Score: 5}, {User: 3, Item: 5, Score: 4}, {User: 3, Item: 6, Score: 5},
+		{User: 4, Item: 4, Score: 4}, {User: 4, Item: 6, Score: 5}, {User: 4, Item: 7, Score: 3},
+		{User: 5, Item: 5, Score: 5}, {User: 5, Item: 7, Score: 4},
+	}
+	d, err := longtail.NewDataset(6, 8, ratings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := longtail.ServingConfig(256, 0)
+	cfg.LDA.NumTopics = 2
+	cfg.LDA.Iterations = 5
+	cfg.SVDRank = 2
+	sys, err := longtail.NewSystem(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sys, Options{
+		DefaultAlgorithm: "AT",
+		Logger:           log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestStatsFingerprintCounters drives the precision-invalidation counters
+// end to end over HTTP: after a write in one cluster, the other cluster's
+// warmed entry survives as a fingerprint-proven hit (fingerprint_hits),
+// the writer's own entry is rejected (fingerprint_rejects), and both
+// counters surface in /v1/stats under their documented wire names.
+func TestStatsFingerprintCounters(t *testing.T) {
+	t.Run("cross_cluster_write", func(t *testing.T) {
+		ts := clusterServer(t)
+		const writer, item = 3, 7 // a new edge inside cluster B
+		// Warm both users' entries, then the write.
+		var rec RecommendResponse
+		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=0&k=3", ts.URL), http.StatusOK, &rec)
+		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&k=3", ts.URL, writer), http.StatusOK, &rec)
+		body := fmt.Sprintf(`{"user":%d,"item":%d,"score":4.5}`, writer, item)
+		resp, err := http.Post(ts.URL+"/v1/ratings", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST /v1/ratings = %d, want 201", resp.StatusCode)
+		}
+
+		// Reader 0's entry survives the epoch bump: the write touched only
+		// cluster-B nodes, outside user 0's subgraph bloom.
+		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=0&k=3", ts.URL), http.StatusOK, &rec)
+		if !rec.CacheHit {
+			t.Fatal("cross-cluster write evicted a provably untouched entry")
+		}
+		// The writer's own entry must NOT survive — its subgraph contains the
+		// written nodes.
+		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&k=3", ts.URL, writer), http.StatusOK, &rec)
+		if rec.CacheHit {
+			t.Fatal("writer's own stale entry served after its write")
+		}
+
+		var st StatsResponse
+		getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &st)
+		if st.Cache == nil {
+			t.Fatal("cache section missing")
+		}
+		if st.Cache.FingerprintHits != 1 {
+			t.Fatalf("fingerprint_hits = %d, want 1 (stats %+v)", st.Cache.FingerprintHits, *st.Cache)
+		}
+		if st.Cache.FingerprintRejects != 1 {
+			t.Fatalf("fingerprint_rejects = %d, want 1 (stats %+v)", st.Cache.FingerprintRejects, *st.Cache)
+		}
+		if st.Cache.JournalOverflows != 0 {
+			t.Fatalf("journal_overflows = %d, want 0", st.Cache.JournalOverflows)
+		}
+
+		// The JSON wire names themselves: decode the raw body and check the
+		// cache section spells the documented keys.
+		raw := struct {
+			Cache map[string]any `json:"cache"`
+		}{}
+		getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &raw)
+		for _, k := range []string{"fingerprint_hits", "fingerprint_rejects", "journal_overflows"} {
+			if _, ok := raw.Cache[k]; !ok {
+				t.Fatalf("stats cache section missing %q: %v", k, raw.Cache)
+			}
+		}
+	})
 }

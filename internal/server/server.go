@@ -4,11 +4,8 @@
 //
 //	GET  /v1/health                     liveness probe
 //	GET  /v1/stats                      corpus statistics (§5.1.2 view),
-//	                                    fleet-wide epoch and cache counters
-//	                                    plus a per-shard "shards" breakdown
-//	                                    (epoch, cache, live universe per
-//	                                    serving replica; length 1 when
-//	                                    unsharded)
+//	                                    live universe, epoch, cache and
+//	                                    write-ahead-log counters
 //	GET  /v1/algorithms                 available algorithm names
 //	GET  /v1/recommend?user=&algo=&k=   top-k recommendations; per-request
 //	                                    options: &exclude=i1,i2 (extra
@@ -40,16 +37,13 @@
 //	GET  /v1/metrics                    request counters and mean latency
 //
 // Live writes land in the serving graph (and are visible to the walk
-// recommenders immediately). When the Source shards its serving across
-// user-partitioned replicas (longtail.Config.ShardCount), both the
-// recommendation and ratings handlers route transparently — the Source
-// owns the user→shard assignment — and a write invalidates only its own
-// shard's cached results. When the Source is configured for auto-grow,
-// POST /v1/ratings also accepts user and item ids the system has never
-// seen — cold-start traffic grows the universe instead of 404ing; only
-// negative ids, and ids more than graph.MaxDenseAdmissions past the
-// universe edge, are rejected (404, with the cap embedded in the error
-// text). GET /v1/recommend for a user with no history degrades to a
+// recommenders immediately); a cached result survives a write its
+// subgraph fingerprint proves could not have touched it. When the Source
+// is configured for auto-grow, POST /v1/ratings also accepts user and
+// item ids the system has never seen — cold-start traffic grows the
+// universe instead of 404ing; only negative ids, and ids more than
+// graph.MaxDenseAdmissions past the universe edge, are rejected (404,
+// with the cap embedded in the error text). GET /v1/recommend for a user with no history degrades to a
 // deterministic popularity fallback (marked "fallback": true) rather
 // than failing. The dataset-backed views (/v1/users, /v1/items, corpus
 // counts) describe the corpus the system was built from and refresh on
@@ -116,16 +110,12 @@ type Source interface {
 	// ids admitted through ApplyRating — the bound the recommendation
 	// endpoints validate against, as opposed to the Data() snapshot.
 	Universe() (numUsers, numItems int)
-	// LiveItemPopularity returns each item's live rater count, covering
-	// items admitted after startup — the fleet-wide view (a catalog scan
-	// across the shards when serving is sharded). Read-only: the slice
-	// may be shared with the graph and with other callers.
-	LiveItemPopularity() []int
-	// LiveItemPopularityFor returns the live rater counts as seen by the
-	// given user's serving shard: the view consistent with that user's
-	// recommendations — what the single-request render path calls once
-	// per request, so it must cost nothing between writes (the graph
-	// memoises the vector). Read-only, like LiveItemPopularity.
+	// LiveItemPopularityFor returns each item's live rater count,
+	// covering items admitted after startup, for rendering a response to
+	// the given user. Both recommendation endpoints call it once per
+	// request, so it must cost nothing between writes (the graph memoises
+	// the vector). Read-only: the slice may be shared with the graph and
+	// with other callers.
 	LiveItemPopularityFor(user int) []int
 	// PopularItems returns the k most-popular items of the live graph the
 	// user has not rated, deterministically ordered — the degraded
