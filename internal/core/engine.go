@@ -111,8 +111,6 @@ type engineScratch struct {
 // own row shapes the seed set and the rated-item exclusion, so a write
 // there must invalidate even when the user fell outside the truncated
 // subgraph). A nil fp costs nothing — the uncached hot path passes nil.
-//
-//ltr:allocfree
 func (e *Engine) scoreCompact(ctx context.Context, scr *engineScratch, u int, spec walkSpec, fp *graph.Fingerprint) ([]ItemScore, error) {
 	if err := validateUser(u, e.g.NumUsers()); err != nil {
 		return nil, err
@@ -137,8 +135,6 @@ func (e *Engine) scoreCompact(ctx context.Context, scr *engineScratch, u int, sp
 // watermark Extract captures would already cover it and rule the result
 // Fresh although it was computed with the old absorbing set. An older
 // watermark is always sound — it only scans more journal.
-//
-//ltr:allocfree
 func (e *Engine) readSeeds(scr *engineScratch, u int, spec walkSpec) (seeds []int, gen uint64, err error) {
 	gen = e.g.WriteGen()
 	userNode := e.g.UserNode(u)
@@ -160,8 +156,6 @@ func (e *Engine) readSeeds(scr *engineScratch, u int, spec walkSpec) (seeds []in
 // userEnterCost is the Eq. 9 cost of entering user node v. Users (and under
 // AC3, items) past the end of the entropy vector joined after the model
 // snapshot: they carry the floor cost until the entropies are recomputed.
-//
-//ltr:allocfree
 func (e *Engine) userEnterCost(spec *walkSpec, v int) float64 {
 	if idx := e.g.UserIndex(v); idx < len(spec.userEnter) {
 		return spec.userEnter[idx]
@@ -170,8 +164,6 @@ func (e *Engine) userEnterCost(spec *walkSpec, v int) float64 {
 }
 
 // itemEnterCost is the Eq. 9 cost of entering item node v.
-//
-//ltr:allocfree
 func (e *Engine) itemEnterCost(spec *walkSpec, v int) float64 {
 	if spec.itemEnter == nil {
 		return spec.userCost
@@ -186,8 +178,6 @@ func (e *Engine) itemEnterCost(spec *walkSpec, v int) float64 {
 // scratch extractor's kept component), chain build, sweeps and the compact
 // result, with fp stamped at gen, the watermark readSeeds returned
 // alongside seeds.
-//
-//ltr:allocfree
 func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, seeds []int, gen uint64, spec walkSpec, fp *graph.Fingerprint) ([]ItemScore, error) {
 	sg, err := scr.ext.ExtractByID(seeds, e.opts.MaxSubgraphItems)
 	if err != nil {

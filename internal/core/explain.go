@@ -16,7 +16,8 @@ import (
 var explainExtractors sync.Pool
 
 func borrowExtractor(g *graph.Bipartite) *graph.SubgraphExtractor {
-	//ltr:ignore poolreturn extractor bound to a different graph is intentionally dropped for GC; the match case transfers ownership to the caller, who Puts it back
+	// An extractor bound to a different graph is dropped for GC; a match
+	// passes to the caller, who Puts it back.
 	if e, _ := explainExtractors.Get().(*graph.SubgraphExtractor); e != nil && e.Graph() == g {
 		return e
 	}

@@ -110,8 +110,6 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Reset clears the fingerprint and stamps it valid at watermark gen.
-//
-//ltr:allocfree
 func (fp *Fingerprint) Reset(gen uint64) {
 	*fp = Fingerprint{Gen: gen, ok: true}
 }
@@ -127,8 +125,6 @@ func (fp *Fingerprint) Valid() bool { return fp.ok }
 
 // AddNode inserts node id v into the bloom set (double hashing: fpProbes
 // positions derived from one splitmix64 evaluation).
-//
-//ltr:allocfree
 func (fp *Fingerprint) AddNode(v int) {
 	h := splitmix64(uint64(v))
 	h1, h2 := h>>32, h|1
@@ -140,8 +136,6 @@ func (fp *Fingerprint) AddNode(v int) {
 
 // MayContain reports whether node id v may be in the set. False positives
 // (≈ (fill)^k) cost a spurious recomputation; false negatives cannot occur.
-//
-//ltr:allocfree
 func (fp *Fingerprint) MayContain(v int) bool {
 	h := splitmix64(uint64(v))
 	h1, h2 := h>>32, h|1
@@ -161,8 +155,6 @@ func (fp *Fingerprint) MayContain(v int) bool {
 // concurrent with writers; a concurrent overwrite of a scanned slot is
 // caught by the post-scan overflow recheck (a slot can only be reused
 // after journalCap further writes, which the recheck observes).
-//
-//ltr:allocfree
 func (g *Bipartite) CheckFingerprint(fp *Fingerprint) FingerprintStatus {
 	h := g.journal.head.Load()
 	if h == fp.Gen {

@@ -58,15 +58,11 @@ type localCSR struct {
 }
 
 // reset empties the CSR arrays for n rows, keeping their capacity.
-//
-//ltr:allocfree
 func (c *localCSR) reset(n int) {
 	if cap(c.rowPtr) < n+1 {
-		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
 		c.rowPtr = make([]int, 0, 2*(n+1))
 	}
 	if cap(c.degrees) < n {
-		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
 		c.degrees = make([]float64, 0, 2*n)
 	}
 	c.rowPtr = append(c.rowPtr[:0], 0)
@@ -181,8 +177,6 @@ func (e *SubgraphExtractor) Graph() *Bipartite { return e.g }
 // current (see SubgraphExtractor). The query engine marks each query's
 // seeds on it as a mask. The returned Subgraph aliases the extractor's
 // scratch and is invalidated by the extractor's next call.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) ExtractByID(seeds []int, maxItems int) (*Subgraph, error) {
 	if !e.reusable(seeds, maxItems) {
 		if err := e.extract(seeds, maxItems); err != nil {
@@ -201,8 +195,6 @@ func (e *SubgraphExtractor) ExtractByID(seeds []int, maxItems int) (*Subgraph, e
 // replay, which reads its absorbing set as local ids 0..s-1; the query
 // engine uses ExtractByID. The returned Subgraph aliases the extractor's
 // scratch and is invalidated by the extractor's next call.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error) {
 	if _, err := e.ExtractByID(seeds, maxItems); err != nil {
 		return nil, err
@@ -216,8 +208,6 @@ func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error
 // its items, no fold or admission swapped the storage key, and no
 // write since keptFP's watermark touched a member. The watermark then
 // advances to the journal head read before the check.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) reusable(seeds []int, maxItems int) bool {
 	if !e.kept || len(seeds) == 0 || (maxItems > 0 && e.sub.items > maxItems) || e.keptKey != e.g.storageKey() {
 		return false
@@ -237,8 +227,6 @@ func (e *SubgraphExtractor) reusable(seeds []int, maxItems int) bool {
 
 // extract is a fresh extraction into csr and sub, kept when the members
 // are one whole component.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
 	e.kept = false // the build below overwrites the kept one, even when it fails
 	if len(seeds) == 0 {
@@ -366,8 +354,6 @@ func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
 
 // union joins the union-find sets of seeds a and b, reporting whether they
 // were apart.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) union(a, b int) bool {
 	for e.sets[a] != a {
 		e.sets[a] = e.sets[e.sets[a]]
@@ -388,8 +374,6 @@ func (e *SubgraphExtractor) union(a, b int) bool {
 // id inside a block, so the columns arrive in local order and are appended
 // in place. Degrees are the row sums in that order. Caller (extract) holds
 // the parent graph's read lock.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) buildLocalCSR() {
 	c := &e.csr
 	c.reset(len(c.nodes))
@@ -419,14 +403,11 @@ func (e *SubgraphExtractor) buildLocalCSR() {
 // in order, so a row without seed columns maps in place, and any other is
 // split without a branch on whether a column is a seed; the seed rows say
 // (the adjacency being symmetric) how many each row holds.
-//
-//ltr:allocfree
 func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 	byID := &e.sub
 	n, nnz := byID.Len(), byID.adj.NNZ()
 	_, firstItem := byID.Blocks()
 	if cap(e.perm) < n {
-		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
 		e.perm = make([]int, 0, 2*n)
 	}
 	perm := e.perm[:n]
@@ -454,7 +435,6 @@ func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 	}
 	// rowSeeds[o]: the seed columns of byID's row o, counted from the seed rows.
 	if cap(e.rowSeeds) < n {
-		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
 		e.rowSeeds = make([]int, 0, 2*n)
 	}
 	rowSeeds := e.rowSeeds[:n]
@@ -469,7 +449,6 @@ func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 	}
 	p.reset(n)
 	if cap(p.colIdx) < nnz {
-		//ltr:ignore allocfree amortized growth: re-making doubles capacity, steady state never enters this branch
 		p.colIdx, p.vals = make([]int, 0, 2*nnz), make([]float64, 0, 2*nnz)
 	}
 	cols, vals := p.colIdx[:nnz], p.vals[:nnz]
@@ -523,8 +502,6 @@ func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 // follow seed order, so it is already sorted whenever the seeds were passed
 // in ascending order and this is one comparison per entry. Arbitrary seed
 // orders pay an insertion sort of the run.
-//
-//ltr:allocfree
 func sortSeedRun(cols []int, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
@@ -566,8 +543,6 @@ func (sg *Subgraph) Blocks() (a, b int) {
 // must be read before every graph read the result depends on (the seed
 // set, say). A kept whole component copies the bloom the extractor keeps;
 // any other subgraph inserts its members.
-//
-//ltr:allocfree
 func (sg *Subgraph) Fingerprint(gen uint64, fp *Fingerprint) {
 	if sg.members != nil {
 		*fp = *sg.members

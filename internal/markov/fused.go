@@ -107,8 +107,6 @@ func (s *ChainScratch) Resize(n int) {
 // The returned slice aliases scr (either Cur or Nxt) and is valid until the
 // scratch is reused. scr must have been Resize'd to c.Len(), with Mask set
 // by the caller after the Resize.
-//
-//ltr:allocfree
 func (c *Chain) AbsorbingCostFused(scr *ChainScratch, enter []float64, tau int) ([]float64, error) {
 	return c.AbsorbingCostFusedCtx(nil, scr, enter, tau)
 }
@@ -119,8 +117,6 @@ func (c *Chain) AbsorbingCostFused(scr *ChainScratch, enter []float64, tau int) 
 // sweeps. A nil ctx skips the checks entirely — the option-free hot path
 // pays nothing. The context error is returned unwrapped, so
 // errors.Is(err, context.Canceled) holds for callers.
-//
-//ltr:allocfree
 func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, enter []float64, tau int) ([]float64, error) {
 	if len(scr.Mask) != c.n || len(scr.Cur) != c.n || len(scr.Nxt) != c.n || (enter != nil && len(scr.Arrive) != c.n) {
 		return nil, fmt.Errorf("markov: scratch sized for %d states, chain has %d", len(scr.Mask), c.n)
@@ -240,8 +236,6 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 // out[i] = Σ_j p_ij·enterCost[j]. Used by the exact solve path of the query
 // engine, where the linear-system solvers still need an explicit step-cost
 // vector.
-//
-//ltr:allocfree
 func (c *Chain) StepCostsInto(enterCost, out []float64) []float64 {
 	if len(enterCost) != c.n || len(out) != c.n {
 		panic(fmt.Sprintf("markov: StepCostsInto lengths %d/%d, want %d", len(enterCost), len(out), c.n))

@@ -30,6 +30,9 @@ func (d *discardResponse) WriteHeader(int)             {}
 // took a fresh catalog-sized popularity vector, parsed its query seven
 // times and encoded by reflection; any of those coming back shows here.
 // BenchmarkHandleRecommendHit (root package) has the bytes and the time.
+// /v1/health, whose body writeJSON encodes, holds at 5. writeJSON builds
+// the body in a bodyPool buffer, so one that stops returning it shows
+// here.
 func TestHandleRecommendHitAllocs(t *testing.T) {
 	cached, _ := cachedTestServer(t)
 	srv, err := New(cached, Options{DefaultAlgorithm: "AT", Logger: log.New(io.Discard, "", 0)})
@@ -46,5 +49,9 @@ func TestHandleRecommendHitAllocs(t *testing.T) {
 	stats := cached.ServingStats()
 	if stats.Cache.Misses != 1 || stats.Cache.Hits < 200 {
 		t.Fatalf("the measured requests were not cache hits: %+v", stats.Cache)
+	}
+	health := httptest.NewRequest(http.MethodGet, "/v1/health", nil)
+	if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, health) }); allocs > 5 {
+		t.Fatalf("/v1/health costs %v allocations, want at most 5", allocs)
 	}
 }

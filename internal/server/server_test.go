@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -495,6 +497,49 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("ListenAndServe after shutdown: %v", err)
+	}
+
+	// The caller's context bounds the drain too: with a request stuck
+	// mid-body (its handler blocked reading the promised 64 bytes), a
+	// cancelled ctx returns at once, not after the 5 s ShutdownTimeout a
+	// context.Background() would wait for.
+	srv, err = New(testSystem(t), Options{
+		Logger:          log.New(io.Discard, "", 0),
+		ShutdownTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := make(chan struct{})
+	var once sync.Once
+	srv.http.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			once.Do(func() { close(active) })
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.http.Serve(ln)
+	defer srv.http.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/ratings HTTP/1.1\r\nHost: test\r\nContent-Length: 64\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	<-active
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown with a cancelled context = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown with a cancelled context took %v", took)
 	}
 }
 

@@ -182,8 +182,6 @@ func (m *CSR) NNZ() int { return len(m.vals) }
 
 // Row returns the column indices and values of row i. The returned slices
 // alias internal storage and must not be modified.
-//
-//ltr:allocfree
 func (m *CSR) Row(i int) (cols []int, vals []float64) {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("sparse: CSR.Row(%d) out of bounds for %d rows", i, m.rows))
@@ -193,8 +191,6 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 }
 
 // RowNNZ returns the number of nonzeros in row i.
-//
-//ltr:allocfree
 func (m *CSR) RowNNZ(i int) int {
 	return m.rowPtr[i+1] - m.rowPtr[i]
 }

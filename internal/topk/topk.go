@@ -54,15 +54,14 @@ func NewSelector(k int) *Selector {
 }
 
 // Offer considers one candidate.
-//
-//ltr:allocfree
 func (s *Selector) Offer(id int, score float64) {
 	if s.k == 0 {
 		return
 	}
 	it := Item{ID: id, Score: score}
 	if len(s.h) < s.k {
-		//ltr:ignore allocfree heap.Push boxes at most k items while the heap fills; the steady state takes the in-place replace path below
+		// heap.Push boxes at most k items while the heap fills; the steady
+		// state takes the in-place replace path below.
 		heap.Push(&s.h, it)
 		return
 	}
