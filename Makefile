@@ -89,13 +89,15 @@ serving-pairs:
 	bash scripts/serving-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
-# for the extractor, the live graph (closed- and open-universe), the WAL
+# for the COO→CSR build (bit-identical to its map-based oracle), the
+# extractor, the live graph (closed- and open-universe), the WAL
 # record decoder against torn and corrupted log tails, the checkpoint
 # decoder every restart reads, the fingerprint cache's
 # serve-stale-never soundness property and the /v1/recommend append
 # encoder's byte equality with encoding/json (CI runs the seed corpus via
 # `make test` plus a 10s smoke; this explores further).
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzToCSR -fuzztime 30s ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz FuzzSubgraphExtract -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzBuilderAddRating -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzUpsertRatingAutoGrow -fuzztime 30s ./internal/graph/

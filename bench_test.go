@@ -16,12 +16,14 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"longtailrec"
 	"longtailrec/internal/core"
 	"longtailrec/internal/experiments"
 	"longtailrec/internal/graph"
 	"longtailrec/internal/server"
+	"longtailrec/internal/worlds"
 )
 
 // benchScale keeps every experiment benchmark in the seconds range.
@@ -404,6 +406,37 @@ func BenchmarkSystemConstruction(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNewSystem times the first half of a server's ready path on the
+// movielens world: raw ratings → NewDataset → NewSystem (the serving
+// graph's CSR build), reporting each stage's share as dataset-ms/op and
+// graph-ms/op. The other half, AC2's LDA training, is internal/lda's
+// BenchmarkLDATrain.
+func BenchmarkNewSystem(b *testing.B) {
+	world, err := worlds.Generate("movielens", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := world.Data
+	ratings := d.Ratings()
+	var inDataset, inSystem time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		data, err := longtail.NewDataset(d.NumUsers(), d.NumItems(), ratings)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		if _, err := longtail.NewSystem(data, longtail.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+		inDataset += mid.Sub(start)
+		inSystem += time.Since(mid)
+	}
+	b.ReportMetric(inDataset.Seconds()*1e3/float64(b.N), "dataset-ms/op")
+	b.ReportMetric(inSystem.Seconds()*1e3/float64(b.N), "graph-ms/op")
 }
 
 // BenchmarkRecommendRequest measures one no-options query straight

@@ -5,6 +5,7 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -30,7 +31,9 @@ type Dataset struct {
 
 // New validates and indexes a rating slice. Scores must be positive
 // (the bipartite graph requires positive edge weights). Duplicate
-// (user, item) pairs are rejected: a rating is a single edge.
+// (user, item) pairs are rejected: a rating is a single edge. The error
+// names the first fault in input order, a duplicate at its second
+// occurrence.
 func New(numUsers, numItems int, ratings []Rating) (*Dataset, error) {
 	if numUsers <= 0 || numItems <= 0 {
 		return nil, fmt.Errorf("dataset: need positive universe sizes, got %d users, %d items", numUsers, numItems)
@@ -43,26 +46,49 @@ func New(numUsers, numItems int, ratings []Rating) (*Dataset, error) {
 		byItem:   make([][]int, numItems),
 	}
 	copy(d.ratings, ratings)
-	seen := make(map[[2]int]struct{}, len(ratings))
 	for k, r := range d.ratings {
-		if r.User < 0 || r.User >= numUsers {
-			return nil, fmt.Errorf("dataset: rating %d user %d out of range [0,%d)", k, r.User, numUsers)
+		var err error
+		switch {
+		case r.User < 0 || r.User >= numUsers:
+			err = fmt.Errorf("dataset: rating %d user %d out of range [0,%d)", k, r.User, numUsers)
+		case r.Item < 0 || r.Item >= numItems:
+			err = fmt.Errorf("dataset: rating %d item %d out of range [0,%d)", k, r.Item, numItems)
+		case r.Score <= 0:
+			err = fmt.Errorf("dataset: rating %d score %v must be positive", k, r.Score)
 		}
-		if r.Item < 0 || r.Item >= numItems {
-			return nil, fmt.Errorf("dataset: rating %d item %d out of range [0,%d)", k, r.Item, numItems)
+		if err != nil {
+			// A duplicate among the ratings indexed so far comes first.
+			return nil, cmp.Or(d.duplicate(), err)
 		}
-		if r.Score <= 0 {
-			return nil, fmt.Errorf("dataset: rating %d score %v must be positive", k, r.Score)
-		}
-		key := [2]int{r.User, r.Item}
-		if _, dup := seen[key]; dup {
-			return nil, fmt.Errorf("dataset: duplicate rating (user %d, item %d)", r.User, r.Item)
-		}
-		seen[key] = struct{}{}
 		d.byUser[r.User] = append(d.byUser[r.User], k)
 		d.byItem[r.Item] = append(d.byItem[r.Item], k)
 	}
+	if err := d.duplicate(); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// duplicate reports the earliest indexed rating that repeats an earlier
+// (user, item) pair: the first repeat within some user's ratings, found by
+// stamping each item with the user whose ratings are being walked.
+func (d *Dataset) duplicate() error {
+	dup := len(d.ratings)
+	stamp := make([]int, d.numItems)
+	for u, idx := range d.byUser {
+		for _, k := range idx {
+			if i := d.ratings[k].Item; stamp[i] != u+1 {
+				stamp[i] = u + 1
+			} else {
+				dup = min(dup, k)
+				break
+			}
+		}
+	}
+	if dup == len(d.ratings) {
+		return nil
+	}
+	return fmt.Errorf("dataset: duplicate rating (user %d, item %d)", d.ratings[dup].User, d.ratings[dup].Item)
 }
 
 // NumUsers returns the user-universe size.

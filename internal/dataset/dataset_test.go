@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -43,6 +44,84 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(tc.nu, tc.ni, tc.ratings); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+	}
+}
+
+// TestNewReportsFirstErrorInInputOrder pins which error New returns when
+// a rating slice has several faults: the first in input order, a
+// duplicate counting at its second occurrence.
+func TestNewReportsFirstErrorInInputOrder(t *testing.T) {
+	cases := []struct {
+		name    string
+		ratings []Rating
+		want    string // "" for no error
+	}{
+		{"duplicate before a bad score", []Rating{{0, 0, 5}, {1, 1, 2}, {0, 0, 4}, {1, 2, 0}},
+			"dataset: duplicate rating (user 0, item 0)"},
+		{"duplicate before an out-of-range user", []Rating{{0, 0, 5}, {0, 0, 4}, {7, 0, 1}},
+			"dataset: duplicate rating (user 0, item 0)"},
+		{"duplicate after a bad score", []Rating{{0, 0, 5}, {1, 1, 0}, {0, 0, 4}},
+			"dataset: rating 1 score 0 must be positive"},
+		{"duplicate after an out-of-range item", []Rating{{0, 0, 5}, {0, 9, 1}, {0, 0, 3}},
+			"dataset: rating 1 item 9 out of range [0,3)"},
+		{"earliest duplicate is the later user's", []Rating{{1, 1, 1}, {0, 0, 1}, {1, 1, 2}, {0, 0, 2}},
+			"dataset: duplicate rating (user 1, item 1)"},
+		{"earliest duplicate is the earlier user's", []Rating{{0, 0, 1}, {1, 1, 1}, {0, 0, 2}, {1, 1, 2}},
+			"dataset: duplicate rating (user 0, item 0)"},
+		{"a repeat is reported, not its first occurrence", []Rating{{0, 2, 1}, {0, 1, 1}, {0, 2, 3}},
+			"dataset: duplicate rating (user 0, item 2)"},
+		{"one item rated by every user", []Rating{{0, 1, 1}, {1, 1, 1}, {2, 1, 1}, {0, 0, 1}}, ""},
+	}
+	for _, tc := range cases {
+		_, err := New(3, 3, tc.ratings)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// referenceNewError is New's validation as a single pass with a map of
+// the pairs seen so far: the error New must return for the same input.
+func referenceNewError(numUsers, numItems int, ratings []Rating) string {
+	seen := make(map[[2]int]struct{}, len(ratings))
+	for k, r := range ratings {
+		if r.User < 0 || r.User >= numUsers {
+			return fmt.Sprintf("dataset: rating %d user %d out of range [0,%d)", k, r.User, numUsers)
+		}
+		if r.Item < 0 || r.Item >= numItems {
+			return fmt.Sprintf("dataset: rating %d item %d out of range [0,%d)", k, r.Item, numItems)
+		}
+		if r.Score <= 0 {
+			return fmt.Sprintf("dataset: rating %d score %v must be positive", k, r.Score)
+		}
+		key := [2]int{r.User, r.Item}
+		if _, dup := seen[key]; dup {
+			return fmt.Sprintf("dataset: duplicate rating (user %d, item %d)", r.User, r.Item)
+		}
+		seen[key] = struct{}{}
+	}
+	return ""
+}
+
+func TestQuickNewErrorMatchesReference(t *testing.T) {
+	f := func(raw []uint8) bool {
+		var ratings []Rating
+		for k := 0; k+2 < len(raw); k += 3 {
+			// Mostly in range, sometimes one past the edge or non-positive.
+			ratings = append(ratings, Rating{User: int(raw[k]) % 5, Item: int(raw[k+1]) % 7, Score: float64(int(raw[k+2])%40) - 1})
+		}
+		got := ""
+		if _, err := New(4, 6, ratings); err != nil {
+			got = err.Error()
+		}
+		return got == referenceNewError(4, 6, ratings)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -60,15 +60,22 @@ type TracePoint struct {
 	LogLikelihood float64
 }
 
-// token is one (user, item) occurrence in the expanded corpus.
-type token struct {
-	user, item int
-	topic      int
+// run is one rating: mult consecutive tokens of one (user, item) pair.
+type run struct {
+	user, item, mult int32
 }
 
 // Train fits the model on the dataset with collapsed Gibbs sampling.
 // Rating scores are rounded to the nearest positive integer to form token
 // multiplicities, exactly as Algorithm 2 repeats the draw w(u,i) times.
+//
+// It draws Algorithm 2's exact chain: tokens in rating order, one
+// rng.Float64 each, Eq. 12 with the same arithmetic, and the first topic
+// whose running sum exceeds the draw. Its reuse is exact: between two
+// tokens of one rating only two topics' counts move (the previous token's
+// new topic and this token's old one), so only their Eq. 12 terms and the
+// running sums from the lower one on are recomputed; every other term and
+// sum is the same float64 expression over the same counts.
 func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	if cfg.NumTopics < 1 {
 		return nil, fmt.Errorf("lda: NumTopics %d, need >= 1", cfg.NumTopics)
@@ -78,97 +85,108 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	nu, ni := d.NumUsers(), d.NumItems()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Expand ratings into tokens.
-	var tokens []token
-	for _, r := range d.Ratings() {
-		mult := int(math.Round(r.Score))
-		if mult < 1 {
-			mult = 1
-		}
-		for c := 0; c < mult; c++ {
-			tokens = append(tokens, token{user: r.User, item: r.Item})
-		}
+	// Count matrices (N1..N4 of Algorithm 2), item- and user-major. A
+	// token leaves and rejoins the same user, so n^{u}_• is counted once.
+	nItemTopic := make([]int32, ni*k) // n^{item}_z at [item*k+z]
+	nUserTopic := make([]int32, nu*k) // n^{u}_z at [u*k+z]
+	nTopic := make([]int32, k)        // n^{•}_z
+	nUser := make([]int32, nu)        // n^{u}_•
+	runs := make([]run, d.NumRatings())
+	numTokens := 0
+	for n := range runs {
+		r := d.Rating(n)
+		mult := max(1, int(math.Round(r.Score)))
+		runs[n] = run{user: int32(r.User), item: int32(r.Item), mult: int32(mult)}
+		nUser[r.User] += int32(mult)
+		numTokens += mult
 	}
-	if len(tokens) == 0 {
+	if numTokens == 0 {
 		return nil, fmt.Errorf("lda: empty corpus")
 	}
 
-	// Count matrices (N1..N4 of Algorithm 2).
-	nTopicItem := make([][]int, k) // n^{item}_z
-	for z := range nTopicItem {
-		nTopicItem[z] = make([]int, ni)
-	}
-	nUserTopic := make([][]int, nu) // n^{u}_z
-	for u := range nUserTopic {
-		nUserTopic[u] = make([]int, k)
-	}
-	nTopic := make([]int, k) // n^{•}_z
-	nUser := make([]int, nu) // n^{u}_•
-
 	// Random initialization (Algorithm 2 line 2).
-	for t := range tokens {
-		z := rng.Intn(k)
-		tokens[t].topic = z
-		nTopicItem[z][tokens[t].item]++
-		nUserTopic[tokens[t].user][z]++
-		nTopic[z]++
-		nUser[tokens[t].user]++
+	topics := make([]int32, 0, numTokens)
+	for _, r := range runs {
+		for range r.mult {
+			z := rng.Intn(k)
+			topics = append(topics, int32(z))
+			nItemTopic[int(r.item)*k+z]++
+			nUserTopic[int(r.user)*k+z]++
+			nTopic[z]++
+		}
 	}
 
 	alpha, beta := cfg.Alpha, cfg.Beta
 	niBeta := float64(ni) * beta
 	probs := make([]float64, k)
+	cum := make([]float64, k+1) // cum[z+1] = probs[0] + … + probs[z]
 	var trace []TracePoint
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		for t := range tokens {
-			tok := &tokens[t]
-			z := tok.topic
-			// Remove the current assignment from the counts.
-			nTopicItem[z][tok.item]--
-			nUserTopic[tok.user][z]--
-			nTopic[z]--
-			nUser[tok.user]--
+		t := 0
+		for _, r := range runs {
+			item := nItemTopic[int(r.item)*k:][:k]
+			user := nUserTopic[int(r.user)*k:][:k]
 			// Eq. 12 (the user-side denominator is constant across z and
 			// cancels in normalization, but we keep the full expression for
 			// fidelity to Algorithm 2 line 10).
-			total := 0.0
-			for zz := 0; zz < k; zz++ {
-				p := (float64(nTopicItem[zz][tok.item]) + beta) /
+			eq12 := func(zz int) float64 {
+				return (float64(item[zz]) + beta) /
 					(float64(nTopic[zz]) + niBeta) *
-					(float64(nUserTopic[tok.user][zz]) + alpha)
-				probs[zz] = p
-				total += p
+					(float64(user[zz]) + alpha)
 			}
-			u := rng.Float64() * total
-			acc := 0.0
-			zNew := k - 1
-			for zz := 0; zz < k; zz++ {
-				acc += probs[zz]
-				if u < acc {
-					zNew = zz
-					break
+			prev := -1 // the previous token's new topic, within this run
+			for range r.mult {
+				z := int(topics[t])
+				// Remove the current assignment from the counts.
+				item[z]--
+				user[z]--
+				nTopic[z]--
+				from := k
+				switch {
+				case prev < 0:
+					for zz := range probs {
+						probs[zz] = eq12(zz)
+					}
+					from = 0
+				case prev != z:
+					probs[prev], probs[z] = eq12(prev), eq12(z)
+					from = min(prev, z)
 				}
+				acc := cum[from]
+				for zz := from; zz < k; zz++ {
+					acc += probs[zz]
+					cum[zz+1] = acc
+				}
+				u := rng.Float64() * cum[k]
+				zNew := k - 1
+				for zz, s := range cum[1:] {
+					if u < s {
+						zNew = zz
+						break
+					}
+				}
+				topics[t] = int32(zNew)
+				item[zNew]++
+				user[zNew]++
+				nTopic[zNew]++
+				prev = zNew
+				t++
 			}
-			tok.topic = zNew
-			nTopicItem[zNew][tok.item]++
-			nUserTopic[tok.user][zNew]++
-			nTopic[zNew]++
-			nUser[tok.user]++
 		}
 		if cfg.TraceEvery > 0 && ((iter+1)%cfg.TraceEvery == 0 || iter == cfg.Iterations-1) {
-			snap := estimate(cfg, nu, ni, nUserTopic, nTopicItem, nTopic, nUser)
+			snap := estimate(cfg, nu, ni, nUserTopic, nItemTopic, nTopic, nUser)
 			trace = append(trace, TracePoint{Iteration: iter + 1, LogLikelihood: snap.LogLikelihood(d)})
 		}
 	}
 
-	m := estimate(cfg, nu, ni, nUserTopic, nTopicItem, nTopic, nUser)
+	m := estimate(cfg, nu, ni, nUserTopic, nItemTopic, nTopic, nUser)
 	m.trace = trace
 	return m, nil
 }
 
 // estimate computes the point estimates of Eq. 13 and Eq. 14 from the
 // current Gibbs count matrices.
-func estimate(cfg Config, nu, ni int, nUserTopic, nTopicItem [][]int, nTopic, nUser []int) *Model {
+func estimate(cfg Config, nu, ni int, nUserTopic, nItemTopic, nTopic, nUser []int32) *Model {
 	k := cfg.NumTopics
 	alpha, beta := cfg.Alpha, cfg.Beta
 	m := &Model{
@@ -183,7 +201,7 @@ func estimate(cfg Config, nu, ni int, nUserTopic, nTopicItem [][]int, nTopic, nU
 		row := make([]float64, k)
 		denom := float64(nUser[u]) + ktAlpha
 		for z := 0; z < k; z++ {
-			row[z] = (float64(nUserTopic[u][z]) + alpha) / denom
+			row[z] = (float64(nUserTopic[u*k+z]) + alpha) / denom
 		}
 		m.theta[u] = row
 	}
@@ -191,7 +209,7 @@ func estimate(cfg Config, nu, ni int, nUserTopic, nTopicItem [][]int, nTopic, nU
 		row := make([]float64, ni)
 		denom := float64(nTopic[z]) + niBeta
 		for i := 0; i < ni; i++ {
-			row[i] = (float64(nTopicItem[z][i]) + beta) / denom
+			row[i] = (float64(nItemTopic[i*k+z]) + beta) / denom
 		}
 		m.phi[z] = row
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"longtailrec/internal/dataset"
+	"longtailrec/internal/worlds"
 )
 
 // genreCorpus builds a corpus with two disjoint taste clusters: users
@@ -305,5 +306,21 @@ func TestTopItemsOrdering(t *testing.T) {
 	}
 	if over := m.TopItems(0, 100); len(over) != 12 {
 		t.Fatalf("TopItems clamped to %d", len(over))
+	}
+}
+
+// BenchmarkLDATrain times Train on the movielens world at K = 20 (the
+// AC2 configuration), 10 sweeps.
+func BenchmarkLDATrain(b *testing.B) {
+	world, err := worlds.Generate("movielens", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{NumTopics: 20, Iterations: 10, Seed: 1}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := Train(world.Data, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,8 +20,11 @@ type HealthResponse struct {
 	Status string `json:"status"`
 }
 
+// healthOK is boxed once: boxing a HealthResponse per call allocates.
+var healthOK any = HealthResponse{Status: "ok"}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+	writeJSON(w, http.StatusOK, healthOK)
 }
 
 // CacheStatsResponse is the result-cache section of /v1/stats: the counters

@@ -74,26 +74,22 @@ type CSR struct {
 }
 
 // ToCSR compiles the builder into a CSR matrix, summing duplicates and
-// dropping entries whose summed value is exactly zero.
+// dropping entries whose summed value is exactly zero. Two stable counting
+// sorts (by column, then row) keep duplicates in COO order for that sum.
 func (c *COO) ToCSR() *CSR {
-	type key struct{ r, c int }
-	// Deduplicate with a map first (entry order in COO is arbitrary).
-	agg := make(map[key]float64, len(c.entries))
-	for _, e := range c.entries {
-		agg[key{e.Row, e.Col}] += e.Val
-	}
-	compact := make([]Entry, 0, len(agg))
-	for k, v := range agg {
-		if v != 0 {
-			compact = append(compact, Entry{Row: k.r, Col: k.c, Val: v})
+	sorted := countingSort(countingSort(c.entries, c.cols, func(e Entry) int { return e.Col }),
+		c.rows, func(e Entry) int { return e.Row })
+	// Sum each run in place: the write position never passes the read one.
+	compact := sorted[:0]
+	for i := 0; i < len(sorted); {
+		e, sum := sorted[i], 0.0
+		for ; i < len(sorted) && sorted[i].Row == e.Row && sorted[i].Col == e.Col; i++ {
+			sum += sorted[i].Val
+		}
+		if sum != 0 {
+			compact = append(compact, Entry{Row: e.Row, Col: e.Col, Val: sum})
 		}
 	}
-	sort.Slice(compact, func(a, b int) bool {
-		if compact[a].Row != compact[b].Row {
-			return compact[a].Row < compact[b].Row
-		}
-		return compact[a].Col < compact[b].Col
-	})
 	m := &CSR{
 		rows:   c.rows,
 		cols:   c.cols,
@@ -110,6 +106,23 @@ func (c *COO) ToCSR() *CSR {
 		m.rowPtr[r+1] += m.rowPtr[r]
 	}
 	return m
+}
+
+// countingSort returns a copy of entries stably sorted by key in [0, n).
+func countingSort(entries []Entry, n int, key func(Entry) int) []Entry {
+	next := make([]int, n+1)
+	for _, e := range entries {
+		next[key(e)+1]++
+	}
+	for g := 1; g < n; g++ {
+		next[g] += next[g-1]
+	}
+	out := make([]Entry, len(entries))
+	for _, e := range entries {
+		out[next[key(e)]] = e
+		next[key(e)]++
+	}
+	return out
 }
 
 // NewCSRFromDense builds a CSR matrix from a dense row-major [][]float64.

@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -399,4 +401,89 @@ func BenchmarkMulVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.MulVec(x, y)
 	}
+}
+
+// referenceToCSR is COO.ToCSR before it became a counting sort: duplicates
+// summed through a map, then one sort of the survivors. It is the oracle
+// FuzzToCSR holds ToCSR to, bit for bit.
+func referenceToCSR(c *COO) *CSR {
+	type key struct{ r, c int }
+	// Deduplicate with a map first (entry order in COO is arbitrary).
+	agg := make(map[key]float64, len(c.entries))
+	for _, e := range c.entries {
+		agg[key{e.Row, e.Col}] += e.Val
+	}
+	compact := make([]Entry, 0, len(agg))
+	for k, v := range agg {
+		if v != 0 {
+			compact = append(compact, Entry{Row: k.r, Col: k.c, Val: v})
+		}
+	}
+	sort.Slice(compact, func(a, b int) bool {
+		if compact[a].Row != compact[b].Row {
+			return compact[a].Row < compact[b].Row
+		}
+		return compact[a].Col < compact[b].Col
+	})
+	m := &CSR{
+		rows:   c.rows,
+		cols:   c.cols,
+		rowPtr: make([]int, c.rows+1),
+		colIdx: make([]int, len(compact)),
+		vals:   make([]float64, len(compact)),
+	}
+	for i, e := range compact {
+		m.rowPtr[e.Row+1]++
+		m.colIdx[i] = e.Col
+		m.vals[i] = e.Val
+	}
+	for r := 0; r < c.rows; r++ {
+		m.rowPtr[r+1] += m.rowPtr[r]
+	}
+	return m
+}
+
+// fuzzValues are the entry values FuzzToCSR draws from: explicit zeros of
+// both signs, pairs that cancel, sums whose value depends on their order
+// (0.1 + 0.2 - 0.3), infinities that cancel to NaN, and the smallest
+// subnormal.
+var fuzzValues = []float64{0, math.Copysign(0, -1), 1, -1, 2.5, -2.5, 0.1, 0.2, -0.3,
+	1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324}
+
+// FuzzToCSR holds ToCSR to the map-based reference: the same rowPtr, the
+// same column indices and the same value bits, with no spare capacity.
+// The first two bytes pick the shape; each later triple, up to 256 of
+// them, is one entry (row, column, value index).
+func FuzzToCSR(f *testing.F) {
+	f.Add([]byte{3, 4, 0, 1, 2, 2, 3, 2, 0, 1, 4, 1, 0, 0})           // TestCOOToCSRBasics's matrix
+	f.Add([]byte{2, 2, 0, 0, 4, 0, 0, 5, 1, 1, 1, 1, 1, 1})           // duplicates and a repeated 1
+	f.Add([]byte{1, 3, 0, 2, 6, 0, 0, 7, 0, 2, 7, 0, 2, 8, 0, 0, 6})  // order-dependent sums, row out of column order
+	f.Add([]byte{2, 2, 1, 1, 11, 1, 1, 12, 0, 0, 1, 0, 0, 0})         // +Inf + -Inf, a zero tail
+	f.Add([]byte{2, 2, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 13}) // -0 before/after, NaN
+	f.Add([]byte{4, 4, 3, 3, 14, 3, 3, 15, 2, 1, 9, 2, 1, 10})        // subnormals and huge values cancel
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := 1+int(data[0])%9, 1+int(data[1])%9
+		coo := NewCOO(rows, cols)
+		for k := 2; k+2 < min(len(data), 2+3*256); k += 3 {
+			coo.Add(int(data[k])%rows, int(data[k+1])%cols, fuzzValues[int(data[k+2])%len(fuzzValues)])
+		}
+		got, want := coo.ToCSR(), referenceToCSR(coo)
+		if r, c := got.Dims(); r != rows || c != cols {
+			t.Fatalf("dims %dx%d, want %dx%d", r, c, rows, cols)
+		}
+		if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colIdx, want.colIdx) {
+			t.Fatalf("structure rowPtr %v colIdx %v, want %v %v", got.rowPtr, got.colIdx, want.rowPtr, want.colIdx)
+		}
+		for i, w := range want.vals {
+			if math.Float64bits(got.vals[i]) != math.Float64bits(w) {
+				t.Fatalf("vals[%d] = %v (%#x), want %v (%#x)", i, got.vals[i], math.Float64bits(got.vals[i]), w, math.Float64bits(w))
+			}
+		}
+		if cap(got.colIdx) != len(got.colIdx) || cap(got.vals) != len(got.vals) {
+			t.Fatalf("spare capacity: colIdx %d/%d, vals %d/%d", len(got.colIdx), cap(got.colIdx), len(got.vals), cap(got.vals))
+		}
+	})
 }
