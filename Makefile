@@ -89,7 +89,9 @@ serving-pairs:
 	bash scripts/serving-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 # Native fuzz targets, a short budget each — the long-haul hardening pass
-# for the COO→CSR build (bit-identical to its map-based oracle), the
+# for the compact dataset (every accessor and error equal to the old
+# [][]int layout kept in its test file), the COO→CSR build (bit-identical
+# to its map-based oracle), the
 # extractor, the live graph (closed- and open-universe), the WAL
 # record decoder against torn and corrupted log tails, the checkpoint
 # decoder every restart reads, the fingerprint cache's
@@ -97,6 +99,7 @@ serving-pairs:
 # encoder's byte equality with encoding/json (CI runs the seed corpus via
 # `make test` plus a 10s smoke; this explores further).
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDatasetNew -fuzztime 30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzToCSR -fuzztime 30s ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz FuzzSubgraphExtract -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzBuilderAddRating -fuzztime 30s ./internal/graph/

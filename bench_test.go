@@ -411,8 +411,9 @@ func BenchmarkSystemConstruction(b *testing.B) {
 // BenchmarkNewSystem times the first half of a server's ready path on the
 // movielens world: raw ratings → NewDataset → NewSystem (the serving
 // graph's CSR build), reporting each stage's share as dataset-ms/op and
-// graph-ms/op. The other half, AC2's LDA training, is internal/lda's
-// BenchmarkLDATrain.
+// graph-ms/op, and the live heap each stage retains as dataset-MB and
+// graph-MB (measured once, after two GCs, outside the timed loop). The
+// other half, AC2's LDA training, is internal/lda's BenchmarkLDATrain.
 func BenchmarkNewSystem(b *testing.B) {
 	world, err := worlds.Generate("movielens", 1)
 	if err != nil {
@@ -420,6 +421,25 @@ func BenchmarkNewSystem(b *testing.B) {
 	}
 	d := world.Data
 	ratings := d.Ratings()
+	live := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	before := live()
+	data, err := longtail.NewDataset(d.NumUsers(), d.NumItems(), ratings)
+	if err != nil {
+		b.Fatal(err)
+	}
+	withDataset := live()
+	sys, err := longtail.NewSystem(data, longtail.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	datasetMB, graphMB := withDataset-before, live()-withDataset
+	runtime.KeepAlive(sys)
 	var inDataset, inSystem time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -437,6 +457,8 @@ func BenchmarkNewSystem(b *testing.B) {
 	}
 	b.ReportMetric(inDataset.Seconds()*1e3/float64(b.N), "dataset-ms/op")
 	b.ReportMetric(inSystem.Seconds()*1e3/float64(b.N), "graph-ms/op")
+	b.ReportMetric(datasetMB, "dataset-MB")
+	b.ReportMetric(graphMB, "graph-MB")
 }
 
 // BenchmarkRecommendRequest measures one no-options query straight

@@ -141,8 +141,8 @@ func (b *Builder) Build(numUsers, numItems int) (*Dataset, error) {
 func (d *Dataset) ToImplicit(threshold float64) (*Dataset, error) {
 	kept := make([]Rating, 0, len(d.ratings))
 	for _, r := range d.ratings {
-		if r.Score >= threshold {
-			kept = append(kept, Rating{User: r.User, Item: r.Item, Score: 1})
+		if r.score >= threshold {
+			kept = append(kept, Rating{User: int(r.user), Item: int(r.item), Score: 1})
 		}
 	}
 	if len(kept) == 0 {
@@ -159,14 +159,8 @@ func (d *Dataset) ClampScores(lo, hi float64) (*Dataset, error) {
 	}
 	out := make([]Rating, len(d.ratings))
 	for k, r := range d.ratings {
-		s := r.Score
-		if s < lo {
-			s = lo
-		}
-		if s > hi {
-			s = hi
-		}
-		out[k] = Rating{User: r.User, Item: r.Item, Score: s}
+		out[k] = r.export()
+		out[k].Score = min(max(r.score, lo), hi)
 	}
 	return New(d.numUsers, d.numItems, out)
 }

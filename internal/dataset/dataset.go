@@ -7,6 +7,7 @@ package dataset
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -19,68 +20,112 @@ type Rating struct {
 	Score      float64
 }
 
+// rating is Rating as a Dataset stores it: 16 bytes against Rating's 24.
+type rating struct {
+	user, item int32
+	score      float64
+}
+
+func (r rating) export() Rating { return Rating{User: int(r.user), Item: int(r.item), Score: r.score} }
+
+// csr indexes ratings by one endpoint: row r's rating indices are
+// idx[off[r]:off[r+1]], in input order.
+type csr struct {
+	off, idx []int32
+}
+
+// newCSR indexes ratings into rows by key with a stable counting sort.
+func newCSR(rows int, ratings []rating, key func(rating) int32) csr {
+	c := csr{off: make([]int32, rows+1), idx: make([]int32, len(ratings))}
+	for _, r := range ratings {
+		c.off[key(r)+1]++
+	}
+	for r := 1; r <= rows; r++ {
+		c.off[r] += c.off[r-1]
+	}
+	// Fill with off[r] as row r's cursor, which leaves it at row r's end,
+	// then shift the offsets back by one row.
+	for k, r := range ratings {
+		row := key(r)
+		c.idx[c.off[row]] = int32(k)
+		c.off[row]++
+	}
+	copy(c.off[1:], c.off[:rows])
+	c.off[0] = 0
+	return c
+}
+
+func (c csr) row(r int) []int32 { return c.idx[c.off[r]:c.off[r+1]] }
+
+func (c csr) degree(r int) int { return int(c.off[r+1] - c.off[r]) }
+
 // Dataset is an immutable collection of ratings over dense user/item
 // universes. Build one with New or a loader; mutate by deriving new
 // datasets (e.g. RemoveRatings).
 type Dataset struct {
 	numUsers, numItems int
-	ratings            []Rating
-	byUser             [][]int // rating indices per user
-	byItem             [][]int // rating indices per item
+	ratings            []rating
+	byUser, byItem     csr
 }
 
-// New validates and indexes a rating slice. Scores must be positive
-// (the bipartite graph requires positive edge weights). Duplicate
+// New validates and indexes a rating slice. Scores must be positive and
+// finite (the bipartite graph requires positive edge weights). Duplicate
 // (user, item) pairs are rejected: a rating is a single edge. The error
 // names the first fault in input order, a duplicate at its second
-// occurrence.
+// occurrence. Universe sizes and the rating count must fit the int32
+// indices a Dataset stores.
 func New(numUsers, numItems int, ratings []Rating) (*Dataset, error) {
 	if numUsers <= 0 || numItems <= 0 {
 		return nil, fmt.Errorf("dataset: need positive universe sizes, got %d users, %d items", numUsers, numItems)
 	}
+	if max(numUsers, numItems, len(ratings)) > math.MaxInt32 {
+		return nil, fmt.Errorf("dataset: %d users, %d items, %d ratings exceed the int32 index range", numUsers, numItems, len(ratings))
+	}
+	rs := make([]rating, len(ratings))
+	var fault error
+	for k, r := range ratings {
+		switch {
+		case r.User < 0 || r.User >= numUsers:
+			fault = fmt.Errorf("dataset: rating %d user %d out of range [0,%d)", k, r.User, numUsers)
+		case r.Item < 0 || r.Item >= numItems:
+			fault = fmt.Errorf("dataset: rating %d item %d out of range [0,%d)", k, r.Item, numItems)
+		case r.Score <= 0:
+			fault = fmt.Errorf("dataset: rating %d score %v must be positive", k, r.Score)
+		case math.IsNaN(r.Score) || math.IsInf(r.Score, 1):
+			fault = fmt.Errorf("dataset: rating %d score %v must be finite", k, r.Score)
+		}
+		if fault != nil {
+			rs = rs[:k]
+			break
+		}
+		rs[k] = rating{user: int32(r.User), item: int32(r.Item), score: r.Score}
+	}
 	d := &Dataset{
 		numUsers: numUsers,
 		numItems: numItems,
-		ratings:  make([]Rating, len(ratings)),
-		byUser:   make([][]int, numUsers),
-		byItem:   make([][]int, numItems),
+		ratings:  rs,
+		byUser:   newCSR(numUsers, rs, func(r rating) int32 { return r.user }),
 	}
-	copy(d.ratings, ratings)
-	for k, r := range d.ratings {
-		var err error
-		switch {
-		case r.User < 0 || r.User >= numUsers:
-			err = fmt.Errorf("dataset: rating %d user %d out of range [0,%d)", k, r.User, numUsers)
-		case r.Item < 0 || r.Item >= numItems:
-			err = fmt.Errorf("dataset: rating %d item %d out of range [0,%d)", k, r.Item, numItems)
-		case r.Score <= 0:
-			err = fmt.Errorf("dataset: rating %d score %v must be positive", k, r.Score)
-		}
-		if err != nil {
-			// A duplicate among the ratings indexed so far comes first.
-			return nil, cmp.Or(d.duplicate(), err)
-		}
-		d.byUser[r.User] = append(d.byUser[r.User], k)
-		d.byItem[r.Item] = append(d.byItem[r.Item], k)
-	}
-	if err := d.duplicate(); err != nil {
+	// A duplicate among the ratings before the first fault comes first.
+	if err := cmp.Or(d.duplicate(), fault); err != nil {
 		return nil, err
 	}
+	d.byItem = newCSR(numItems, rs, func(r rating) int32 { return r.item })
 	return d, nil
 }
 
-// duplicate reports the earliest indexed rating that repeats an earlier
+// duplicate reports the earliest rating that repeats an earlier
 // (user, item) pair: the first repeat within some user's ratings, found by
 // stamping each item with the user whose ratings are being walked.
 func (d *Dataset) duplicate() error {
 	dup := len(d.ratings)
-	stamp := make([]int, d.numItems)
-	for u, idx := range d.byUser {
-		for _, k := range idx {
-			if i := d.ratings[k].Item; stamp[i] != u+1 {
-				stamp[i] = u + 1
+	stamp := make([]int32, d.numItems)
+	for u := range d.numUsers {
+		for _, k := range d.byUser.row(u) {
+			if i := d.ratings[k].item; stamp[i] != int32(u+1) {
+				stamp[i] = int32(u + 1)
 			} else {
-				dup = min(dup, k)
+				dup = min(dup, int(k))
 				break
 			}
 		}
@@ -88,7 +133,7 @@ func (d *Dataset) duplicate() error {
 	if dup == len(d.ratings) {
 		return nil
 	}
-	return fmt.Errorf("dataset: duplicate rating (user %d, item %d)", d.ratings[dup].User, d.ratings[dup].Item)
+	return fmt.Errorf("dataset: duplicate rating (user %d, item %d)", d.ratings[dup].user, d.ratings[dup].item)
 }
 
 // NumUsers returns the user-universe size.
@@ -101,12 +146,23 @@ func (d *Dataset) NumItems() int { return d.numItems }
 func (d *Dataset) NumRatings() int { return len(d.ratings) }
 
 // Rating returns the k-th rating.
-func (d *Dataset) Rating(k int) Rating { return d.ratings[k] }
+func (d *Dataset) Rating(k int) Rating { return d.ratings[k].export() }
 
 // Ratings returns a copy of all ratings.
 func (d *Dataset) Ratings() []Rating {
 	out := make([]Rating, len(d.ratings))
-	copy(out, d.ratings)
+	for k, r := range d.ratings {
+		out[k] = r.export()
+	}
+	return out
+}
+
+// gather returns the ratings at the given indices (freshly allocated).
+func (d *Dataset) gather(idx []int32) []Rating {
+	out := make([]Rating, len(idx))
+	for n, k := range idx {
+		out[n] = d.ratings[k].export()
+	}
 	return out
 }
 
@@ -116,52 +172,41 @@ func (d *Dataset) Density() float64 {
 }
 
 // UserRatings returns user u's ratings (freshly allocated).
-func (d *Dataset) UserRatings(u int) []Rating {
-	idx := d.byUser[u]
-	out := make([]Rating, len(idx))
-	for k, i := range idx {
-		out[k] = d.ratings[i]
-	}
-	return out
-}
+func (d *Dataset) UserRatings(u int) []Rating { return d.gather(d.byUser.row(u)) }
 
 // UserItemSet returns the set of items rated by u (the paper's S_u).
 func (d *Dataset) UserItemSet(u int) map[int]struct{} {
-	idx := d.byUser[u]
+	idx := d.byUser.row(u)
 	out := make(map[int]struct{}, len(idx))
-	for _, i := range idx {
-		out[d.ratings[i].Item] = struct{}{}
+	for _, k := range idx {
+		out[int(d.ratings[k].item)] = struct{}{}
 	}
 	return out
 }
 
 // UserDegree returns how many items user u rated.
-func (d *Dataset) UserDegree(u int) int { return len(d.byUser[u]) }
+func (d *Dataset) UserDegree(u int) int { return d.byUser.degree(u) }
+
+// ItemDegree returns how many users rated item i: its popularity.
+func (d *Dataset) ItemDegree(i int) int { return d.byItem.degree(i) }
 
 // ItemRatings returns item i's ratings (freshly allocated).
-func (d *Dataset) ItemRatings(i int) []Rating {
-	idx := d.byItem[i]
-	out := make([]Rating, len(idx))
-	for k, j := range idx {
-		out[k] = d.ratings[j]
-	}
-	return out
-}
+func (d *Dataset) ItemRatings(i int) []Rating { return d.gather(d.byItem.row(i)) }
 
 // ItemPopularity returns, per item, its rating frequency — the paper's
 // popularity measure (§5.2.2).
 func (d *Dataset) ItemPopularity() []int {
 	out := make([]int, d.numItems)
 	for i := range out {
-		out[i] = len(d.byItem[i])
+		out[i] = d.byItem.degree(i)
 	}
 	return out
 }
 
 // HasRating reports whether (u, i) is present.
 func (d *Dataset) HasRating(u, i int) bool {
-	for _, k := range d.byUser[u] {
-		if d.ratings[k].Item == i {
+	for _, k := range d.byUser.row(u) {
+		if int(d.ratings[k].item) == i {
 			return true
 		}
 	}
@@ -170,9 +215,9 @@ func (d *Dataset) HasRating(u, i int) bool {
 
 // Score returns the rating score of (u, i) and whether it exists.
 func (d *Dataset) Score(u, i int) (float64, bool) {
-	for _, k := range d.byUser[u] {
-		if d.ratings[k].Item == i {
-			return d.ratings[k].Score, true
+	for _, k := range d.byUser.row(u) {
+		if int(d.ratings[k].item) == i {
+			return d.ratings[k].score, true
 		}
 	}
 	return 0, false
@@ -184,7 +229,7 @@ func (d *Dataset) Graph() *graph.Bipartite {
 	b := graph.NewBuilder(d.numUsers, d.numItems)
 	for _, r := range d.ratings {
 		// Ratings were validated at construction, so AddRating cannot fail.
-		if err := b.AddRating(r.User, r.Item, r.Score); err != nil {
+		if err := b.AddRating(int(r.user), int(r.item), r.score); err != nil {
 			panic(fmt.Sprintf("dataset: invariant violated: %v", err))
 		}
 	}
@@ -247,7 +292,7 @@ func (d *Dataset) Summarize() Stats {
 		MinItemDegree: int(^uint(0) >> 1),
 	}
 	for u := 0; u < d.numUsers; u++ {
-		deg := len(d.byUser[u])
+		deg := d.byUser.degree(u)
 		if deg < s.MinUserDegree {
 			s.MinUserDegree = deg
 		}
@@ -256,7 +301,7 @@ func (d *Dataset) Summarize() Stats {
 		}
 	}
 	for i := 0; i < d.numItems; i++ {
-		deg := len(d.byItem[i])
+		deg := d.byItem.degree(i)
 		if deg < s.MinItemDegree {
 			s.MinItemDegree = deg
 		}
@@ -266,7 +311,7 @@ func (d *Dataset) Summarize() Stats {
 	}
 	total := 0.0
 	for _, r := range d.ratings {
-		total += r.Score
+		total += r.score
 	}
 	if len(d.ratings) > 0 {
 		s.MeanScore = total / float64(len(d.ratings))
@@ -281,7 +326,7 @@ func (d *Dataset) RemoveRatings(drop map[int]struct{}) (*Dataset, error) {
 	kept := make([]Rating, 0, len(d.ratings)-len(drop))
 	for k, r := range d.ratings {
 		if _, gone := drop[k]; !gone {
-			kept = append(kept, r)
+			kept = append(kept, r.export())
 		}
 	}
 	return New(d.numUsers, d.numItems, kept)
@@ -306,13 +351,13 @@ func (d *Dataset) SplitLongTailTest(rng *rand.Rand, numTest int, minScore, tailS
 	tail := d.LongTailItems(tailShare)
 	cands := make([]int, 0, len(d.ratings))
 	for k, r := range d.ratings {
-		if r.Score < minScore {
+		if r.score < minScore {
 			continue
 		}
-		if _, niche := tail[r.Item]; !niche {
+		if _, niche := tail[int(r.item)]; !niche {
 			continue
 		}
-		if len(d.byUser[r.User]) < 2 {
+		if d.byUser.degree(int(r.user)) < 2 {
 			continue // would leave the user with no training signal
 		}
 		cands = append(cands, k)
@@ -328,9 +373,9 @@ func (d *Dataset) SplitLongTailTest(rng *rand.Rand, numTest int, minScore, tailS
 		if len(test) == numTest {
 			break
 		}
-		r := d.ratings[k]
+		r := d.ratings[k].export()
 		// Keep at least one training rating per user.
-		if perUserDrops[r.User]+1 >= len(d.byUser[r.User]) {
+		if perUserDrops[r.User]+1 >= d.byUser.degree(r.User) {
 			continue
 		}
 		drop[k] = struct{}{}
@@ -363,9 +408,11 @@ func (d *Dataset) KCore(minUserDegree, minItemDegree int) (*Dataset, error) {
 	}
 	userDeg := make([]int, d.numUsers)
 	itemDeg := make([]int, d.numItems)
-	for _, r := range d.ratings {
-		userDeg[r.User]++
-		itemDeg[r.Item]++
+	for u := range userDeg {
+		userDeg[u] = d.byUser.degree(u)
+	}
+	for i := range itemDeg {
+		itemDeg[i] = d.byItem.degree(i)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -376,11 +423,11 @@ func (d *Dataset) KCore(minUserDegree, minItemDegree int) (*Dataset, error) {
 			// A rating dies when either endpoint is below threshold (a
 			// zero-degree endpoint trivially satisfies "below" only if the
 			// threshold is positive).
-			if (userDeg[r.User] < minUserDegree && minUserDegree > 0) ||
-				(itemDeg[r.Item] < minItemDegree && minItemDegree > 0) {
+			if (userDeg[r.user] < minUserDegree && minUserDegree > 0) ||
+				(itemDeg[r.item] < minItemDegree && minItemDegree > 0) {
 				alive[k] = false
-				userDeg[r.User]--
-				itemDeg[r.Item]--
+				userDeg[r.user]--
+				itemDeg[r.item]--
 				changed = true
 			}
 		}
@@ -388,7 +435,7 @@ func (d *Dataset) KCore(minUserDegree, minItemDegree int) (*Dataset, error) {
 	kept := make([]Rating, 0, len(d.ratings))
 	for k, r := range d.ratings {
 		if alive[k] {
-			kept = append(kept, r)
+			kept = append(kept, r.export())
 		}
 	}
 	if len(kept) == 0 {
@@ -402,7 +449,7 @@ func (d *Dataset) KCore(minUserDegree, minItemDegree int) (*Dataset, error) {
 func (d *Dataset) SampleUsers(rng *rand.Rand, n, minDegree int) ([]int, error) {
 	elig := make([]int, 0, d.numUsers)
 	for u := 0; u < d.numUsers; u++ {
-		if len(d.byUser[u]) >= minDegree {
+		if d.byUser.degree(u) >= minDegree {
 			elig = append(elig, u)
 		}
 	}

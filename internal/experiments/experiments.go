@@ -364,12 +364,6 @@ func Table4(env *Env, mus []int) (*MuSweep, error) {
 	if len(mus) == 0 {
 		mus = []int{400, 800, 1600, 0}
 	}
-	// AC2 needs topic entropies once; rebuild the recommender per µ.
-	model, err := env.Sys.LDAModel()
-	if err != nil {
-		return nil, err
-	}
-	_ = model
 	out := &MuSweep{}
 	var rows [][]string
 	for _, mu := range mus {

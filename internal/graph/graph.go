@@ -116,8 +116,9 @@ func NewBuilder(numUsers, numItems int) *Builder {
 }
 
 // AddRating records the undirected edge (user u — item i) with weight w.
-// Duplicate pairs are summed. Non-positive weights are rejected since the
-// paper's graph has strictly positive edge weights.
+// Duplicate pairs are summed. Weights that are not positive and finite
+// are rejected, as a live write rejects them: the paper's graph has
+// strictly positive edge weights.
 func (b *Builder) AddRating(u, i int, w float64) error {
 	if u < 0 || u >= b.numUsers {
 		return fmt.Errorf("graph: user %d out of range [0,%d)", u, b.numUsers)
@@ -125,8 +126,8 @@ func (b *Builder) AddRating(u, i int, w float64) error {
 	if i < 0 || i >= b.numItems {
 		return fmt.Errorf("graph: item %d out of range [0,%d)", i, b.numItems)
 	}
-	if w <= 0 {
-		return fmt.Errorf("graph: edge weight %v must be positive", w)
+	if err := checkWeight(w); err != nil {
+		return err
 	}
 	un, in := u, b.numUsers+i
 	b.coo.Add(un, in, w)

@@ -80,6 +80,12 @@ func TestBuilderValidation(t *testing.T) {
 	if err := b.AddRating(0, 0, -2); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	// The live-write rule: NaN and +Inf would poison degrees for good.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := b.AddRating(0, 0, w); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+	}
 	if err := b.AddRating(1, 1, 3); err != nil {
 		t.Fatalf("valid rating rejected: %v", err)
 	}

@@ -184,8 +184,13 @@ func (g *Bipartite) CheckWrite(u, i int, w float64, autoGrow bool) error {
 			return fmt.Errorf("graph: item %d out of range [0,%d)", i, uni.numItems)
 		}
 	}
-	// !(w > 0) also rejects NaN, which would otherwise poison degrees and
-	// totalWeight irreversibly; +Inf is rejected for the same reason.
+	return checkWeight(w)
+}
+
+// checkWeight is the edge-weight rule of every graph write, batch and
+// live. !(w > 0) also rejects NaN, which would otherwise poison degrees
+// and totalWeight irreversibly; +Inf is rejected for the same reason.
+func checkWeight(w float64) error {
 	if !(w > 0) || math.IsInf(w, 1) {
 		return fmt.Errorf("graph: edge weight %v must be positive and finite", w)
 	}

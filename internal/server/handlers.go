@@ -98,7 +98,7 @@ func cacheStatsResponse(cs cache.Stats) *CacheStatsResponse {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.src.Data().Summarize()
+	st := s.stats
 	serving := s.src.ServingStats()
 	liveUsers, liveItems := s.src.Universe()
 	resp := StatsResponse{
@@ -522,14 +522,14 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	pop := s.src.Data().ItemPopularity()
+	d := s.src.Data()
 	out := make([]SimilarEntry, len(sims))
 	for i, sim := range sims {
 		_, tail := s.tail[sim.Item]
 		out[i] = SimilarEntry{
 			Item:       sim.Item,
 			Similarity: sim.Similarity,
-			Popularity: pop[sim.Item],
+			Popularity: d.ItemDegree(sim.Item),
 			LongTail:   tail,
 		}
 	}

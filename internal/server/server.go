@@ -182,13 +182,15 @@ type Server struct {
 	src     Source
 	opts    Options
 	tail    map[int]struct{} // long-tail item set, computed once
+	stats   dataset.Stats    // the snapshot's /v1/stats facts, computed once
 	mux     *http.ServeMux
 	http    *http.Server
 	metrics *metrics
 }
 
 // New builds a Server. The Source must already be trained/indexed; New
-// precomputes the long-tail split so /v1/items answers in O(1). A
+// precomputes the long-tail split and the snapshot's summary, so
+// /v1/items and /v1/stats answer without a scan. A
 // DefaultAlgorithm the Source does not list is refused: the server would
 // advertise it and fail every request that names no algorithm. The check
 // is by name only — nothing is resolved or trained.
@@ -205,6 +207,7 @@ func New(src Source, opts Options) (*Server, error) {
 		src:     src,
 		opts:    opts,
 		tail:    src.Data().LongTailItems(opts.TailShare),
+		stats:   src.Data().Summarize(),
 		mux:     http.NewServeMux(),
 		metrics: newMetrics(),
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -228,6 +229,12 @@ func TestNewDatasetHelper(t *testing.T) {
 	}
 	if _, err := NewDataset(0, 0, nil); err == nil {
 		t.Fatal("invalid dataset accepted")
+	}
+	// A NaN or +Inf score would reach the graph and empty AT's lists.
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewDataset(2, 2, []Rating{{User: 0, Item: 0, Score: w}}); err == nil {
+			t.Fatalf("score %v accepted", w)
+		}
 	}
 }
 
