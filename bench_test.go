@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -254,7 +255,13 @@ func BenchmarkQueryMostPopular(b *testing.B) { benchAlgorithmQuery(b, "MostPopul
 // local-CSR build: the paper's µ-truncated regime and the work every
 // rebuild does. "reused" runs at µ = 6000, which covers the corpus' one
 // component: after the first iteration each call finds the kept build
-// current and only checks the seeds and the fingerprint.
+// current and only checks the seeds and the fingerprint. "islands" reads
+// users of the clustered corpus' 8 islands in turn at µ = 6000: each
+// island's build is kept beside the others and reused. "refresh" is
+// "islands" with one live write inside the island read next before each
+// call, as mixed_rw writes (a uniform item of the first half of the
+// island's catalog, score 1-5): the kept build is refreshed from the
+// journal, and the write's own cost is in the time.
 func BenchmarkSubgraphExtract(b *testing.B) {
 	env := benchEnv(b, "movielens")
 	g := env.Split.Train.Graph()
@@ -269,6 +276,38 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 				u := users[i%len(users)]
 				seeds, _ := g.Neighbors(g.UserNode(u))
 				if _, err := ext.ExtractByID(seeds, c.mu); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	world, err := worlds.Generate("clustered", 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	islands := world.Config.Clusters
+	perUsers, perItems := world.Config.NumUsers/islands, world.Config.NumItems/islands
+	for _, write := range []bool{false, true} {
+		name := "islands"
+		if write {
+			name = "refresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			g := world.Data.Graph()
+			ext := graph.NewSubgraphExtractor(g)
+			rng := rand.New(rand.NewSource(42))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				island := i % islands
+				u := island*perUsers + (i/islands)%perUsers
+				if write {
+					item := island*perItems + rng.Intn(perItems/2)
+					if _, err := g.UpsertRating(u, item, float64(1+rng.Intn(5))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				seeds, _ := g.Neighbors(g.UserNode(u))
+				if _, err := ext.ExtractByID(seeds, 6000); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -67,10 +67,11 @@ func checkSoundness(t testing.TB, g *graph.Bipartite, opts WalkOptions, cached *
 // fresh compute. Most writes stay in their user's cluster (retention to
 // prove); a minority cross clusters and merge the components mid-run, and
 // an occasional Compact publishes a new base. The misses are walked by
-// the cached engine's pooled scratch, which keeps its last cluster across
-// queries: a write to the other cluster must leave it in use, a write to
-// its own cluster or a fold must not (graph's TestExtractorKeepsComponent
-// pins which). The run must both stay sound AND actually exercise the
+// the cached engine's pooled scratch, which keeps both clusters across
+// queries: a write to the other cluster must leave a kept one in use, a
+// write inside its own cluster refreshes it, and a merging write or a fold
+// rebuilds it (graph's TestExtractorKeepsComponent and
+// TestExtractorRefresh pin which). The run must both stay sound AND actually exercise the
 // fingerprint path (validated hits > 0) — a vacuous pass is a test bug.
 func TestCachedFingerprintSoundness(t *testing.T) {
 	var totalFPHits uint64

@@ -277,25 +277,31 @@ func requireSameByOriginalID(t *testing.T, want, got origSubgraph) {
 // and item budgets (see requireMatchesRef for what is compared), and
 // against each other by original id: the same members, the same edges,
 // Float64bits-equal degrees and the same whole flag, which is set exactly
-// when the reference BFS never reached the budget.
+// when the reference BFS never reached the budget. Live writes land
+// between the extractions of ONE extractor — re-rates, new edges inside a
+// component, edges joining two components, admissions and folds — so its
+// kept builds are reused, refreshed from the journal or rebuilt, and each
+// answer must still equal a fresh BFS.
 func FuzzSubgraphExtract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{255, 0, 128, 7, 9, 200, 13, 42, 42, 42, 17, 99, 3, 1})
 	f.Add([]byte("the quick brown fox jumps over the lazy long tail"))
+	f.Add([]byte("kept components are refreshed from the journal between reads"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &byteDriver{data: data}
-		g, nu, ni := buildFuzzGraph(d)
+		g, _, _ := buildFuzzGraph(d)
 		ext := NewSubgraphExtractor(g)
-		// Several extractions through ONE extractor: scratch reuse and
-		// epoch stamping must not leak state across queries.
-		for q := 0; q < 3; q++ {
+		for q := 0; q < 8; q++ {
+			if q > 0 {
+				fuzzWrite(t, d, g)
+			}
 			numSeeds := 1 + d.intn(4)
 			seeds := make([]int, numSeeds)
 			for k := range seeds {
-				seeds[k] = d.intn(nu + ni)
+				seeds[k] = d.intn(g.NumNodes())
 			}
-			maxItems := d.intn(ni + 2) // 0 = unlimited
+			maxItems := d.intn(g.NumItems() + 2) // 0 = unlimited
 			sg, err := ext.Extract(seeds, maxItems)
 			if err != nil {
 				t.Fatalf("Extract(%v, %d): %v", seeds, maxItems, err)
@@ -309,6 +315,48 @@ func FuzzSubgraphExtract(f *testing.F) {
 			requireSameByOriginalID(t, prefixed, byOriginalID(sg))
 		}
 	})
+}
+
+// fuzzWrite applies one fuzz-chosen live write to g: a re-rate, a new
+// edge inside a component, an edge joining two components, an admission
+// through UpsertRatingAutoGrow or a fold. A write the graph offers no
+// pair for (no rated edge, no unrated pair of the wanted kind) is
+// skipped.
+func fuzzWrite(t *testing.T, d *byteDriver, g *Bipartite) {
+	t.Helper()
+	nu, ni := g.NumUsers(), g.NumItems()
+	u, w := d.intn(nu), float64(1+d.intn(512))/100
+	var err error
+	switch kind := d.next() % 5; kind {
+	case 0: // re-rate
+		items, _ := g.UserItems(u)
+		if len(items) > 0 {
+			err = g.UpdateRating(u, items[d.intn(len(items))], w)
+		}
+	case 1, 2: // a new edge inside u's component, or joining another
+		labels, _ := g.ConnectedComponents()
+		var cands []int
+		for i := 0; i < ni; i++ {
+			same := labels[g.ItemNode(i)] == labels[g.UserNode(u)]
+			if same == (kind == 1) && g.Weight(g.UserNode(u), g.ItemNode(i)) == 0 {
+				cands = append(cands, i)
+			}
+		}
+		if len(cands) > 0 {
+			err = g.AddRating(u, cands[d.intn(len(cands))], w)
+		}
+	case 3: // admit a new user or a new item with its first rating
+		if d.next()%2 == 0 {
+			_, err = g.UpsertRatingAutoGrow(nu, d.intn(ni), w)
+		} else {
+			_, err = g.UpsertRatingAutoGrow(u, ni, w)
+		}
+	default:
+		g.Compact()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // refLiveGraph is the naive reference for the delta-overlay write path: a

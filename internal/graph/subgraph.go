@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"longtailrec/internal/sparse"
 )
@@ -35,16 +36,10 @@ type Subgraph struct {
 	// members, when non-nil, is a bloom of exactly these members kept by
 	// the extractor (a whole component it may reuse); Fingerprint copies it.
 	members *Fingerprint
-
-	// Reverse mapping: local[v] is the local id of original node v, valid
-	// only when stamp[v] == epoch. Shared with (and stamped by) the
-	// extractor that produced this subgraph. perm, when non-nil, renumbers
-	// it: v's local id is perm[local[v]] (Extract's layout, derived from
-	// the ExtractByID build).
-	stamp []int
-	local []int
-	epoch int
-	perm  []int
+	// byID, set on Extract's layout only, is the ExtractByID build it was
+	// derived from, and perm maps a local id of byID to one of this layout.
+	byID *Subgraph
+	perm []int
 }
 
 // localCSR is the storage of one local adjacency: local id -> original id,
@@ -76,6 +71,17 @@ func (c *localCSR) adjacency(a, b int) *sparse.CSR {
 	return sparse.NewCSRView(len(c.nodes), len(c.nodes), c.rowPtr, c.colIdx, c.vals).DeclareBlocks(a, b)
 }
 
+// build is one ExtractByID build and its storage. A kept build (members
+// non-nil) is a whole component read through storage key key; fp is a
+// bloom of its members stamped at a watermark through which the build
+// equals the live graph.
+type build struct {
+	csr localCSR
+	sub Subgraph
+	key storageKey
+	fp  Fingerprint
+}
+
 // SubgraphExtractor performs repeated BFS subgraph extractions against one
 // parent graph while reusing all intermediate storage. The epoch-stamped
 // visited/local arrays replace the per-query map[int]int node remapping, and
@@ -88,40 +94,44 @@ func (c *localCSR) adjacency(a, b int) *sparse.CSR {
 //
 // Reuse. When the BFS ends under the item budget with every seed joined
 // to the others, the members are one whole component, the same for every
-// seed set inside it. The extractor keeps such a build (numbered by id)
-// with a bloom of its members and the storage key it was read through,
-// and the next extraction reuses it when every seed is a member, the
-// budget still covers it, the storage key is unchanged and
-// CheckFingerprint rules that no write since touched a member: no BFS, no
-// CSR build, no lock. Anything else extracts afresh, which drops the kept
-// build.
+// seed set inside it. The extractor keeps every such build (numbered by
+// id) with a bloom of its members and the storage key it was read
+// through. A later extraction whose seeds are all members of a kept build
+// (Subgraph.LocalNode) reuses it when the budget still covers it, the
+// storage key is unchanged and CheckFingerprint rules that no write since
+// touched a member: no BFS, no CSR build, no lock. When a write may have,
+// refresh rereads the journal under the read lock: if no journaled node
+// is a member, or every journaled member's live row still holds members
+// only, the member set and the numbering stand, and the build's CSR is
+// rewritten with those members' rows reread and every other row copied. Anything else extracts
+// afresh into scratch storage, which then replaces the build that held
+// the seeds. A build read through an older storage key, or overlapping a
+// newer build, can never be served again and goes at once; past that,
+// kept builds are charged at least their members (see keep), NumNodes in
+// all, and the least recently served goes first.
 //
 // An extractor is NOT safe for concurrent use; give each worker its own
 // (see core.Engine, which pools them).
 type SubgraphExtractor struct {
 	g     *Bipartite
-	epoch int
-	stamp []int // stamp[v] == epoch ⇔ v is in the current subgraph
+	epoch int   // counts fresh extractions: stamps of the current BFS
+	stamp []int // stamp[v] == epoch ⇔ v is in the current BFS
 	local []int // local id of original node v when stamped; negative (a seed-set tag) until numbered
-
-	// csr is what a fresh extraction writes; csr.nodes is the BFS discovery
-	// list (doubling as the queue) while membership is decided, then local
-	// id -> original id. sub is its Subgraph, the ExtractByID build.
-	csr localCSR
-	sub Subgraph
 	// sets is the BFS's union-find over the distinct seeds (see extract).
 	sets []int
 
-	// kept reports that sub is an ExtractByID build of a whole component,
-	// read through storage key keptKey; keptFP is a bloom of its members
-	// stamped at a watermark through which no write touched them.
-	kept    bool
-	keptKey storageKey
-	keptFP  Fingerprint
+	// kept holds the whole components, least recently served first;
+	// fresh is the storage a fresh extraction writes into.
+	kept  []*build
+	fresh *build
+	// touched is refresh's scratch: the local ids journaled since a
+	// watermark.
+	touched []int
 
-	// Extract's layout derived from sub: perm maps a local id of sub to a
-	// prefixed one.
+	// Extract's layout derived from a by-id build: perm maps its local ids
+	// to prefixed ones and order back.
 	perm        []int
+	order       []int
 	rowSeeds    []int
 	prefixed    localCSR
 	prefixedSub Subgraph
@@ -132,23 +142,21 @@ type SubgraphExtractor struct {
 // node-indexed stamp/local arrays are re-sized per query off the graph's
 // live node count, so an extractor keeps working while the universe grows.
 func NewSubgraphExtractor(g *Bipartite) *SubgraphExtractor {
-	e := &SubgraphExtractor{g: g}
+	e := &SubgraphExtractor{g: g, fresh: new(build)}
 	e.sizeToGraph(g.NumNodes())
 	return e
 }
 
-// sizeToGraph ensures the node-indexed reverse-mapping arrays cover n
-// nodes. Growth allocates fresh zeroed arrays (with headroom, so a
-// steadily growing universe does not reallocate per query) and restarts
-// the stamp epoch; Subgraphs handed out earlier keep the old arrays and
-// epoch, so their reverse lookups stay consistent.
+// sizeToGraph ensures the node-indexed BFS arrays cover n nodes. Growth
+// allocates fresh zeroed arrays (with headroom, so a steadily growing
+// universe does not reallocate per query); the epoch goes on counting, so
+// no zero stamp matches it.
 func (e *SubgraphExtractor) sizeToGraph(n int) {
 	if n <= len(e.stamp) {
 		return
 	}
 	e.stamp = make([]int, n+n/8)
 	e.local = make([]int, n+n/8)
-	e.epoch = 0
 }
 
 // Graph returns the parent graph the extractor is bound to.
@@ -173,17 +181,37 @@ func (e *SubgraphExtractor) Graph() *Bipartite { return e.g }
 //
 // The numbering depends on the member set alone, so a whole component is
 // the same subgraph for every seed set inside it: the extractor keeps it
-// and later calls return it without touching the graph while it is
-// current (see SubgraphExtractor). The query engine marks each query's
-// seeds on it as a mask. The returned Subgraph aliases the extractor's
-// scratch and is invalidated by the extractor's next call.
+// and later calls return it, refreshed from the write journal when a
+// write touched it, while it is current (see SubgraphExtractor). The query
+// engine marks each query's seeds on it as a mask. The returned Subgraph
+// aliases the extractor's scratch and is invalidated by the extractor's
+// next call.
 func (e *SubgraphExtractor) ExtractByID(seeds []int, maxItems int) (*Subgraph, error) {
-	if !e.reusable(seeds, maxItems) {
-		if err := e.extract(seeds, maxItems); err != nil {
-			return nil, err
+	var held *build
+	if k := e.holding(seeds); k >= 0 {
+		held = e.kept[k]
+		if e.current(held, maxItems) {
+			e.kept = append(slices.Delete(e.kept, k, k+1), held)
+			return &held.sub, nil
 		}
 	}
-	return &e.sub, nil
+	if err := e.extract(seeds, maxItems); err != nil {
+		return nil, err
+	}
+	// The fresh build replaces the kept one that held the seeds, whose
+	// storage becomes the next scratch.
+	b := e.fresh
+	if held != nil {
+		e.kept = slices.DeleteFunc(e.kept, func(k *build) bool { return k == held })
+		e.fresh = held
+	}
+	if b.sub.members != nil {
+		e.keep(b)
+		if e.fresh == b {
+			e.fresh = new(build)
+		}
+	}
+	return &b.sub, nil
 }
 
 // Extract is ExtractByID renumbered seeds first: the distinct seeds take
@@ -196,43 +224,149 @@ func (e *SubgraphExtractor) ExtractByID(seeds []int, maxItems int) (*Subgraph, e
 // engine uses ExtractByID. The returned Subgraph aliases the extractor's
 // scratch and is invalidated by the extractor's next call.
 func (e *SubgraphExtractor) Extract(seeds []int, maxItems int) (*Subgraph, error) {
-	if _, err := e.ExtractByID(seeds, maxItems); err != nil {
+	byID, err := e.ExtractByID(seeds, maxItems)
+	if err != nil {
 		return nil, err
 	}
-	return e.withSeedPrefix(seeds), nil
+	return e.withSeedPrefix(byID, seeds), nil
 }
 
-// reusable reports whether the kept build is exactly what a fresh BFS from
-// seeds under maxItems would extract now: every seed is a member (the BFS
-// would stay inside the component and reach all of it), the budget covers
-// its items, no fold or admission swapped the storage key, and no
-// write since keptFP's watermark touched a member. The watermark then
-// advances to the journal head read before the check.
-func (e *SubgraphExtractor) reusable(seeds []int, maxItems int) bool {
-	if !e.kept || len(seeds) == 0 || (maxItems > 0 && e.sub.items > maxItems) || e.keptKey != e.g.storageKey() {
-		return false
+// holding returns the index of the most recently served kept build that
+// has every seed as a member, or -1.
+func (e *SubgraphExtractor) holding(seeds []int) int {
+	if len(seeds) == 0 {
+		return -1
 	}
-	for _, s := range seeds {
-		if _, ok := e.sub.LocalNode(s); !ok {
-			return false
+next:
+	for k := len(e.kept) - 1; k >= 0; k-- {
+		for _, s := range seeds {
+			if _, ok := e.kept[k].sub.LocalNode(s); !ok {
+				continue next
+			}
 		}
+		return k
+	}
+	return -1
+}
+
+// current reports whether kept build b, which holds the seeds, is exactly
+// what a fresh BFS from them under maxItems would extract now, refreshing
+// it when it can: the BFS would stay inside the component and reach all
+// of it, so the budget must cover its items, no fold or admission may
+// have swapped the storage key and no write since b.fp's watermark may
+// have touched a member, or refresh must show that the writes left the
+// member set as it was. The watermark then advances to the journal head
+// read before the check.
+func (e *SubgraphExtractor) current(b *build, maxItems int) bool {
+	if (maxItems > 0 && b.sub.items > maxItems) || b.key != e.g.storageKey() {
+		return false
 	}
 	head := e.g.WriteGen()
-	if e.g.CheckFingerprint(&e.keptFP) != FingerprintFresh {
+	if e.g.CheckFingerprint(&b.fp) == FingerprintFresh {
+		b.fp.Gen = head
+		return true
+	}
+	return e.refresh(b)
+}
+
+// refresh brings kept build b up to date from the write journal without a
+// BFS, or reports that it cannot. Under the read lock the journal span
+// since b's watermark is stable, and every edge write journals both its
+// ends, so the members whose rows changed are exactly the journaled
+// members. When each of their live rows still has members only for
+// neighbours, no node joined the component and the numbering stands: the
+// CSR is rewritten into the scratch build's arrays, which then trade
+// places with b's — each journaled member's row reread as buildLocalCSR
+// reads it (the members restamped with their local ids), every other row
+// copied. A span with no journaled member reads no row. The storage key
+// must be unchanged and the span shorter than journalCap.
+func (e *SubgraphExtractor) refresh(b *build) bool {
+	g := e.g
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	head := g.journal.head.Load()
+	if b.key != g.storageKey() || head-b.fp.Gen >= journalCap {
 		return false
 	}
-	e.keptFP.Gen = head
+	e.sizeToGraph(b.key.uni.numNodes())
+	e.epoch++
+	for l, v := range b.csr.nodes {
+		e.stamp[v], e.local[v] = e.epoch, l
+	}
+	touched := e.touched[:0]
+	for s := b.fp.Gen + 1; s <= head; s++ {
+		v := int(g.journal.slots[(s-1)&(journalCap-1)].Load())
+		if e.stamp[v] != e.epoch {
+			continue
+		}
+		nbrs, _ := g.rowLocked(v)
+		for _, w := range nbrs {
+			if e.stamp[w] != e.epoch {
+				return false
+			}
+		}
+		touched = append(touched, e.local[v])
+	}
+	slices.Sort(touched)
+	e.touched = slices.Compact(touched)
+	if len(e.touched) > 0 {
+		old, c := &b.csr, &e.fresh.csr
+		c.reset(len(old.nodes))
+		next := 0
+		for l, v := range old.nodes {
+			if next < len(e.touched) && e.touched[next] == l {
+				next++
+				e.appendRow(c, v)
+				continue
+			}
+			c.colIdx = append(c.colIdx, old.colIdx[old.rowPtr[l]:old.rowPtr[l+1]]...)
+			c.vals = append(c.vals, old.vals[old.rowPtr[l]:old.rowPtr[l+1]]...)
+			c.rowPtr = append(c.rowPtr, len(c.colIdx))
+			c.degrees = append(c.degrees, old.degrees[l])
+		}
+		// The members stay with b; the scratch keeps b's old arrays.
+		c.nodes, old.nodes = old.nodes, c.nodes
+		*old, *c = *c, *old
+		_, firstItem := b.sub.Blocks()
+		b.sub.adj, b.sub.degrees = old.adjacency(0, firstItem), old.degrees
+	}
+	b.fp.Gen = head
 	return true
 }
 
-// extract is a fresh extraction into csr and sub, kept when the members
-// are one whole component.
+// keep adds build b to the kept set as the most recently served. A kept
+// build sharing a member with b is an older, smaller reading of b's
+// component (no write removes an edge, so components only grow) and
+// goes. Then the least recently served builds go until the charges of
+// all fit in the graph's node count, b's alone excepted. A build is
+// charged its members but never less than fpWords, the words of its
+// bloom: components of fpWords members or more cost exactly their
+// members, and however small the components, at most NumNodes/fpWords
+// builds are kept.
+func (e *SubgraphExtractor) keep(b *build) {
+	e.kept = slices.DeleteFunc(e.kept, func(k *build) bool {
+		_, ok := b.sub.LocalNode(k.sub.nodes[0])
+		return ok
+	})
+	charge := func(b *build) int { return max(b.sub.Len(), fpWords) }
+	total := charge(b)
+	for _, k := range e.kept {
+		total += charge(k)
+	}
+	for len(e.kept) > 0 && total > e.g.NumNodes() {
+		total -= charge(e.kept[0])
+		e.kept = slices.Delete(e.kept, 0, 1)
+	}
+	e.kept = append(e.kept, b)
+}
+
+// extract is a fresh extraction into e.fresh, marked for keeping (members
+// set) when the members are one whole component.
 func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
-	e.kept = false // the build below overwrites the kept one, even when it fails
 	if len(seeds) == 0 {
 		return fmt.Errorf("graph: ExtractSubgraph needs at least one seed")
 	}
-	g := e.g
+	g, b := e.g, e.fresh
 	// One read lock spans the whole extraction (seed validation, BFS and
 	// the local CSR build): the subgraph is an atomic snapshot of the live
 	// graph — a concurrent write cannot tear it into an asymmetric
@@ -248,9 +382,11 @@ func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
 	key := g.storageKey()
 	uni := key.uni
 	n := uni.numNodes()
+	// A kept build read through another storage key is never current again.
+	e.kept = slices.DeleteFunc(e.kept, func(k *build) bool { return k.key != key })
 	e.sizeToGraph(n)
 	e.epoch++
-	nodes := e.csr.nodes[:0]
+	nodes := b.csr.nodes[:0]
 	items := 0
 	// [lo, hi] brackets the original ids of the members. Until numbered, a
 	// member's local entry is -1-k, k the set of the seed it was reached
@@ -304,11 +440,8 @@ func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
 			lo, hi = min(lo, w), max(hi, w)
 		}
 	}
-	e.csr.nodes = nodes
+	b.csr.nodes = nodes
 	whole := maxItems <= 0 || items <= maxItems
-	// A whole build whose seeds all joined is one component: the subgraph
-	// of every seed set inside it, numbered by id and kept.
-	keep := whole && joined == numSeeds-1
 	// Number the members with one scan of the stamped range and one cursor
 	// per block — users from 0, items from where the users end —
 	// overwriting the discovery order (no longer needed) in nodes.
@@ -328,26 +461,25 @@ func (e *SubgraphExtractor) extract(seeds []int, maxItems int) error {
 			nextUser++
 		}
 	}
-	e.buildLocalCSR()
-	e.sub = Subgraph{
+	e.buildLocalCSR(&b.csr)
+	b.sub = Subgraph{
 		parent:  g,
 		nodes:   nodes,
-		adj:     e.csr.adjacency(0, firstItem),
-		degrees: e.csr.degrees,
+		adj:     b.csr.adjacency(0, firstItem),
+		degrees: b.csr.degrees,
 		items:   items,
 		whole:   whole,
-		stamp:   e.stamp,
-		local:   e.local,
-		epoch:   e.epoch,
 	}
-	if keep {
+	// A whole build whose seeds all joined is one component: the subgraph
+	// of every seed set inside it, numbered by id and kept.
+	if whole && joined == numSeeds-1 {
 		// Stamped under the read lock: the members are unchanged through
 		// this watermark.
-		e.keptFP.Reset(g.journal.head.Load())
+		b.fp.Reset(g.journal.head.Load())
 		for _, v := range nodes {
-			e.keptFP.AddNode(v)
+			b.fp.AddNode(v)
 		}
-		e.kept, e.keptKey, e.sub.members = true, key, &e.keptFP
+		b.key, b.sub.members = key, &b.fp
 	}
 	return nil
 }
@@ -367,70 +499,72 @@ func (e *SubgraphExtractor) union(a, b int) bool {
 	return a != b
 }
 
-// buildLocalCSR materializes the node-induced adjacency submatrix straight
-// from the parent's live rows: one pass per row filtering to stamped
-// neighbors. Parent rows are sorted by original id, a row's columns all
-// lie in one block (the other type's) and local ids ascend with original
-// id inside a block, so the columns arrive in local order and are appended
-// in place. Degrees are the row sums in that order. Caller (extract) holds
-// the parent graph's read lock.
-func (e *SubgraphExtractor) buildLocalCSR() {
-	c := &e.csr
+// buildLocalCSR materializes the node-induced adjacency submatrix into c
+// straight from the parent's live rows: one pass per row filtering to
+// stamped neighbors. Parent rows are sorted by original id, a row's
+// columns all lie in one block (the other type's) and local ids ascend
+// with original id inside a block, so the columns arrive in local order
+// and are appended in place. Degrees are the row sums in that order.
+// Caller (extract) holds the parent graph's read lock.
+func (e *SubgraphExtractor) buildLocalCSR(c *localCSR) {
 	c.reset(len(c.nodes))
 	for _, orig := range c.nodes {
-		// rowLocked (not Adjacency().Row) so pending live writes in the
-		// delta overlay are part of the extracted subgraph.
-		cols, vals := e.g.rowLocked(orig)
-		sum := 0.0
-		for k, w := range cols {
-			if e.stamp[w] != e.epoch || vals[k] == 0 {
-				continue
-			}
-			sum += vals[k]
-			c.colIdx = append(c.colIdx, e.local[w])
-			c.vals = append(c.vals, vals[k])
-		}
-		c.rowPtr = append(c.rowPtr, len(c.colIdx))
-		c.degrees = append(c.degrees, sum)
+		e.appendRow(c, orig)
 	}
 }
 
-// withSeedPrefix renumbers the ExtractByID build in sub (seeds members)
+// appendRow appends member orig's row to c: its live row filtered to the
+// stamped nodes and mapped to their local ids, and its degree.
+func (e *SubgraphExtractor) appendRow(c *localCSR, orig int) {
+	// rowLocked (not Adjacency().Row) so pending live writes in the delta
+	// overlay are part of the extracted subgraph.
+	cols, vals := e.g.rowLocked(orig)
+	sum := 0.0
+	for k, w := range cols {
+		if e.stamp[w] != e.epoch || vals[k] == 0 {
+			continue
+		}
+		sum += vals[k]
+		c.colIdx = append(c.colIdx, e.local[w])
+		c.vals = append(c.vals, vals[k])
+	}
+	c.rowPtr = append(c.rowPtr, len(c.colIdx))
+	c.degrees = append(c.degrees, sum)
+}
+
+// withSeedPrefix renumbers the ExtractByID build byID (seeds members)
 // into Extract's layout in the prefixed storage: the distinct seeds first
-// in seed order, then sub's order — users, then items, ascending id — with
-// the seeds left out. Each row is sub's row through perm with its seed
-// columns moved in front; degrees are copied. Perm keeps the other columns
-// in order, so a row without seed columns maps in place, and any other is
-// split without a branch on whether a column is a seed; the seed rows say
-// (the adjacency being symmetric) how many each row holds.
-func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
-	byID := &e.sub
+// in seed order, then byID's order — users, then items, ascending id —
+// with the seeds left out. Each row is byID's row through perm with its
+// seed columns moved in front; degrees are copied. Perm keeps the other
+// columns in order, so a row without seed columns maps in place, and any
+// other is split without a branch on whether a column is a seed; the seed
+// rows say (the adjacency being symmetric) how many each row holds.
+func (e *SubgraphExtractor) withSeedPrefix(byID *Subgraph, seeds []int) *Subgraph {
 	n, nnz := byID.Len(), byID.adj.NNZ()
 	_, firstItem := byID.Blocks()
 	if cap(e.perm) < n {
-		e.perm = make([]int, 0, 2*n)
+		e.perm, e.order = make([]int, 0, 2*n), make([]int, 0, 2*n)
 	}
-	perm := e.perm[:n]
+	perm, order := e.perm[:n], e.order[:0]
 	for l := range perm {
 		perm[l] = -1
 	}
-	p := &e.prefixed
-	p.nodes = p.nodes[:0]
 	seedUsers := 0
 	for _, s := range seeds {
-		if l := e.local[s]; perm[l] < 0 {
-			perm[l] = len(p.nodes)
-			p.nodes = append(p.nodes, s)
+		if l, _ := byID.LocalNode(s); perm[l] < 0 {
+			perm[l] = len(order)
+			order = append(order, l)
 			if l < firstItem {
 				seedUsers++
 			}
 		}
 	}
-	numSeeds := len(p.nodes)
-	for l, v := range byID.nodes {
+	numSeeds := len(order)
+	for l := range perm {
 		if perm[l] < 0 {
-			perm[l] = len(p.nodes)
-			p.nodes = append(p.nodes, v)
+			perm[l] = len(order)
+			order = append(order, l)
 		}
 	}
 	// rowSeeds[o]: the seed columns of byID's row o, counted from the seed rows.
@@ -441,20 +575,22 @@ func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 	for o := range rowSeeds {
 		rowSeeds[o] = 0
 	}
-	for _, s := range p.nodes[:numSeeds] {
-		byIDCols, _ := byID.adj.Row(e.local[s])
+	for _, o := range order[:numSeeds] {
+		byIDCols, _ := byID.adj.Row(o)
 		for _, c := range byIDCols {
 			rowSeeds[c]++
 		}
 	}
+	p := &e.prefixed
+	p.nodes = p.nodes[:0]
 	p.reset(n)
 	if cap(p.colIdx) < nnz {
 		p.colIdx, p.vals = make([]int, 0, 2*nnz), make([]float64, 0, 2*nnz)
 	}
 	cols, vals := p.colIdx[:nnz], p.vals[:nnz]
 	pos := 0
-	for _, v := range p.nodes {
-		o := e.local[v]
+	for _, o := range order {
+		p.nodes = append(p.nodes, byID.nodes[o])
 		byIDCols, byIDVals := byID.adj.Row(o)
 		if run := rowSeeds[o]; run == 0 {
 			for k, c := range byIDCols {
@@ -480,7 +616,7 @@ func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 		p.degrees = append(p.degrees, byID.degrees[o])
 	}
 	p.colIdx, p.vals = cols, vals
-	e.perm = perm
+	e.perm, e.order = perm, order
 	e.prefixedSub = Subgraph{
 		parent:  e.g,
 		nodes:   p.nodes,
@@ -489,9 +625,7 @@ func (e *SubgraphExtractor) withSeedPrefix(seeds []int) *Subgraph {
 		items:   byID.items,
 		whole:   byID.whole,
 		members: byID.members,
-		stamp:   byID.stamp,
-		local:   byID.local,
-		epoch:   byID.epoch,
+		byID:    byID,
 		perm:    perm,
 	}
 	return &e.prefixedSub
@@ -571,14 +705,23 @@ func (sg *Subgraph) Degrees() []float64 { return sg.degrees }
 func (sg *Subgraph) OriginalNode(local int) int { return sg.nodes[local] }
 
 // LocalNode maps a parent node id to the local id, reporting presence.
+// It binary-searches the by-id build's user and item blocks, each sorted
+// by original id.
 func (sg *Subgraph) LocalNode(orig int) (int, bool) {
-	if orig < 0 || orig >= len(sg.stamp) || sg.stamp[orig] != sg.epoch {
+	if sg.byID != nil {
+		if l, ok := sg.byID.LocalNode(orig); ok {
+			return sg.perm[l], true
+		}
 		return 0, false
 	}
-	if sg.perm != nil {
-		return sg.perm[sg.local[orig]], true
+	_, b := sg.Blocks()
+	if l, ok := slices.BinarySearch(sg.nodes[:b], orig); ok {
+		return l, true
 	}
-	return sg.local[orig], true
+	if l, ok := slices.BinarySearch(sg.nodes[b:], orig); ok {
+		return b + l, true
+	}
+	return 0, false
 }
 
 // IsItemLocal reports whether local node l is an item in the parent graph.

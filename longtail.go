@@ -297,11 +297,13 @@ func (s *System) Epoch() uint64 { return s.g.Epoch() }
 // item id the system has never seen is admitted (appended to the graph,
 // epoch bumped per admission) instead of rejected — only negative ids and
 // ids more than MaxDenseAdmissions past the universe edge still fail. The
-// write is immediately visible to the graph recommenders (HT, AT, AC1–AC3,
-// DPPR). The dataset-trained models — PureSVD, LDA and MostPopular — keep
-// scoring against the training snapshot until the System is rebuilt, and
-// their responses do not say so; the dataset views (Data) are likewise
-// snapshot-scoped.
+// graph recommenders (HT, AT, AC1–AC3, DPPR) walk the new edge at once,
+// but AC1–AC3 still charge the entropy costs of the training snapshot,
+// and a user or item admitted after it pays the entropy floor on entry
+// (core.Engine's userEnterCost). The dataset-trained models — PureSVD,
+// LDA and MostPopular — keep scoring against the training snapshot until
+// the System is rebuilt, and their responses do not say so; the dataset
+// views (Data) are likewise snapshot-scoped.
 func (s *System) ApplyRating(user, item int, score float64) (added bool, epoch uint64, err error) {
 	switch {
 	case s.ing != nil:
@@ -738,31 +740,6 @@ const (
 
 // NewBuilder returns an empty streaming dataset builder.
 func NewBuilder(policy DupPolicy) *Builder { return dataset.NewBuilder(policy) }
-
-// SaveGraph writes one live serving graph — including pending overlay
-// writes and any users/items admitted through the auto-grow path, with
-// the write epoch preserved — as a versioned, checksummed binary
-// container (see internal/persist).
-func SaveGraph(w io.Writer, g *graph.Bipartite) error { return persist.SaveGraph(w, g) }
-
-// LoadGraph reads a graph container written by SaveGraph.
-func LoadGraph(r io.Reader) (*graph.Bipartite, error) { return persist.LoadGraph(r) }
-
-// SaveGraphFile writes a graph container to path.
-func SaveGraphFile(path string, g *graph.Bipartite) error {
-	return persist.SaveFile(path, func(w io.Writer) error { return persist.SaveGraph(w, g) })
-}
-
-// LoadGraphFile reads a graph container from path.
-func LoadGraphFile(path string) (*graph.Bipartite, error) {
-	var g *graph.Bipartite
-	err := persist.LoadFile(path, func(r io.Reader) error {
-		var lerr error
-		g, lerr = persist.LoadGraph(r)
-		return lerr
-	})
-	return g, err
-}
 
 // SaveDataset writes the dataset as a versioned, checksummed binary
 // container (see internal/persist).
