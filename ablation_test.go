@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // truncation depth τ, the entropy-cost signal itself, the user→item cost
-// constant C, subgraph-vs-whole-graph ranking agreement, and the spread
-// (variance) of the absorbing-time ranking signal. Run with
+// constant C, and subgraph-vs-whole-graph ranking agreement. Run with
 // `go test -bench=Ablation -benchmem`.
 package longtail_test
 
@@ -14,20 +13,34 @@ import (
 	"longtailrec"
 	"longtailrec/internal/core"
 	"longtailrec/internal/entropy"
-	"longtailrec/internal/markov"
-	"longtailrec/internal/topk"
 )
 
-// BenchmarkAblationTau measures how the truncated ranking converges to the
-// exact solution as τ grows (the paper claims τ = 15 suffices).
+// BenchmarkAblationTau measures how the truncated ranking converges as τ
+// grows (the paper claims τ = 15 suffices). The reference is the same
+// kernel at τ = 1,600, once τ = 800 and τ = 1,600 agree within 1e-9 on
+// every item: the sweeps have converged to the exact solve there.
 func BenchmarkAblationTau(b *testing.B) {
 	env := benchEnv(b, "movielens")
 	train := env.Split.Train
 	g := train.Graph()
 	users := env.Panel[:10]
-	exact := core.NewAbsorbingTime(g, core.WalkOptions{Exact: true})
+	half := core.NewAbsorbingTime(g, core.WalkOptions{Iterations: 800})
+	exact := core.NewAbsorbingTime(g, core.WalkOptions{Iterations: 1600})
 	exactTop := make(map[int][]core.Scored)
 	for _, u := range users {
+		s800, err := half.ScoreItems(u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s1600, err := exact.ScoreItems(u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range s1600 {
+			if s800[i] != s1600[i] && !(math.Abs(s800[i]-s1600[i]) <= 1e-9) {
+				b.Fatalf("user %d item %d: τ = 800 gives %v, τ = 1,600 %v", u, i, -s800[i], -s1600[i])
+			}
+		}
 		recs, err := longtail.RecommendItems(exact, u, 10)
 		if err != nil {
 			b.Fatal(err)
@@ -56,7 +69,7 @@ func BenchmarkAblationTau(b *testing.B) {
 				}
 			}
 			if i == 0 {
-				fmt.Printf("tau=%2d: top-10 overlap with exact solve %.0f%%\n",
+				fmt.Printf("tau=%2d: top-10 overlap with converged τ = 1,600 %.0f%%\n",
 					tau, 100*float64(agree)/float64(total))
 			}
 		}
@@ -136,66 +149,6 @@ func BenchmarkAblationUserCost(b *testing.B) {
 			if i == 0 && slots > 0 {
 				fmt.Printf("C=%.2f: mean recommended popularity %.1f\n", c, meanPop/float64(slots))
 			}
-		}
-	}
-}
-
-// BenchmarkAblationTimeVariance measures the spread of the absorbing-time
-// ranking signal: for a panel of users, the standard deviation of the
-// first-passage time at the top-10 recommended items versus at the 10 most
-// popular items. Tail items are reached through fewer paths, so their
-// times are intrinsically noisier — this quantifies how much.
-func BenchmarkAblationTimeVariance(b *testing.B) {
-	env := benchEnv(b, "movielens")
-	train := env.Split.Train
-	g := train.Graph()
-	chain, err := markov.NewChain(g.Adjacency())
-	if err != nil {
-		b.Fatal(err)
-	}
-	at := core.NewAbsorbingTime(g, core.WalkOptions{MaxSubgraphItems: train.NumItems() + 1})
-	pop := train.ItemPopularity()
-	sel := topk.NewSelector(10)
-	for i, p := range pop {
-		sel.Offer(i, float64(p))
-	}
-	top := make([]int, 0, 10)
-	for _, it := range sel.Take() {
-		top = append(top, it.ID)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var recSD, headSD float64
-		var recN, headN int
-		for _, u := range env.Panel[:5] {
-			absorb := make([]int, 0, 8)
-			for item := range train.UserItemSet(u) {
-				absorb = append(absorb, g.ItemNode(item))
-			}
-			sd, err := chain.AbsorbingTimeStdDev(absorb)
-			if err != nil {
-				b.Fatal(err)
-			}
-			recs, err := longtail.RecommendItems(at, u, 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range recs {
-				if v := sd[g.ItemNode(r.Item)]; !math.IsInf(v, 1) {
-					recSD += v
-					recN++
-				}
-			}
-			for _, item := range top {
-				if v := sd[g.ItemNode(item)]; !math.IsInf(v, 1) {
-					headSD += v
-					headN++
-				}
-			}
-		}
-		if i == 0 && recN > 0 && headN > 0 {
-			fmt.Printf("mean absorbing-time stddev: recommended tail items %.1f, head items %.1f\n",
-				recSD/float64(recN), headSD/float64(headN))
 		}
 	}
 }

@@ -73,8 +73,8 @@ func printOnce(i int, text string) {
 	}
 }
 
-// BenchmarkFigure2 regenerates the §3.3 worked example (exact hitting
-// times on the Figure 2 graph).
+// BenchmarkFigure2 regenerates the §3.3 worked example (hitting times on
+// the Figure 2 graph, τ converged).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Figure2()

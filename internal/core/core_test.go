@@ -3,12 +3,81 @@ package core
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"longtailrec/internal/dataset"
 	"longtailrec/internal/entropy"
 	"longtailrec/internal/graph"
+	"longtailrec/internal/markov"
+	"longtailrec/internal/markov/markovtest"
 )
+
+// convergedTau is a sweep count at which the walks on this file's small
+// graphs are converged to the exact solve (requireOracle checks 1e-9); it
+// is experiments.Figure2's τ.
+const convergedTau = 1000
+
+// oracleItemTimes returns, per item, the exact absorbing time or cost of
+// user u's walk under w's spec — the markovtest dense solve on the whole
+// graph, with the Eq. 9 entry costs the spec charges. Items that cannot
+// reach the absorbing set get +Inf.
+func oracleItemTimes(t testing.TB, w *walkRecommender, u int) []float64 {
+	t.Helper()
+	g, adj := w.g, w.g.Adjacency()
+	absorbing := []int{g.UserNode(u)}
+	if !w.spec.seedUser {
+		var err error
+		if absorbing, err = userItemNodes(g, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := make([]float64, g.NumNodes())
+	for i := range step {
+		step[i] = 1
+	}
+	if w.spec.costed {
+		enter := make([]float64, g.NumNodes())
+		for v := range g.NumUsers() {
+			enter[g.UserNode(v)] = w.spec.userEnter[v]
+		}
+		for i := range g.NumItems() {
+			enter[g.ItemNode(i)] = w.spec.userCost
+			if w.spec.itemEnter != nil {
+				enter[g.ItemNode(i)] = w.spec.itemEnter[i]
+			}
+		}
+		chain, err := markov.NewChain(adj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step = chain.StepCosts(enter)
+	}
+	times, err := markovtest.AbsorbingCost(adj, absorbing, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, g.NumItems())
+	for i := range out {
+		out[i] = times[g.ItemNode(i)]
+	}
+	return out
+}
+
+// requireOracle checks that w's scores for user u are the negated
+// oracleItemTimes within 1e-9, unreachable items -Inf.
+func requireOracle(t *testing.T, w *walkRecommender, u int) {
+	t.Helper()
+	scores, err := w.ScoreItems(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range oracleItemTimes(t, w, u) {
+		if got := -scores[i]; got != want && !(math.Abs(got-want) <= 1e-9) {
+			t.Fatalf("%s user %d item %d: %v, exact %v", w.algo, u, i, got, want)
+		}
+	}
+}
 
 // figure2Graph reproduces the paper's Figure 2 rating table.
 func figure2Graph(t testing.TB) *graph.Bipartite {
@@ -43,10 +112,11 @@ func figure2Dataset(t testing.TB) *dataset.Dataset {
 
 func TestHittingTimeFigure2(t *testing.T) {
 	g := figure2Graph(t)
-	ht := NewHittingTime(g, WalkOptions{Exact: true})
+	ht := NewHittingTime(g, WalkOptions{Iterations: convergedTau})
 	if ht.Name() != "HT" {
 		t.Fatalf("name %q", ht.Name())
 	}
+	requireOracle(t, &ht.walkRecommender, 4)
 	recs, err := RecommendItems(ht, 4, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -71,29 +141,32 @@ func TestHittingTimeFigure2(t *testing.T) {
 
 func TestHittingTimeTruncatedMatchesExactRanking(t *testing.T) {
 	g := figure2Graph(t)
-	exact := NewHittingTime(g, WalkOptions{Exact: true})
 	trunc := NewHittingTime(g, WalkOptions{Iterations: 15})
-	re, err := RecommendItems(exact, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := oracleItemTimes(t, &trunc.walkRecommender, 4)
+	// U5's unrated items (M2 and M3 are rated) in exact hitting-time order.
+	re := []int{0, 3, 4, 5}
+	sort.Slice(re, func(a, b int) bool { return exact[re[a]] < exact[re[b]] })
 	rt, err := RecommendItems(trunc, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rt) != len(re) {
+		t.Fatalf("τ=15 gave %d items, want %d", len(rt), len(re))
+	}
 	for k := range re {
-		if re[k].Item != rt[k].Item {
-			t.Fatalf("τ=15 ranking diverges at %d: %+v vs %+v", k, rt, re)
+		if re[k] != rt[k].Item {
+			t.Fatalf("τ=15 ranking diverges at %d: %+v vs exact %v", k, rt, re)
 		}
 	}
 }
 
 func TestAbsorbingTimeFigure2(t *testing.T) {
 	g := figure2Graph(t)
-	at := NewAbsorbingTime(g, WalkOptions{Exact: true})
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: convergedTau})
 	if at.Name() != "AT" {
 		t.Fatalf("name %q", at.Name())
 	}
+	requireOracle(t, &at.walkRecommender, 4)
 	recs, err := RecommendItems(at, 4, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +205,8 @@ func TestAbsorbingTimeEqualsHittingTimeForSingletonSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := NewAbsorbingTime(g, WalkOptions{Exact: true})
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: convergedTau})
+	requireOracle(t, &at.walkRecommender, 0)
 	scores, err := at.ScoreItems(0)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +244,7 @@ func TestColdUser(t *testing.T) {
 	// HT anchors at the user node itself, which is isolated: every item is
 	// unreachable. That is the same cold user, not an empty success — the
 	// caller's AllowFallback hangs on the error.
-	ht := NewHittingTime(g, WalkOptions{Exact: true})
+	ht := NewHittingTime(g, WalkOptions{})
 	if recs, err := RecommendItems(ht, 1, 5); !errors.Is(err, ErrColdUser) {
 		t.Fatalf("HT isolated user: recs %+v, err = %v, want ErrColdUser", recs, err)
 	}
@@ -195,11 +269,12 @@ func TestAbsorbingCostUniformEntropyMatchesTime(t *testing.T) {
 	// reproduce AT's values (Eq. 8's special case).
 	g := figure2Graph(t)
 	ones := []float64{1, 1, 1, 1, 1}
-	ac, err := NewAbsorbingCost(g, "ACu", ones, CostOptions{UserCost: 1, WalkOptions: WalkOptions{Exact: true}})
+	ac, err := NewAbsorbingCost(g, "ACu", ones, CostOptions{UserCost: 1, WalkOptions: WalkOptions{Iterations: convergedTau}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := NewAbsorbingTime(g, WalkOptions{Exact: true})
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: convergedTau})
+	requireOracle(t, &ac.walkRecommender, 4)
 	sc, err := ac.ScoreItems(4)
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +305,11 @@ func TestAbsorbingCostPrefersSpecificUsersPath(t *testing.T) {
 	if !(ent[1] > ent[3]) {
 		t.Fatalf("premise: E(U2)=%v should exceed E(U4)=%v", ent[1], ent[3])
 	}
-	ac, err := NewAbsorbingCost(g, "AC1", ent, CostOptions{WalkOptions: WalkOptions{Exact: true}})
+	ac, err := NewAbsorbingCost(g, "AC1", ent, CostOptions{WalkOptions: WalkOptions{Iterations: convergedTau}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireOracle(t, &ac.walkRecommender, 4)
 	recs, err := RecommendItems(ac, 4, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +318,7 @@ func TestAbsorbingCostPrefersSpecificUsersPath(t *testing.T) {
 		t.Fatalf("AC1 top rec = %d, want 3 (M4); recs %+v", recs[0].Item, recs)
 	}
 	// M4's margin over M1 must widen vs AT: compare normalized gaps.
-	at := NewAbsorbingTime(g, WalkOptions{Exact: true})
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: convergedTau})
 	sAC, err := ac.ScoreItems(4)
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ type engineScratch struct {
 	ext     *graph.SubgraphExtractor
 	chain   markov.Chain
 	mkv     markov.ChainScratch
-	absorb  []int       // the HT seed; local ids of absorbing states (exact path)
+	absorb  []int       // the HT seed
 	compact []ItemScore // per-query compact result
 
 	// exclStamp[item] == exclEpoch marks an item excluded from TopK
@@ -214,26 +214,7 @@ func (e *Engine) scoreSeeded(ctx context.Context, scr *engineScratch, u int, see
 			enter[l] = e.itemEnterCost(&spec, sg.OriginalNode(l))
 		}
 	}
-	var times []float64
-	if e.opts.Exact {
-		// Diagnostic path: the linear-system solvers allocate internally,
-		// which is acceptable off the truncated production path. (seeds may
-		// alias scr.absorb; it is not read past the mask.)
-		scr.absorb = scr.absorb[:0]
-		for l, m := range scr.mkv.Mask {
-			if m {
-				scr.absorb = append(scr.absorb, l)
-			}
-		}
-		if !spec.costed {
-			times, err = scr.chain.AbsorbingTimeExact(scr.absorb)
-		} else {
-			step := scr.chain.StepCostsInto(enter, scr.mkv.Nxt)
-			times, err = scr.chain.AbsorbingCostExact(scr.absorb, step)
-		}
-	} else {
-		times, err = scr.chain.AbsorbingCostFusedCtx(ctx, &scr.mkv, enter, e.opts.Iterations)
-	}
+	times, err := scr.chain.AbsorbingCostFusedCtx(ctx, &scr.mkv, enter, e.opts.Iterations)
 	if err != nil {
 		return nil, fmt.Errorf("core: absorbing solve: %w", err)
 	}

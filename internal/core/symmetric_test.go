@@ -36,11 +36,12 @@ func TestSymmetricCostUniformMatchesAT(t *testing.T) {
 	ones5 := []float64{1, 1, 1, 1, 1}
 	ones6 := []float64{1, 1, 1, 1, 1, 1}
 	ac3, err := NewSymmetricAbsorbingCost(g, "AC3u", ones5, ones6,
-		CostOptions{WalkOptions: WalkOptions{Exact: true}})
+		CostOptions{WalkOptions: WalkOptions{Iterations: convergedTau}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := NewAbsorbingTime(g, WalkOptions{Exact: true})
+	requireOracle(t, &ac3.walkRecommender, 4)
+	at := NewAbsorbingTime(g, WalkOptions{Iterations: convergedTau})
 	s3, err := ac3.ScoreItems(4)
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +74,12 @@ func TestSymmetricCostPenalizesPopularHubs(t *testing.T) {
 	spiked := append([]float64(nil), uniform...)
 	spiked[0] = 5 // M1 becomes an expensive hub
 	base, err := NewSymmetricAbsorbingCost(g, "base", ue, uniform,
-		CostOptions{WalkOptions: WalkOptions{Exact: true}})
+		CostOptions{WalkOptions: WalkOptions{Iterations: convergedTau}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spikedRec, err := NewSymmetricAbsorbingCost(g, "spiked", ue, spiked,
-		CostOptions{WalkOptions: WalkOptions{Exact: true}})
+		CostOptions{WalkOptions: WalkOptions{Iterations: convergedTau}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,14 @@ func TestSymmetricCostRecommends(t *testing.T) {
 	d := figure2Dataset(t)
 	ac3, err := NewSymmetricAbsorbingCost(g, "AC3",
 		entropy.AllItemBased(d), entropy.AllItemEntropy(d),
-		CostOptions{WalkOptions: WalkOptions{Exact: true}})
+		CostOptions{WalkOptions: WalkOptions{Iterations: convergedTau}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ac3.Name() != "AC3" {
 		t.Fatalf("name %q", ac3.Name())
 	}
+	requireOracle(t, &ac3.walkRecommender, 4)
 	recs, err := RecommendItems(ac3, 4, 4)
 	if err != nil {
 		t.Fatal(err)

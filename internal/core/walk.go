@@ -14,10 +14,8 @@ type WalkOptions struct {
 	// paper's default. Set very large to effectively use the whole graph.
 	MaxSubgraphItems int
 	// Iterations is τ, the truncated dynamic-programming sweep count.
-	// <= 0 means 15, the paper's default. Ignored when Exact is set.
+	// <= 0 means 15, the paper's default.
 	Iterations int
-	// Exact solves the absorbing linear system instead of truncating.
-	Exact bool
 }
 
 func (o WalkOptions) withDefaults() WalkOptions {

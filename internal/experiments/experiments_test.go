@@ -6,7 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"longtailrec"
+	"longtailrec/internal/entropy"
 	"longtailrec/internal/eval"
+	"longtailrec/internal/markov"
+	"longtailrec/internal/markov/markovtest"
 )
 
 // tinyScale keeps the end-to-end experiment tests fast.
@@ -78,6 +82,77 @@ func TestFigure2Experiment(t *testing.T) {
 	}
 	if !strings.Contains(res.Text, "M4") {
 		t.Fatal("text rendering missing M4")
+	}
+}
+
+// TestFigure2ConvergedToOracle holds figure2Iterations to its claim: on
+// the Figure 2 graph the production sweeps at that τ give every item's
+// time (HT, AT) or cost (AC1, AC3) for U5 within 1e-9 of the dense exact
+// solve.
+func TestFigure2ConvergedToOracle(t *testing.T) {
+	sys, err := figure2System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, d := sys.Graph(), sys.Data()
+	adj := g.Adjacency()
+	chain, err := markov.NewChain(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := longtail.DefaultConfig()
+	floored := func(e []float64) []float64 {
+		for i := range e {
+			e[i] = math.Max(e[i], cfg.EntropyFloor)
+		}
+		return e
+	}
+	userE, itemE := floored(entropy.AllItemBased(d)), floored(entropy.AllItemEntropy(d))
+	// Eq. 9 step costs: entering user u costs E(u), entering item i costs
+	// itemCost(i).
+	steps := func(itemCost func(i int) float64) []float64 {
+		enter := make([]float64, g.NumNodes())
+		for u := range userE {
+			enter[g.UserNode(u)] = userE[u]
+		}
+		for i := 0; i < g.NumItems(); i++ {
+			enter[g.ItemNode(i)] = itemCost(i)
+		}
+		return chain.StepCosts(enter)
+	}
+	ones := make([]float64, g.NumNodes())
+	for i := range ones {
+		ones[i] = 1
+	}
+	const u5 = 4
+	rated := []int{g.ItemNode(1), g.ItemNode(2)}
+	for _, c := range []struct {
+		algo      string
+		absorbing []int
+		step      []float64
+	}{
+		{"HT", []int{g.UserNode(u5)}, ones},
+		{"AT", rated, ones},
+		{"AC1", rated, steps(func(int) float64 { return cfg.UserCost })},
+		{"AC3", rated, steps(func(i int) float64 { return itemE[i] })},
+	} {
+		want, err := markovtest.AbsorbingCost(adj, c.absorbing, c.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := sys.Algorithm(c.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.ScoreItems(u5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range got {
+			if w := want[g.ItemNode(i)]; !(math.Abs(-s-w) <= 1e-9) {
+				t.Errorf("%s: M%d at τ = %d is %v, exact %v", c.algo, i+1, figure2Iterations, -s, w)
+			}
+		}
 	}
 }
 

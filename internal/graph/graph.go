@@ -325,23 +325,6 @@ func (g *Bipartite) Weight(v, w int) float64 {
 	return 0
 }
 
-// Stationary returns the stationary distribution π of the random walk
-// (Eq. 2): π_v = d_v / Σ_w d_w. Nodes in different components still get
-// degree-proportional mass, consistent with the formula.
-func (g *Bipartite) Stationary() []float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	pi := make([]float64, g.NumNodes())
-	total := g.base.Load().totalWeight + g.weightDelta
-	if total == 0 {
-		return pi
-	}
-	for v := range pi {
-		pi[v] = g.degreeLocked(v) / total
-	}
-	return pi
-}
-
 // storageKey identifies the storage the graph reads its unwritten rows and
 // its node identities from: the base snapshot and the universe. A fold
 // swaps the first, an admission the second; a fold is not journaled and

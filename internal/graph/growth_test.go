@@ -338,7 +338,6 @@ func TestConcurrentGrowth(t *testing.T) {
 				}
 				g.Degrees()
 				g.ItemPopularity()
-				g.Stationary()
 				g.NumEdges()
 			}
 		}(r)

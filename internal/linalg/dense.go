@@ -1,8 +1,8 @@
 // Package linalg provides the small dense linear-algebra kernels the
 // library needs: a row-major dense matrix, Gaussian elimination with
-// partial pivoting (for exact absorbing-time solves on subgraphs), QR
-// factorization via modified Gram–Schmidt (for the randomized SVD), and
-// basic vector operations.
+// partial pivoting (for the markovtest oracle's exact absorbing-time
+// solve), QR factorization via modified Gram–Schmidt (for the randomized
+// SVD), and basic vector operations.
 //
 // These are deliberately simple, allocation-transparent implementations;
 // the systems solved here are small (subgraphs, k-dimensional factor

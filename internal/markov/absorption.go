@@ -5,13 +5,23 @@ import (
 	"math"
 )
 
+// gaussSeidelTol and gaussSeidelMaxIter bound AbsorptionProbability's
+// iterative solve.
+const (
+	gaussSeidelTol     = 1e-12
+	gaussSeidelMaxIter = 100000
+)
+
 // AbsorptionProbability solves, for every state i, the probability that a
 // walker starting at i is absorbed at `target` rather than any other
 // member of the absorbing set: b_i = P_{i,target} + Σ_{j transient}
 // p_ij·b_j. For the Absorbing Time recommender this answers "*which* of
 // the user's rated items does a candidate item drain into", a diagnostic
 // for explaining recommendations. target must be a member of absorbing.
-// States that cannot reach the absorbing set get probability 0.
+// States that cannot reach the absorbing set get probability 0. The system
+// is solved by Gauss–Seidel; when a sweep still moves some b_i by
+// gaussSeidelTol or more after gaussSeidelMaxIter sweeps (long chains
+// converge slowly), the result is an error, not the unconverged vector.
 func (c *Chain) AbsorptionProbability(absorbing []int, target int) ([]float64, error) {
 	mask, err := c.validateAbsorbing(absorbing)
 	if err != nil {
@@ -21,52 +31,36 @@ func (c *Chain) AbsorptionProbability(absorbing []int, target int) ([]float64, e
 		return nil, fmt.Errorf("markov: target %d is not an absorbing state", target)
 	}
 	reach := c.reachable(mask)
-	out := make([]float64, c.n)
-	out[target] = 1
 	transient := make([]int, 0, c.n)
-	localOf := make(map[int]int)
 	for i := 0; i < c.n; i++ {
 		if !mask[i] && reach[i] {
-			localOf[i] = len(transient)
 			transient = append(transient, i)
 		}
 	}
-	if len(transient) == 0 {
-		return out, nil
-	}
-	// Gauss–Seidel on b_i = p_{i,target} + Σ_{j transient} p_ij·b_j; the
-	// iteration matrix is the same substochastic P_TT as the time solver,
-	// so convergence is monotone from zero.
-	x := make([]float64, len(transient))
+	// Gauss–Seidel in place: b is 1 at target and 0 at the other absorbing
+	// states throughout, and no transient state has an unreachable
+	// neighbour, so each sweep reads every neighbour's current value. The
+	// iteration matrix is the substochastic P_TT, so convergence is
+	// monotone from zero.
+	b := make([]float64, c.n)
+	b[target] = 1
 	for iter := 0; iter < gaussSeidelMaxIter; iter++ {
 		maxDelta := 0.0
-		for li, i := range transient {
+		for _, i := range transient {
 			d := c.degrees[i]
 			cols, vals := c.adj.Row(i)
 			acc := 0.0
 			for k, j := range cols {
-				switch {
-				case j == target:
-					acc += vals[k] / d
-				case mask[j]:
-					// Other absorbing states contribute 0.
-				default:
-					if lj, ok := localOf[j]; ok {
-						acc += vals[k] / d * x[lj]
-					}
-				}
+				acc += vals[k] / d * b[j]
 			}
-			if delta := math.Abs(acc - x[li]); delta > maxDelta {
+			if delta := math.Abs(acc - b[i]); delta > maxDelta {
 				maxDelta = delta
 			}
-			x[li] = acc
+			b[i] = acc
 		}
 		if maxDelta < gaussSeidelTol {
-			break
+			return b, nil
 		}
 	}
-	for li, i := range transient {
-		out[i] = x[li]
-	}
-	return out, nil
+	return nil, fmt.Errorf("markov: absorption probabilities did not converge in %d Gauss-Seidel sweeps (%d transient states)", gaussSeidelMaxIter, len(transient))
 }

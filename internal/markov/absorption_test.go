@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"longtailrec/internal/graph"
+	"longtailrec/internal/markov/markovtest"
+	"longtailrec/internal/sparse"
 )
 
 func TestAbsorptionProbabilitySumsToOne(t *testing.T) {
@@ -32,7 +34,7 @@ func TestAbsorptionProbabilitySumsToOne(t *testing.T) {
 			}
 		}
 		// Determine reachability via absorbing time.
-		at, err := ch.AbsorbingTimeExact(absorbing)
+		at, err := markovtest.AbsorbingTime(ch.adj, absorbing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +89,7 @@ func TestAbsorptionProbabilityFirstStep(t *testing.T) {
 		}
 		want := 0.0
 		for j := 0; j < ch.Len(); j++ {
-			want += ch.TransitionProb(i, j) * b[j]
+			want += markovtest.TransitionProb(ch.adj, i, j) * b[j]
 		}
 		if math.Abs(b[i]-want) > 1e-8 {
 			t.Fatalf("first-step equation violated at %d: %v vs %v", i, b[i], want)
@@ -130,5 +132,40 @@ func TestAbsorptionProbabilityValidation(t *testing.T) {
 	}
 	if _, err := ch.AbsorptionProbability([]int{0}, -1); err == nil {
 		t.Fatal("negative target accepted")
+	}
+}
+
+// pathChain is the path 0 - 1 - … - n-1 with unit weights.
+func pathChain(t *testing.T, n int) *Chain {
+	t.Helper()
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i+1 < n; i++ {
+		coo.Add(i, i+1, 1)
+		coo.Add(i+1, i, 1)
+	}
+	ch, err := NewChain(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// TestAbsorptionProbabilityPath checks the gambler's-ruin answer on a path
+// absorbing at both ends, b_i = i/(n-1) for the far end, and that a path
+// too long for the Gauss–Seidel sweep budget is an error rather than an
+// unconverged vector (at 400 nodes the sweeps stop ≈ 1e-3 short).
+func TestAbsorptionProbabilityPath(t *testing.T) {
+	const n = 50
+	b, err := pathChain(t, n).AbsorptionProbability([]int{0, n - 1}, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range b {
+		if want := float64(i) / (n - 1); math.Abs(p-want) > 1e-9 {
+			t.Fatalf("b[%d] = %v, want %v", i, p, want)
+		}
+	}
+	if b, err := pathChain(t, 400).AbsorptionProbability([]int{0, 399}, 399); err == nil {
+		t.Fatalf("400-node path: no error, b[200] = %v (want 0.5013)", b[200])
 	}
 }

@@ -231,27 +231,3 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 	scr.Cur, scr.Nxt = cur, nxt
 	return cur, nil
 }
-
-// StepCostsInto is StepCosts writing into caller-provided storage:
-// out[i] = Σ_j p_ij·enterCost[j]. Used by the exact solve path of the query
-// engine, where the linear-system solvers still need an explicit step-cost
-// vector.
-func (c *Chain) StepCostsInto(enterCost, out []float64) []float64 {
-	if len(enterCost) != c.n || len(out) != c.n {
-		panic(fmt.Sprintf("markov: StepCostsInto lengths %d/%d, want %d", len(enterCost), len(out), c.n))
-	}
-	for i := 0; i < c.n; i++ {
-		d := c.degrees[i]
-		if d == 0 {
-			out[i] = 0
-			continue
-		}
-		cols, vals := c.adj.Row(i)
-		acc := 0.0
-		for k, j := range cols {
-			acc += vals[k] * enterCost[j]
-		}
-		out[i] = acc / d
-	}
-	return out
-}

@@ -92,7 +92,7 @@ func TestFusedMatchesStepCostPipeline(t *testing.T) {
 	}
 	// Zero-degree transient states must stay frozen under entry costs.
 	iso := ch.Len() - 1
-	if ch.Degree(iso) != 0 {
+	if ch.degrees[iso] != 0 {
 		t.Fatal("expected state n-1 isolated")
 	}
 	if got[iso] != 0 {
@@ -151,7 +151,7 @@ func TestFusedCostGathersOncePerEdge(t *testing.T) {
 		cur, nxt := make([]float64, n), make([]float64, n)
 		for s := 0; s < tau; s++ {
 			for i := 0; i < n; i++ {
-				d := ch.Degree(i)
+				d := ch.degrees[i]
 				if absorbing(i) || d == 0 {
 					nxt[i] = cur[i] // absorbing states stay 0, isolated ones frozen
 					continue
@@ -388,14 +388,14 @@ func TestNewChainWithDegreesAndReset(t *testing.T) {
 	ch := fusedTestChain(t, 20, 6)
 	degrees := make([]float64, ch.Len())
 	for i := range degrees {
-		degrees[i] = ch.Degree(i)
+		degrees[i] = ch.degrees[i]
 	}
 	ch2, err := NewChainWithDegrees(ch.adj, degrees)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ch.Len(); i++ {
-		if ch2.Degree(i) != ch.Degree(i) {
+		if ch2.degrees[i] != ch.degrees[i] {
 			t.Fatalf("degree %d mismatch", i)
 		}
 	}

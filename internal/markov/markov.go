@@ -1,46 +1,28 @@
-// Package markov implements the random-walk machinery of Sections 3 and 4
-// of the paper: transition probabilities on a weighted graph (Eq. 1),
-// stationary distributions (Eq. 2), hitting times (Definition 1, Eq. 5),
-// absorbing times (Definition 3, Eq. 6) and entropy-weighted absorbing
-// costs (Eq. 8/9).
+// Package markov implements the random walk of Sections 3 and 4 of the
+// paper on a weighted graph: absorbing times (Definition 3, Eq. 6) and
+// entropy-weighted absorbing costs (Eq. 8/9), from which hitting times
+// (Definition 1) are the singleton case.
 //
-// Each quantity comes in two flavors:
-//
-//   - Exact: solve the first-step-analysis linear system
-//     (I - P_TT)·x = rhs over the transient states. Small systems use dense
-//     Gaussian elimination; larger ones use Gauss–Seidel, which converges
-//     for absorbing chains because P_TT is strictly substochastic on every
-//     state that can reach the absorbing set.
-//   - Truncated: iterate the dynamic-programming recurrence a fixed number
-//     of times τ (Algorithm 1 step 4). This is the paper's production path;
-//     only the induced ranking matters, not the exact values.
-//
-// States that cannot reach the absorbing set have infinite absorbing time;
-// exact solvers report +Inf for them.
+// There is one solver: τ truncated dynamic-programming sweeps of the
+// first-step recurrence (Algorithm 1 step 4), whose values lower-bound the
+// exact ones and converge to them as τ grows; the paper uses τ = 15, since
+// only the induced ranking matters. AbsorbingCostFused is the production
+// kernel; AbsorbingTimeTruncated and AbsorbingCostTruncated (fed by
+// StepCosts) are its allocating reference forms. The exact solve of the
+// linear system is a test oracle, package markovtest, which only tests
+// import. AbsorptionProbability, behind /v1/explain, solves its own system
+// by Gauss–Seidel and reports an error when that does not converge.
 package markov
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"longtailrec/internal/linalg"
 	"longtailrec/internal/sparse"
 )
 
 // ErrNoAbsorbing is returned when an empty absorbing set is supplied.
 var ErrNoAbsorbing = errors.New("markov: absorbing set is empty")
-
-// maxDenseSolveVar is the largest transient-state count solved by dense
-// Gaussian elimination; beyond it the exact solvers switch to Gauss–Seidel.
-// It is a variable only so tests can force the iterative path.
-var maxDenseSolveVar = 1500
-
-// gaussSeidelTol and gaussSeidelMaxIter bound the iterative exact solver.
-const (
-	gaussSeidelTol     = 1e-12
-	gaussSeidelMaxIter = 100000
-)
 
 // Chain wraps a symmetric weighted adjacency matrix with its degree vector
 // and exposes random-walk quantities. The adjacency is shared, not copied.
@@ -96,99 +78,6 @@ func (c *Chain) Reset(adj *sparse.CSR, degrees []float64) error {
 // Len returns the number of states.
 func (c *Chain) Len() int { return c.n }
 
-// Degree returns the weighted degree of state i.
-func (c *Chain) Degree(i int) float64 { return c.degrees[i] }
-
-// TransitionProb returns p_ij = a(i,j)/d_i (Eq. 1); zero if d_i = 0.
-func (c *Chain) TransitionProb(i, j int) float64 {
-	if c.degrees[i] == 0 {
-		return 0
-	}
-	return c.adj.At(i, j) / c.degrees[i]
-}
-
-// Stationary returns the degree-proportional stationary distribution
-// (Eq. 2). For a disconnected graph this is still the formula the paper
-// uses; it is the stationary distribution restricted to each component.
-func (c *Chain) Stationary() []float64 {
-	pi := make([]float64, c.n)
-	total := 0.0
-	for _, d := range c.degrees {
-		total += d
-	}
-	if total == 0 {
-		return pi
-	}
-	for i, d := range c.degrees {
-		pi[i] = d / total
-	}
-	return pi
-}
-
-// StepDistribution advances a probability distribution one step:
-// out = Pᵀ·in. States with zero degree keep their mass in place (self-loop
-// convention), so the result remains a distribution.
-func (c *Chain) StepDistribution(in, out []float64) {
-	if len(in) != c.n || len(out) != c.n {
-		panic("markov: StepDistribution length mismatch")
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	for i := 0; i < c.n; i++ {
-		mass := in[i]
-		if mass == 0 {
-			continue
-		}
-		if c.degrees[i] == 0 {
-			out[i] += mass
-			continue
-		}
-		cols, vals := c.adj.Row(i)
-		inv := mass / c.degrees[i]
-		for k, j := range cols {
-			out[j] += vals[k] * inv
-		}
-	}
-}
-
-// LazyStationaryPower estimates the stationary distribution by power
-// iteration on the lazy walk (I+P)/2, which converges even on bipartite
-// (periodic) graphs and has the same stationary distribution. Intended for
-// tests cross-checking Eq. 2.
-func (c *Chain) LazyStationaryPower(iters int, tol float64) []float64 {
-	cur := make([]float64, c.n)
-	nxt := make([]float64, c.n)
-	// Start from the degree-weighted seed restricted to non-isolated states.
-	active := 0
-	for _, d := range c.degrees {
-		if d > 0 {
-			active++
-		}
-	}
-	if active == 0 {
-		return cur
-	}
-	for i, d := range c.degrees {
-		if d > 0 {
-			cur[i] = 1 / float64(active)
-		}
-	}
-	for t := 0; t < iters; t++ {
-		c.StepDistribution(cur, nxt)
-		diff := 0.0
-		for i := range nxt {
-			nxt[i] = 0.5*cur[i] + 0.5*nxt[i]
-			diff += math.Abs(nxt[i] - cur[i])
-		}
-		cur, nxt = nxt, cur
-		if diff < tol {
-			break
-		}
-	}
-	return cur
-}
-
 // validateAbsorbing normalizes an absorbing-state list into a membership
 // mask, rejecting empty or out-of-range input.
 func (c *Chain) validateAbsorbing(absorbing []int) ([]bool, error) {
@@ -230,131 +119,6 @@ func (c *Chain) reachable(mask []bool) []bool {
 	return seen
 }
 
-// AbsorbingTimeExact solves Eq. 6 exactly: AT(S|i) for every state i.
-// Absorbing states get 0; states that cannot reach S get +Inf.
-func (c *Chain) AbsorbingTimeExact(absorbing []int) ([]float64, error) {
-	ones := make([]float64, c.n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	return c.AbsorbingCostExact(absorbing, ones)
-}
-
-// AbsorbingCostExact solves Eq. 8 exactly with a per-state expected step
-// cost: AC(S|i) = stepCost[i] + Σ_j p_ij AC(S|j) for transient i.
-// stepCost[i] must already be the expectation Σ_j p_ij c(j|i); use
-// StepCosts to build it from per-destination entry costs. With
-// stepCost ≡ 1 this reduces to AbsorbingTimeExact.
-func (c *Chain) AbsorbingCostExact(absorbing []int, stepCost []float64) ([]float64, error) {
-	if len(stepCost) != c.n {
-		return nil, fmt.Errorf("markov: stepCost length %d, want %d", len(stepCost), c.n)
-	}
-	mask, err := c.validateAbsorbing(absorbing)
-	if err != nil {
-		return nil, err
-	}
-	reach := c.reachable(mask)
-	out := make([]float64, c.n)
-	// Collect reachable transient states.
-	transient := make([]int, 0, c.n)
-	localOf := make(map[int]int)
-	for i := 0; i < c.n; i++ {
-		switch {
-		case mask[i]:
-			out[i] = 0
-		case !reach[i]:
-			out[i] = math.Inf(1)
-		default:
-			localOf[i] = len(transient)
-			transient = append(transient, i)
-		}
-	}
-	if len(transient) == 0 {
-		return out, nil
-	}
-	if len(transient) <= maxDenseSolveVar {
-		if err := c.solveDense(transient, localOf, mask, stepCost, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := c.solveGaussSeidel(transient, localOf, mask, stepCost, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// solveDense fills out[] for the transient states by dense Gaussian
-// elimination on (I - P_TT)·x = stepCost_T.
-func (c *Chain) solveDense(transient []int, localOf map[int]int, mask []bool, stepCost, out []float64) error {
-	nt := len(transient)
-	a := linalg.NewDense(nt, nt)
-	b := make([]float64, nt)
-	for li, i := range transient {
-		a.Set(li, li, 1)
-		b[li] = stepCost[i]
-		d := c.degrees[i]
-		if d == 0 {
-			// Transient state with no transitions: cannot be reached here
-			// because reachability requires an edge, but guard anyway.
-			continue
-		}
-		cols, vals := c.adj.Row(i)
-		for k, j := range cols {
-			if mask[j] {
-				continue // absorbing neighbors contribute 0 to the sum
-			}
-			lj, ok := localOf[j]
-			if !ok {
-				continue
-			}
-			a.Add(li, lj, -vals[k]/d)
-		}
-	}
-	if err := linalg.SolveInPlace(a, b); err != nil {
-		return fmt.Errorf("markov: absorbing system: %w", err)
-	}
-	for li, i := range transient {
-		out[i] = b[li]
-	}
-	return nil
-}
-
-// solveGaussSeidel fills out[] via Gauss–Seidel sweeps
-// x_i ← stepCost_i + Σ_j p_ij x_j, which converge monotonically from zero
-// for absorbing chains.
-func (c *Chain) solveGaussSeidel(transient []int, localOf map[int]int, mask []bool, stepCost, out []float64) error {
-	nt := len(transient)
-	x := make([]float64, nt)
-	for iter := 0; iter < gaussSeidelMaxIter; iter++ {
-		maxDelta := 0.0
-		for li, i := range transient {
-			acc := stepCost[i]
-			d := c.degrees[i]
-			cols, vals := c.adj.Row(i)
-			for k, j := range cols {
-				if mask[j] {
-					continue
-				}
-				if lj, ok := localOf[j]; ok {
-					acc += vals[k] / d * x[lj]
-				}
-			}
-			if delta := math.Abs(acc - x[li]); delta > maxDelta {
-				maxDelta = delta
-			}
-			x[li] = acc
-		}
-		if maxDelta < gaussSeidelTol {
-			for li, i := range transient {
-				out[i] = x[li]
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("markov: Gauss-Seidel did not converge in %d iterations (n=%d)", gaussSeidelMaxIter, nt)
-}
-
 // AbsorbingTimeTruncated runs the Algorithm 1 recurrence for tau
 // iterations: AT_{t+1}(S|i) = 1 + Σ_j p_ij·AT_t(S|j), AT ≡ 0 on S and at
 // t=0. The returned values lower-bound the exact absorbing time and
@@ -367,8 +131,11 @@ func (c *Chain) AbsorbingTimeTruncated(absorbing []int, tau int) ([]float64, err
 	return c.AbsorbingCostTruncated(absorbing, ones, tau)
 }
 
-// AbsorbingCostTruncated is the truncated-iteration analogue of
-// AbsorbingCostExact (Eq. 8 with τ dynamic-programming sweeps).
+// AbsorbingCostTruncated runs τ dynamic-programming sweeps of Eq. 8 with a
+// per-state expected step cost: AC_{t+1}(S|i) = stepCost[i] + Σ_j
+// p_ij·AC_t(S|j), AC ≡ 0 on S and at t=0. stepCost[i] must already be the
+// expectation Σ_j p_ij c(j|i); StepCosts builds it from per-destination
+// entry costs. With stepCost ≡ 1 this is AbsorbingTimeTruncated.
 func (c *Chain) AbsorbingCostTruncated(absorbing []int, stepCost []float64, tau int) ([]float64, error) {
 	if len(stepCost) != c.n {
 		return nil, fmt.Errorf("markov: stepCost length %d, want %d", len(stepCost), c.n)
@@ -407,22 +174,26 @@ func (c *Chain) AbsorbingCostTruncated(absorbing []int, stepCost []float64, tau 
 	return cur, nil
 }
 
-// HittingTimeExact returns H(target|j) (Definition 1) for every start
-// state j: the expected steps to first reach target. It is the absorbing
-// time with S = {target}.
-func (c *Chain) HittingTimeExact(target int) ([]float64, error) {
-	return c.AbsorbingTimeExact([]int{target})
-}
-
-// HittingTimeTruncated is the τ-step truncated hitting time.
-func (c *Chain) HittingTimeTruncated(target, tau int) ([]float64, error) {
-	return c.AbsorbingTimeTruncated([]int{target}, tau)
-}
-
 // StepCosts converts per-destination entry costs into per-state expected
 // step costs: stepCost[i] = Σ_j p_ij·enterCost[j]. This realizes the
 // entropy-cost model of Eq. 9, where entering user j costs E(j) and
 // entering an item costs the constant C.
 func (c *Chain) StepCosts(enterCost []float64) []float64 {
-	return c.StepCostsInto(enterCost, make([]float64, c.n))
+	if len(enterCost) != c.n {
+		panic(fmt.Sprintf("markov: StepCosts length %d, want %d", len(enterCost), c.n))
+	}
+	out := make([]float64, c.n)
+	for i := 0; i < c.n; i++ {
+		d := c.degrees[i]
+		if d == 0 {
+			continue
+		}
+		cols, vals := c.adj.Row(i)
+		acc := 0.0
+		for k, j := range cols {
+			acc += vals[k] * enterCost[j]
+		}
+		out[i] = acc / d
+	}
+	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"longtailrec/internal/graph"
+	"longtailrec/internal/markov/markovtest"
 )
 
 // figure2Graph reproduces the exact rating table of Figure 2 in the paper.
@@ -54,13 +55,12 @@ func randomChain(r *rand.Rand, nu, ni int) (*graph.Bipartite, *Chain) {
 
 // TestFigure2WorkedExample validates the paper's §3.3 worked example.
 // Paper values: H(U5|M4)=17.7, H(U5|M1)=19.6, H(U5|M5)=20.2, H(U5|M6)=20.3.
-// Our exact solve on the Figure 2 rating table gives the identical ranking
+// The exact solve on the Figure 2 rating table gives the identical ranking
 // with every value exactly 1.040× the paper's (a uniform edge-mass
 // difference); we assert the ranking plus the constant-ratio agreement.
 func TestFigure2WorkedExample(t *testing.T) {
 	g := figure2Graph(t)
-	ch := chainOf(t, g)
-	ht, err := ch.HittingTimeExact(g.UserNode(4))
+	ht, err := markovtest.HittingTime(g.Adjacency(), g.UserNode(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFigure2WorkedExample(t *testing.T) {
 	if !(m4 < m1 && m1 < m5 && m5 < m6) {
 		t.Fatalf("ranking M4<M1<M5<M6 violated: %v %v %v %v", m4, m1, m5, m6)
 	}
-	// Regression pin for our exact solver.
+	// Regression pin for the exact solve.
 	wantExact := map[string]float64{"m1": 20.3894, "m4": 18.3993, "m5": 21.0235, "m6": 21.1171}
 	for name, got := range map[string]float64{"m1": m1, "m4": m4, "m5": m5, "m6": m6} {
 		if math.Abs(got-wantExact[name]) > 5e-4 {
@@ -94,8 +94,7 @@ func TestFigure2NicheBeatsPopular(t *testing.T) {
 	// The paper's point: HT recommends the niche M4 over the locally
 	// popular M1 for U5, while a popularity ranking would pick M1.
 	g := figure2Graph(t)
-	ch := chainOf(t, g)
-	ht, err := ch.HittingTimeExact(g.UserNode(4))
+	ht, err := markovtest.HittingTime(g.Adjacency(), g.UserNode(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,32 +115,82 @@ func TestNewChainRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// TestTransitionProbRows checks the oracle's p_ij (Eq. 1), which the
+// first-step tests below read, is a stochastic matrix.
 func TestTransitionProbRows(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
 	for i := 0; i < ch.Len(); i++ {
 		sum := 0.0
 		for j := 0; j < ch.Len(); j++ {
-			p := ch.TransitionProb(i, j)
+			p := markovtest.TransitionProb(ch.adj, i, j)
 			if p < 0 || p > 1 {
 				t.Fatalf("p(%d,%d) = %v out of [0,1]", i, j, p)
 			}
 			sum += p
 		}
-		if ch.Degree(i) > 0 && math.Abs(sum-1) > 1e-12 {
+		if ch.degrees[i] > 0 && math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("row %d sums to %v", i, sum)
 		}
 	}
 }
 
+// stationary returns the degree-proportional stationary distribution
+// π_i = d_i / Σ_j d_j (Eq. 2), which TestKemenyConstant weights by.
+func stationary(c *Chain) []float64 {
+	pi := make([]float64, c.n)
+	total := 0.0
+	for _, d := range c.degrees {
+		total += d
+	}
+	for i, d := range c.degrees {
+		pi[i] = d / total
+	}
+	return pi
+}
+
+// stepDistribution advances a probability distribution one step of the
+// walk, out = Pᵀ·in; a zero-degree state keeps its mass in place.
+func stepDistribution(c *Chain, in, out []float64) {
+	clear(out)
+	for i, mass := range in {
+		if c.degrees[i] == 0 {
+			out[i] += mass
+			continue
+		}
+		cols, vals := c.adj.Row(i)
+		for k, j := range cols {
+			out[j] += mass * vals[k] / c.degrees[i]
+		}
+	}
+}
+
+// TestStationaryMatchesPowerIteration checks Eq. 2 against the lazy walk
+// (I+P)/2, which has the same stationary distribution and converges on
+// bipartite (periodic) graphs too.
 func TestStationaryMatchesPowerIteration(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
-	closed := ch.Stationary()
-	power := ch.LazyStationaryPower(20000, 1e-14)
+	closed := stationary(ch)
+	cur, nxt := make([]float64, ch.Len()), make([]float64, ch.Len())
+	for i := range cur {
+		cur[i] = 1 / float64(ch.Len())
+	}
+	for it := 0; it < 20000; it++ {
+		stepDistribution(ch, cur, nxt)
+		diff := 0.0
+		for i := range nxt {
+			nxt[i] = 0.5*cur[i] + 0.5*nxt[i]
+			diff += math.Abs(nxt[i] - cur[i])
+		}
+		cur, nxt = nxt, cur
+		if diff < 1e-14 {
+			break
+		}
+	}
 	for i := range closed {
-		if math.Abs(closed[i]-power[i]) > 1e-8 {
-			t.Fatalf("π[%d]: closed %v vs power %v", i, closed[i], power[i])
+		if math.Abs(closed[i]-cur[i]) > 1e-8 {
+			t.Fatalf("π[%d]: closed %v vs power %v", i, closed[i], cur[i])
 		}
 	}
 }
@@ -153,7 +202,7 @@ func TestStepDistributionPreservesMass(t *testing.T) {
 	in[3] = 0.5
 	in[7] = 0.5
 	out := make([]float64, ch.Len())
-	ch.StepDistribution(in, out)
+	stepDistribution(ch, in, out)
 	sum := 0.0
 	for _, p := range out {
 		if p < 0 {
@@ -172,11 +221,11 @@ func TestAbsorbingTimeEqualsHittingTimeForSingleton(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g, ch := randomChain(rng, 3+rng.Intn(5), 3+rng.Intn(5))
 		target := g.UserNode(rng.Intn(g.NumUsers()))
-		at, err := ch.AbsorbingTimeExact([]int{target})
+		at, err := markovtest.AbsorbingTime(ch.adj, []int{target})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ht, err := ch.HittingTimeExact(target)
+		ht, err := markovtest.HittingTime(ch.adj, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +241,7 @@ func TestAbsorbingStatesAreZero(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
 	abs := []int{g.ItemNode(1), g.ItemNode(2)}
-	at, err := ch.AbsorbingTimeExact(abs)
+	at, err := markovtest.AbsorbingTime(ch.adj, abs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +263,7 @@ func TestAbsorbingTimeFirstStepEquation(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g, ch := randomChain(rng, 3+rng.Intn(6), 3+rng.Intn(6))
 		abs := []int{g.ItemNode(rng.Intn(g.NumItems()))}
-		at, err := ch.AbsorbingTimeExact(abs)
+		at, err := markovtest.AbsorbingTime(ch.adj, abs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +273,7 @@ func TestAbsorbingTimeFirstStepEquation(t *testing.T) {
 			}
 			want := 1.0
 			for j := 0; j < ch.Len(); j++ {
-				p := ch.TransitionProb(i, j)
+				p := markovtest.TransitionProb(ch.adj, i, j)
 				if p > 0 && !math.IsInf(at[j], 1) {
 					want += p * at[j]
 				}
@@ -243,7 +292,7 @@ func TestUnreachableStatesAreInfinite(t *testing.T) {
 	_ = b.AddRating(1, 1, 5)
 	g := b.Build()
 	ch := chainOf(t, g)
-	at, err := ch.AbsorbingTimeExact([]int{g.ItemNode(0)})
+	at, err := markovtest.AbsorbingTime(ch.adj, []int{g.ItemNode(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +308,7 @@ func TestTruncatedConvergesToExact(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
 	abs := []int{g.ItemNode(1), g.ItemNode(2)}
-	exact, err := ch.AbsorbingTimeExact(abs)
+	exact, err := markovtest.AbsorbingTime(ch.adj, abs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +327,7 @@ func TestTruncatedMonotoneAndBounded(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
 	abs := []int{g.UserNode(4)}
-	exact, err := ch.AbsorbingTimeExact(abs)
+	exact, err := markovtest.AbsorbingTime(ch.adj, abs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +355,7 @@ func TestTruncatedRankingStableByTau15(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
 	abs := []int{g.ItemNode(1), g.ItemNode(2)} // S_{U5}
-	exact, err := ch.AbsorbingTimeExact(abs)
+	exact, err := markovtest.AbsorbingTime(ch.adj, abs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,36 +375,6 @@ func TestTruncatedRankingStableByTau15(t *testing.T) {
 	}
 }
 
-func TestGaussSeidelMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 5; trial++ {
-		g, ch := randomChain(rng, 4+rng.Intn(6), 4+rng.Intn(6))
-		abs := []int{g.ItemNode(rng.Intn(g.NumItems()))}
-		dense, err := ch.AbsorbingTimeExact(abs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gs []float64
-		forceGaussSeidel(func() {
-			gs, err = ch.AbsorbingTimeExact(abs)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range dense {
-			if math.IsInf(dense[i], 1) {
-				if !math.IsInf(gs[i], 1) {
-					t.Fatalf("GS finite where dense infinite at %d", i)
-				}
-				continue
-			}
-			if math.Abs(dense[i]-gs[i]) > 1e-6 {
-				t.Fatalf("trial %d state %d: dense %v vs GS %v", trial, i, dense[i], gs[i])
-			}
-		}
-	}
-}
-
 func TestAbsorbingCostReducesToTime(t *testing.T) {
 	// With unit step costs, AC must equal AT (Eq. 8 note).
 	g := figure2Graph(t)
@@ -365,11 +384,11 @@ func TestAbsorbingCostReducesToTime(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	at, err := ch.AbsorbingTimeExact(abs)
+	at, err := markovtest.AbsorbingTime(ch.adj, abs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := ch.AbsorbingCostExact(abs, ones)
+	ac, err := markovtest.AbsorbingCost(ch.adj, abs, ones)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +410,11 @@ func TestAbsorbingCostScalesLinearly(t *testing.T) {
 		cost1[i] = 0.5 + float64(i%3)
 		cost2[i] = 2 * cost1[i]
 	}
-	ac1, err := ch.AbsorbingCostExact(abs, cost1)
+	ac1, err := markovtest.AbsorbingCost(ch.adj, abs, cost1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac2, err := ch.AbsorbingCostExact(abs, cost2)
+	ac2, err := markovtest.AbsorbingCost(ch.adj, abs, cost2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +439,7 @@ func TestStepCosts(t *testing.T) {
 	for i := 0; i < ch.Len(); i++ {
 		want := 0.0
 		for j := 0; j < ch.Len(); j++ {
-			want += ch.TransitionProb(i, j) * enter[j]
+			want += markovtest.TransitionProb(ch.adj, i, j) * enter[j]
 		}
 		if math.Abs(sc[i]-want) > 1e-12 {
 			t.Fatalf("StepCosts[%d] = %v, want %v", i, sc[i], want)
@@ -436,7 +455,7 @@ func TestStepCostsUniformEnterIsUnit(t *testing.T) {
 		enter[i] = 1
 	}
 	for i, sc := range ch.StepCosts(enter) {
-		if ch.Degree(i) > 0 && math.Abs(sc-1) > 1e-12 {
+		if ch.degrees[i] > 0 && math.Abs(sc-1) > 1e-12 {
 			t.Fatalf("uniform enter cost gave step cost %v at %d", sc, i)
 		}
 	}
@@ -447,12 +466,12 @@ func TestKemenyConstant(t *testing.T) {
 	// This is a strong end-to-end check of the exact hitting-time solver.
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
-	pi := ch.Stationary()
+	pi := stationary(ch)
 	n := ch.Len()
 	// H[j][i] = hitting time to j from i.
 	kemeny := make([]float64, n)
 	for j := 0; j < n; j++ {
-		ht, err := ch.HittingTimeExact(j)
+		ht, err := markovtest.HittingTime(ch.adj, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +493,7 @@ func TestCommuteTimeSymmetry(t *testing.T) {
 	n := ch.Len()
 	H := make([][]float64, n)
 	for j := 0; j < n; j++ {
-		ht, err := ch.HittingTimeExact(j)
+		ht, err := markovtest.HittingTime(ch.adj, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,20 +517,20 @@ func TestCommuteTimeSymmetry(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	g := figure2Graph(t)
 	ch := chainOf(t, g)
-	if _, err := ch.AbsorbingTimeExact(nil); !errors.Is(err, ErrNoAbsorbing) {
+	if _, err := ch.AbsorbingTimeTruncated(nil, 5); !errors.Is(err, ErrNoAbsorbing) {
 		t.Fatalf("empty absorbing set: %v", err)
 	}
-	if _, err := ch.AbsorbingTimeExact([]int{-1}); err == nil {
+	if _, err := ch.AbsorbingTimeTruncated([]int{-1}, 5); err == nil {
 		t.Fatal("negative absorbing state accepted")
 	}
-	if _, err := ch.AbsorbingTimeExact([]int{99}); err == nil {
+	if _, err := ch.AbsorbingTimeTruncated([]int{99}, 5); err == nil {
 		t.Fatal("out-of-range absorbing state accepted")
 	}
 	if _, err := ch.AbsorbingTimeTruncated([]int{0}, -1); err == nil {
 		t.Fatal("negative tau accepted")
 	}
-	if _, err := ch.AbsorbingCostExact([]int{0}, []float64{1}); err == nil {
-		t.Fatal("short stepCost accepted")
+	if _, err := markovtest.AbsorbingCost(ch.adj, []int{0}, []float64{1}); err == nil {
+		t.Fatal("short stepCost accepted (oracle)")
 	}
 	if _, err := ch.AbsorbingCostTruncated([]int{0}, []float64{1}, 5); err == nil {
 		t.Fatal("short stepCost accepted (truncated)")
@@ -548,7 +567,7 @@ func TestQuickExactAtLeastOne(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g, ch := randomChain(r, 2+r.Intn(6), 2+r.Intn(6))
 		abs := []int{g.UserNode(r.Intn(g.NumUsers()))}
-		at, err := ch.AbsorbingTimeExact(abs)
+		at, err := markovtest.AbsorbingTime(ch.adj, abs)
 		if err != nil {
 			return false
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"longtailrec/internal/graph"
+	"longtailrec/internal/markov/markovtest"
 )
 
 // rwrScores is random walk with restart from node q: the stationary
@@ -16,7 +17,7 @@ func rwrScores(c *Chain, q int, damping float64, iters int, tol float64) []float
 	nxt := make([]float64, c.Len())
 	cur[q] = 1
 	for it := 0; it < iters; it++ {
-		c.StepDistribution(cur, nxt)
+		stepDistribution(c, cur, nxt)
 		diff := 0.0
 		for i := range nxt {
 			v := damping * nxt[i]
@@ -63,7 +64,7 @@ func TestSection32PopularityBias(t *testing.T) {
 	// High damping: the walk mixes toward the stationary distribution,
 	// which is the regime the paper's popularity-bias argument describes.
 	rwr := rwrScores(ch, q, 0.9, 2000, 1e-12)
-	ht, err := ch.HittingTimeExact(q) // H(q|j) for every j
+	ht, err := markovtest.HittingTime(ch.adj, q) // H(q|j) for every j
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSection32PopularityBias(t *testing.T) {
 		if pop[i] == 0 {
 			continue // isolated: no walk reaches it
 		}
-		from, err := ch.HittingTimeExact(g.ItemNode(i)) // H(j|q) at from[q]
+		from, err := markovtest.HittingTime(ch.adj, g.ItemNode(i)) // H(j|q) at from[q]
 		if err != nil {
 			t.Fatal(err)
 		}

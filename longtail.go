@@ -95,8 +95,8 @@ func RecommendItems(r Recommender, u, k int) ([]Scored, error) {
 
 // Config tunes the full algorithm suite.
 type Config struct {
-	// Walk carries µ (subgraph item budget), τ (truncated iterations) and
-	// the exact-solve switch for HT/AT/AC (Algorithm 1 parameters).
+	// Walk carries µ (subgraph item budget) and τ (truncated iterations)
+	// for HT/AT/AC (Algorithm 1 parameters).
 	Walk core.WalkOptions
 	// UserCost is the C constant of the Absorbing Cost model (Eq. 9).
 	UserCost float64
