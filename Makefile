@@ -40,14 +40,16 @@ loc:
 # sharded result cache, the WAL group-commit ingester plus
 # kill-and-restart recovery (TestDurable* in the root package), the
 # memoised popularity vector under a writer
-# (TestConcurrentItemPopularityMemo) and the lock-free /v1/metrics
-# counters (TestConcurrentMetricsAcrossRoutes).
+# (TestConcurrentItemPopularityMemo), the lock-free /v1/metrics
+# counters (TestConcurrentMetricsAcrossRoutes) and the sweeps a walk shares
+# with markov's helper goroutine (TestSplit*: cancelled and late-joined
+# walks whose scratch is reused at once, walks contending for the helper).
 # (The full suite under -race also works but takes many minutes; this is
 # the CI-sized cut.)
 # The second line runs the serving benchmark's own tests — a real
 # loopback server driven by concurrent clients — under the detector.
 race:
-	$(GO) test -race -run 'TestConcurrent|TestEngineConcurrentUse|TestRecommendBatch|TestServeBatch|TestCached|TestDurable|TestIngester' . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/cache/ ./internal/wal/
+	$(GO) test -race -run 'TestConcurrent|TestEngineConcurrentUse|TestRecommendBatch|TestServeBatch|TestCached|TestDurable|TestIngester|TestSplit' . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/cache/ ./internal/wal/ ./internal/markov/
 	$(GO) test -race ./benchmark
 
 # Short per-query benchmark pass with allocation counts — the regression

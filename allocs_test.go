@@ -16,9 +16,12 @@ import (
 // keeps: users of one island in turn reuse one; users of alternating
 // islands, each read after a re-rate (to a new weight) in its island,
 // find theirs kept and refresh its CSR without a BFS; at a µ below the
-// island size every query is a truncated BFS that rebuilds. A refresh or
-// a rebuild costs one allocation more than a reuse: the view of the CSR
-// it built. Recommend holds at 25 (the rule
+// island size every query is a truncated BFS that rebuilds; on an island
+// large enough for the walk to share its sweeps with the helper
+// goroutine, measured at GOMAXPROCS=2, reuse holds the same counts (the
+// split allocates nothing). A refresh or a rebuild costs one allocation
+// more than a reuse: the view of the CSR it built. Recommend holds at 25
+// (the rule
 // BenchmarkQueryAT/AC2 print in `make bench`); ScoreItems and
 // ScoreItemsCompact at 2, the caller's copy of the scores and that view.
 // Everything else lives in the pooled scratch each query borrows, so one
@@ -42,7 +45,21 @@ func TestWalkRecommendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newSystem := func(mu int) *System {
+	// One island of 64k stored entries, above the size from which the
+	// walk shares its sweeps with a helper goroutine (markov's split
+	// threshold, 48k).
+	const bigUsers, bigItems = 1600, 1200
+	var bigRatings []Rating
+	for u := 0; u < bigUsers; u++ {
+		for k := 0; k < 20; k++ {
+			bigRatings = append(bigRatings, Rating{User: u, Item: (u*7 + k*61) % bigItems, Score: float64(1 + (u+k)%5)})
+		}
+	}
+	bigD, err := NewDataset(bigUsers, bigItems, bigRatings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSystem := func(d *Dataset, mu int) *System {
 		cfg := DefaultConfig()
 		cfg.LDA = lda.Config{NumTopics: 4, Alpha: 0.5, Iterations: 10, Seed: 25}
 		cfg.Walk.MaxSubgraphItems = mu
@@ -52,7 +69,8 @@ func TestWalkRecommendAllocs(t *testing.T) {
 		}
 		return sys
 	}
-	sys, truncated := newSystem(DefaultConfig().Walk.MaxSubgraphItems), newSystem(items/2)
+	mu := DefaultConfig().Walk.MaxSubgraphItems
+	sys, truncated, big := newSystem(d, mu), newSystem(d, items/2), newSystem(bigD, mu)
 	alternate := func(n int) int { return (n%2)*users + n%users }
 	for _, algo := range []string{"AT", "AC2"} {
 		for _, path := range []struct {
@@ -60,10 +78,13 @@ func TestWalkRecommendAllocs(t *testing.T) {
 			sys   *System
 			user  func(n int) int
 			write bool
+			procs int // GOMAXPROCS while measured
+			warm  int // unmeasured queries first
 		}{
-			{"one island (reuse)", sys, func(n int) int { return n % users }, false},
-			{"alternating islands, written (refresh)", sys, alternate, true},
-			{"µ below the island (rebuild)", truncated, alternate, false},
+			{"one island (reuse)", sys, func(n int) int { return n % users }, false, 1, 2 * users},
+			{"alternating islands, written (refresh)", sys, alternate, true, 1, 2 * users},
+			{"µ below the island (rebuild)", truncated, alternate, false, 1, 2 * users},
+			{"one island above the split threshold, two cores (reuse)", big, func(n int) int { return n % bigUsers }, false, 2, 20},
 		} {
 			rec, err := path.sys.Algorithm(algo)
 			if err != nil {
@@ -102,11 +123,11 @@ func TestWalkRecommendAllocs(t *testing.T) {
 					}
 					n++
 				}
-				for k := 0; k < 2*users; k++ {
+				for k := 0; k < path.warm; k++ {
 					write()
 					query() // warm: pool, scratch capacities, lazily trained models
 				}
-				allocs := allocsAfter(200, write, query)
+				allocs := allocsAfter(path.procs, 200, write, query)
 				if allocs > q.bound {
 					t.Fatalf("%s %s, %s: %v allocations per query, want at most %v", algo, q.name, path.name, allocs, q.bound)
 				}
@@ -116,13 +137,13 @@ func TestWalkRecommendAllocs(t *testing.T) {
 	}
 }
 
-// allocsAfter is testing.AllocsPerRun for f alone: prepare runs before
-// each of the runs calls, unmeasured. It collects first, and runs one
-// unmeasured call to move the pooled scratch back out of the victim
-// cache, so that no collection, which empties the pool, falls in the
-// window.
-func allocsAfter(runs int, prepare, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// allocsAfter is testing.AllocsPerRun for f alone, at GOMAXPROCS procs:
+// prepare runs before each of the runs calls, unmeasured. It collects
+// first, and runs one unmeasured call to move the pooled scratch back out
+// of the victim cache, so that no collection, which empties the pool,
+// falls in the window.
+func allocsAfter(procs, runs int, prepare, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	runtime.GC()
 	prepare()
 	f()

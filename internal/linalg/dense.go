@@ -1,8 +1,7 @@
 // Package linalg provides the small dense linear-algebra kernels the
-// library needs: a row-major dense matrix, Gaussian elimination with
-// partial pivoting (for the markovtest oracle's exact absorbing-time
-// solve), QR factorization via modified Gram–Schmidt (for the randomized
-// SVD), and basic vector operations.
+// library needs: a row-major dense matrix, QR factorization via modified
+// Gram–Schmidt (for the randomized SVD), a symmetric eigensolver and
+// basic vector operations.
 //
 // These are deliberately simple, allocation-transparent implementations;
 // the systems solved here are small (subgraphs, k-dimensional factor
@@ -10,14 +9,9 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrSingular is returned when a linear solve meets an (effectively)
-// singular matrix.
-var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // Dense is a row-major dense matrix.
 type Dense struct {
@@ -161,73 +155,6 @@ func (m *Dense) SetCol(j int, src []float64) {
 	}
 }
 
-// SolveInPlace solves A·x = b by Gaussian elimination with partial
-// pivoting, overwriting both A and b; on success b holds x. A must be
-// square. Returns ErrSingular if a pivot is (effectively) zero.
-func SolveInPlace(a *Dense, b []float64) error {
-	n := a.rows
-	if a.cols != n {
-		return fmt.Errorf("linalg: Solve on non-square %dx%d matrix", a.rows, a.cols)
-	}
-	if len(b) != n {
-		return fmt.Errorf("linalg: Solve rhs length %d, want %d", len(b), n)
-	}
-	const eps = 1e-13
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest |a[r][col]| for r >= col.
-		pivot := col
-		maxAbs := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if abs := math.Abs(a.At(r, col)); abs > maxAbs {
-				maxAbs = abs
-				pivot = r
-			}
-		}
-		if maxAbs < eps {
-			return ErrSingular
-		}
-		if pivot != col {
-			rp, rc := a.Row(pivot), a.Row(col)
-			for j := range rp {
-				rp[j], rc[j] = rc[j], rp[j]
-			}
-			b[pivot], b[col] = b[col], b[pivot]
-		}
-		inv := 1 / a.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			rr, rc := a.Row(r), a.Row(col)
-			for j := col; j < n; j++ {
-				rr[j] -= f * rc[j]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := a.Row(i)
-		acc := b[i]
-		for j := i + 1; j < n; j++ {
-			acc -= row[j] * b[j]
-		}
-		b[i] = acc / row[i]
-	}
-	return nil
-}
-
-// Solve solves A·x = b without mutating its inputs.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	x := make([]float64, len(b))
-	copy(x, b)
-	if err := SolveInPlace(a.Clone(), x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // QR computes a thin QR factorization of m (rows >= cols) by modified
 // Gram–Schmidt with re-orthogonalization ("twice is enough"): m = Q·R where
 // Q is rows×cols with orthonormal columns and R is cols×cols upper
@@ -286,17 +213,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the max-abs element of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dot returns xᵀy.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -324,13 +240,4 @@ func Scale(a float64, x []float64) {
 	for i := range x {
 		x[i] *= a
 	}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }

@@ -25,7 +25,10 @@ func SymEigen(a *Dense) (vals []float64, vecs *Dense, err error) {
 		}
 	}
 	w := a.Clone()
-	v := Identity(n)
+	v := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		v.Set(i, i, 1)
+	}
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0

@@ -14,7 +14,9 @@ import (
 
 // ChainScratch holds the reusable buffers of the truncated-sweep solvers.
 // One scratch serves any number of sequential queries against chains of any
-// size (buffers grow monotonically); it is not safe for concurrent use.
+// size (buffers grow monotonically); it is not safe for concurrent use, and
+// it must not be copied (it holds the atomic words a sweep shares with the
+// helper goroutine).
 type ChainScratch struct {
 	Mask     []bool    // absorbing-state membership
 	Cur, Nxt []float64 // DP ping/pong buffers
@@ -28,6 +30,9 @@ type ChainScratch struct {
 	absorbed []float64
 	// absorbing lists the absorbing states, ascending; kernel-owned.
 	absorbing []int
+	// split is the state the block schedule shares with the sweep helper
+	// when it cuts its half-sweeps into row chunks (split.go).
+	split sweepSplit
 }
 
 // Resize re-slices every buffer to length n, growing the backing arrays
@@ -104,6 +109,12 @@ func (s *ChainScratch) Resize(n int) {
 // below a are 0. Without a declaration, or with a transient row below a,
 // every sweep advances all of [0,n) and every entry is the τ-sweep value.
 //
+// Two cores. Under the block schedule a chain of splitMinEntries stored
+// entries or more, with GOMAXPROCS > 1, shares each sweep's rows with one
+// process-wide helper goroutine in chunks (split.go). Every row is still
+// computed by one goroutine with the same operations in the same order, so
+// the result is Float64bits-equal to the one-core sweep.
+//
 // The returned slice aliases scr (either Cur or Nxt) and is valid until the
 // scratch is reused. scr must have been Resize'd to c.Len(), with Mask set
 // by the caller after the Resize.
@@ -137,7 +148,7 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 	if !any {
 		return nil, ErrNoAbsorbing
 	}
-	cur, nxt, mask, arrive, absorbed := scr.Cur, scr.Nxt, scr.Mask, scr.Arrive, scr.absorbed
+	mask, absorbed := scr.Mask, scr.absorbed
 	a, b, blocks := c.adj.Blocks()
 	for i := 0; blocks && i < a; i++ {
 		blocks = mask[i]
@@ -158,6 +169,10 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 			}
 		}
 	}
+	if blocks {
+		return c.blockSweeps(ctx, scr, enter, tau, a, b)
+	}
+	cur, nxt, arrive := scr.Cur, scr.Nxt, scr.Arrive
 	for t := 0; t < tau; t++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -167,67 +182,116 @@ func (c *Chain) AbsorbingCostFusedCtx(ctx context.Context, scr *ChainScratch, en
 				return nil, err
 			}
 		}
-		// This sweep writes rows [lo,hi) of dst from rows [readLo,readHi)
-		// (and, under the schedule, the constant rows below a) of cur.
-		lo, hi, readLo, readHi, dst := 0, c.n, 0, c.n, nxt
-		if blocks {
-			// A block never reads itself, so it is advanced in place.
-			dst = cur
-			if (tau-1-t)%2 == 0 {
-				lo, hi, readLo, readHi = b, c.n, a, b
-			} else {
-				lo, hi, readLo, readHi = a, b, b, c.n
-			}
-		}
 		if enter != nil {
 			// The same enter[j] + cur[j] every edge into j would add, once
 			// per state instead of once per edge; absorbing columns are in
 			// absorbed already.
-			for j := readLo; j < readHi; j++ {
+			for j := range arrive {
 				arrive[j] = enter[j] + cur[j]
 			}
 			for _, j := range scr.absorbing {
 				arrive[j] = 0
 			}
 		}
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				dst[i] = 0
-				continue
-			}
-			d := c.degrees[i]
-			if d == 0 {
-				// Isolated transient state: never absorbed. Under unit costs
-				// its time is the number of sweeps so far — stated outright
-				// rather than as cur[i] + 1, because the schedule visits a
-				// row only every other sweep; entry costs contribute
-				// nothing without transitions, so there it stays frozen.
-				if enter == nil {
-					dst[i] = float64(t + 1)
-				} else {
-					dst[i] = cur[i]
-				}
-				continue
-			}
-			cols, vals := c.adj.Row(i)
-			if enter == nil {
-				acc := 1.0
-				for k, j := range cols {
-					acc += vals[k] / d * cur[j]
-				}
-				dst[i] = acc
-			} else {
-				acc := absorbed[i]
-				for k, j := range cols {
-					acc += vals[k] * arrive[j]
-				}
-				dst[i] = acc / d
-			}
-		}
-		if !blocks {
-			cur, nxt = nxt, cur
-		}
+		c.sweepRows(scr, enter, cur, nxt, t, 0, c.n, false)
+		cur, nxt = nxt, cur
 	}
 	scr.Cur, scr.Nxt = cur, nxt
 	return cur, nil
+}
+
+// blockSweeps runs the block schedule: sweep t advances, in place in
+// scr.Cur, the block sweepHalf names. Each row written also refreshes its
+// Arrive entry for the next sweep, which reads exactly the rows this one
+// wrote, so Arrive needs no pass of its own after the first. Chains of
+// splitMin stored entries or more cut each sweep into row chunks shared
+// with the helper goroutine (split.go); the rest, and every walk the
+// helper is busy for, run here alone.
+func (c *Chain) blockSweeps(ctx context.Context, scr *ChainScratch, enter []float64, tau, a, b int) ([]float64, error) {
+	cur := scr.Cur
+	rows := [2][2]int{{a, b}, {b, c.n}}
+	if enter != nil && tau > 0 {
+		// Sweep 0 reads the block it does not write; absorbing columns
+		// (every row below a among them) read 0 throughout.
+		read := rows[1-sweepHalf(0, tau)]
+		for j := read[0]; j < read[1]; j++ {
+			scr.Arrive[j] = enter[j] + cur[j]
+		}
+		for _, j := range scr.absorbing {
+			scr.Arrive[j] = 0
+		}
+	}
+	if tau > 0 && c.adj.NNZ() >= splitMin {
+		if done, err := c.splitSweeps(ctx, scr, enter, tau, rows); done {
+			if err != nil {
+				return nil, err
+			}
+			return cur, nil
+		}
+	}
+	for t := 0; t < tau; t++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		r := rows[sweepHalf(t, tau)]
+		c.sweepRows(scr, enter, cur, cur, t, r[0], r[1], true)
+	}
+	return cur, nil
+}
+
+// sweepHalf is the block sweep t of τ advances under the block schedule:
+// 1 for [b,n) when τ-1-t is even, 0 for [a,b) when it is odd. A block
+// never reads itself, so it is advanced in place.
+func sweepHalf(t, tau int) int {
+	return 1 - (tau-1-t)%2
+}
+
+// sweepRows writes rows [lo,hi) of sweep t into dst, reading cur (and,
+// under the cost model, Arrive and absorbed). Under the block schedule dst
+// is cur and refresh is set: each row written also stores its own
+// enter[i] + dst[i] (0 when absorbing) in Arrive, the value the next sweep
+// gathers. Rows touch nothing but their own entries, so disjoint row
+// ranges may run at once.
+func (c *Chain) sweepRows(scr *ChainScratch, enter, cur, dst []float64, t, lo, hi int, refresh bool) {
+	mask, arrive, absorbed := scr.Mask, scr.Arrive, scr.absorbed
+	refresh = refresh && enter != nil
+	for i := lo; i < hi; i++ {
+		if mask[i] {
+			dst[i] = 0
+			if refresh {
+				arrive[i] = 0
+			}
+			continue
+		}
+		d := c.degrees[i]
+		if d == 0 {
+			// Isolated transient state: never absorbed. Under unit costs
+			// its time is the number of sweeps so far — stated outright
+			// rather than as cur[i] + 1, because the schedule visits a row
+			// only every other sweep; entry costs contribute nothing
+			// without transitions, so there it stays frozen.
+			if enter == nil {
+				dst[i] = float64(t + 1)
+			} else {
+				dst[i] = cur[i]
+			}
+		} else if cols, vals := c.adj.Row(i); enter == nil {
+			acc := 1.0
+			for k, j := range cols {
+				acc += vals[k] / d * cur[j]
+			}
+			dst[i] = acc
+		} else {
+			acc := absorbed[i]
+			for k, j := range cols {
+				acc += vals[k] * arrive[j]
+			}
+			dst[i] = acc / d
+		}
+		if refresh {
+			arrive[i] = enter[i] + dst[i]
+		}
+	}
 }

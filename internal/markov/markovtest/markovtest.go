@@ -1,7 +1,8 @@
 // Package markovtest is the dense exact solve of the absorbing random walk
 // (Definition 3, Eqs. 6 and 8): the oracle that tests hold package markov's
-// truncated sweeps and the walk recommenders to. It imports only sparse and
-// linalg, so package markov's own tests can use it. Only test files may
+// truncated sweeps and the walk recommenders to. It carries its own
+// Gaussian elimination (SolveInPlace) and imports only sparse and linalg's
+// dense matrix, so package markov's own tests can use it. Only test files may
 // import it (TestMarkovtestOnlyInTests in the module root holds this).
 package markovtest
 
@@ -107,7 +108,7 @@ func AbsorbingCost(adj *sparse.CSR, absorbing []int, stepCost []float64) ([]floa
 			}
 		}
 	}
-	if err := linalg.SolveInPlace(a, b); err != nil {
+	if err := SolveInPlace(a, b); err != nil {
 		return nil, fmt.Errorf("markovtest: absorbing system: %w", err)
 	}
 	for li, i := range transient {

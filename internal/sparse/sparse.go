@@ -197,11 +197,27 @@ func (m *CSR) NNZ() int { return len(m.vals) }
 // alias internal storage and must not be modified.
 func (m *CSR) Row(i int) (cols []int, vals []float64) {
 	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("sparse: CSR.Row(%d) out of bounds for %d rows", i, m.rows))
+		panic(rowRangeError{i, m.rows})
 	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colIdx[lo:hi], m.vals[lo:hi]
 }
+
+// rowRangeError is Row's out-of-range panic value. Its message is
+// formatted only when read, in Error, so that Row stays within the
+// inliner's budget (45 against 80; a call to an out-of-line panicking
+// helper alone costs 57): the sweep kernels call Row once per row per
+// sweep.
+type rowRangeError struct{ i, rows int }
+
+func (e rowRangeError) Error() string {
+	return fmt.Sprintf("sparse: CSR.Row(%d) out of bounds for %d rows", e.i, e.rows)
+}
+
+// RowStart returns the offset of row i's first stored entry in row-major
+// order, for i in [0, rows]: rows [i,j) hold RowStart(j) - RowStart(i)
+// entries.
+func (m *CSR) RowStart(i int) int { return m.rowPtr[i] }
 
 // RowNNZ returns the number of nonzeros in row i.
 func (m *CSR) RowNNZ(i int) int {

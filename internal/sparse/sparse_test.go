@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -486,4 +487,21 @@ func FuzzToCSR(f *testing.F) {
 			t.Fatalf("spare capacity: colIdx %d/%d, vals %d/%d", len(got.colIdx), cap(got.colIdx), len(got.vals), cap(got.vals))
 		}
 	})
+}
+
+// TestRowPanicMessage holds Row's out-of-range panic to its message.
+func TestRowPanicMessage(t *testing.T) {
+	m := NewCSRFromDense([][]float64{{1, 0}, {0, 2}})
+	for _, i := range []int{-1, 2} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				want := fmt.Sprintf("sparse: CSR.Row(%d) out of bounds for 2 rows", i)
+				if !ok || err.Error() != want {
+					t.Fatalf("Row(%d) panicked with %v, want %q", i, err, want)
+				}
+			}()
+			m.Row(i)
+		}()
+	}
 }
